@@ -50,6 +50,7 @@ from .enumeration import (
     enumerate_semi_magic,
     iter_modular_magic,
     iter_semi_magic,
+    modular_magic_blocks,
     random_semi_magic,
     semi_magic_blocks,
 )

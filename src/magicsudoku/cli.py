@@ -130,6 +130,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         elif not args.quiet:
             print(count)
         return 0
+    if args.format == "binary" and not args.out:
+        raise DomainError("binary output requires --out FILE")
     stream = iter_modular_magic() if variant == MM else iter_semi_magic()
     if args.out:
         if args.format == "binary":
@@ -141,8 +143,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if not args.quiet:
             print(f"{count} boards written to {args.out}")
     else:
-        if args.format == "binary":
-            raise DomainError("binary output requires --out FILE")
         count = boards_mod.write_text(sys.stdout, stream)
     return 0
 

@@ -1,16 +1,20 @@
 """Exhaustive enumerators for blocks, boards, and gnomon completions.
 
-The modular-magic enumerator assigns cells in row-major order with the
-usual Sudoku bitmasks plus sum constraints applied the moment a
-mini-row, mini-column, or mini-diagonal completes; completing lines
-force the digit outright, so only cells in the upper-left 2x2 corner of
-each block ever branch. The semi-magic enumerator assembles boards from
-the 72-block catalog with row/column digit-set compatibility pruning.
+Each variant has a catalog of 72 blocks: semi-magic blocks (mini-rows
+and mini-columns sum to 12) and magic-mod-9 blocks (mini-rows,
+mini-columns, and mini-diagonals sum to 0 mod 9). Nine catalog blocks
+form a board exactly when blocks sharing a band have disjoint mini-row
+digit sets and blocks sharing a pillar have disjoint mini-column digit
+sets, so one join over block indices enumerates either variant.
+Partitions, preset cells, and fixed gnomon blocks all become per-position
+candidate masks of that join.
 
-Both enumerators are deterministic. An optional partition (worker,
-worker_count) restricts a run to a slice of the top-level branches so
-censuses can be split across processes; the slices are disjoint and
-their union is the full enumeration.
+Both enumerators are deterministic: semi-magic boards come in join
+order (band 0 blocks vary slowest), modular-magic boards in
+lexicographic row-major order. An optional partition (worker,
+worker_count) restricts a run to a slice of top-left blocks so censuses
+can be split across processes; the slices are disjoint and their union
+is the full enumeration.
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ import itertools
 from functools import cache
 from typing import Callable, Iterator, Mapping
 
-from .boards import Block, Board
+from .boards import Block, Board, is_magic_mod9_block, is_semi_magic_block
 from .errors import DomainError
 
 __all__ = [
     "semi_magic_blocks",
+    "modular_magic_blocks",
     "enumerate_modular_magic",
     "enumerate_semi_magic",
     "iter_modular_magic",
@@ -35,6 +40,10 @@ __all__ = [
 ]
 
 Visitor = Callable[[Board], None]
+#: A block catalog builder, such as semi_magic_blocks.
+_Catalog = Callable[[], tuple[Block, ...]]
+#: keep(p, i, blk): whether catalog block i, which is blk, may sit at block position p.
+_Keep = Callable[[int, int, Block], bool]
 
 #: Blocks of the standard gnomon (first band and first pillar), keyed by
 #: block coordinates.
@@ -57,218 +66,60 @@ def standard_gnomon_cells() -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
+# --- block catalogs ---
+
+
+def _block_catalog(predicate: Callable[[Block], bool]) -> tuple[Block, ...]:
+    """All blocks satisfying ``predicate``, sorted by flattened entries.
+
+    Only blocks whose mini-rows and mini-columns share one sum s mod 9
+    are tested, which both block predicates imply (s = 12 and s = 0).
+    The nine digits sum to 36, so 3s = 0 mod 9. The row sum forces the
+    last digit of the second row, and the column sums force the third
+    row, which must hold the three digits left.
+    """
+    found = []
+    digits = frozenset(range(9))
+    for r0 in itertools.permutations(range(9), 3):
+        s = sum(r0) % 9
+        if s % 3:
+            continue
+        rest = digits - set(r0)
+        for a, b in itertools.permutations(sorted(rest), 2):
+            c = (s - a - b) % 9
+            if c not in rest or c in (a, b):
+                continue
+            r1 = (a, b, c)
+            r2 = tuple((s - x - y) % 9 for x, y in zip(r0, r1))
+            if set(r2) == rest - set(r1) and predicate(blk := (r0, r1, r2)):
+                found.append(blk)
+    return tuple(sorted(found))
+
+
 @cache
 def semi_magic_blocks() -> tuple[Block, ...]:
     """All 72 blocks with distinct digits and every mini-row and
     mini-column summing to 12, sorted by their flattened entries."""
-    found = []
-    digits = range(9)
-    for r0 in itertools.permutations(digits, 3):
-        if sum(r0) != 12:
-            continue
-        rest = set(digits) - set(r0)
-        for r1 in itertools.permutations(sorted(rest), 3):
-            if sum(r1) != 12:
-                continue
-            r2 = tuple(12 - r0[j] - r1[j] for j in range(3))
-            if set(r2) == rest - set(r1):
-                found.append((r0, r1, r2))
-    return tuple(sorted(found))
-
-
-# --- modular-magic enumeration ---
-
-# Cell kinds: 0 branches freely; 1 closes a mini-row; 2 closes a
-# mini-column and the anti-diagonal; 3 closes a mini-column only;
-# 4 closes a mini-row, mini-column, and the main diagonal.
-def _mm_plan() -> tuple[tuple[int, int, int, int], ...]:
-    plan = []
-    for idx in range(81):
-        r, c = divmod(idx, 9)
-        blk = 3 * (r // 3) + c // 3
-        rm, cm = r % 3, c % 3
-        if rm < 2:
-            kind = 1 if cm == 2 else 0
-        elif cm == 0:
-            kind = 2
-        elif cm == 1:
-            kind = 3
-        else:
-            kind = 4
-        plan.append((kind, r, c, blk))
-    return tuple(plan)
-
-
-_MM_PLAN = _mm_plan()
-
-
-def _check_partition(partition: tuple[int, int] | None) -> tuple[int, int]:
-    if partition is None:
-        return 0, 1
-    worker, count = partition
-    if count < 1 or not 0 <= worker < count:
-        raise DomainError(f"bad partition {partition!r}")
-    return worker, count
-
-
-def enumerate_modular_magic(
-    visitor: Visitor | None = None, partition: tuple[int, int] | None = None
-) -> int:
-    """Visit every modular-magic board once; returns the count.
-
-    Sequential runs visit boards in lexicographic row-major order.
-    """
-    worker, nparts = _check_partition(partition)
-    plan = _MM_PLAN
-    grid = bytearray(81)
-    rowm = [0] * 9
-    colm = [0] * 9
-    blkm = [0] * 9
-    count = 0
-
-    def rec(idx: int) -> None:
-        nonlocal count
-        if idx == 81:
-            count += 1
-            if visitor is not None:
-                visitor(Board._wrap(bytes(grid)))
-            return
-        kind, r, c, blk = plan[idx]
-        used = rowm[r] | colm[c] | blkm[blk]
-        if kind == 0:
-            avail = 0x1FF & ~used
-            while avail:
-                bit = avail & -avail
-                avail ^= bit
-                grid[idx] = bit.bit_length() - 1
-                rowm[r] |= bit
-                colm[c] |= bit
-                blkm[blk] |= bit
-                rec(idx + 1)
-                rowm[r] ^= bit
-                colm[c] ^= bit
-                blkm[blk] ^= bit
-            return
-        if kind == 1:
-            d = (-grid[idx - 1] - grid[idx - 2]) % 9
-        elif kind == 2:
-            d = (-grid[idx - 9] - grid[idx - 18]) % 9
-            if (grid[idx - 16] + grid[idx - 8] + d) % 9:
-                return
-        elif kind == 3:
-            d = (-grid[idx - 9] - grid[idx - 18]) % 9
-        else:
-            d = (-grid[idx - 1] - grid[idx - 2]) % 9
-            if d != (-grid[idx - 9] - grid[idx - 18]) % 9:
-                return
-            if (grid[idx - 20] + grid[idx - 10] + d) % 9:
-                return
-        bit = 1 << d
-        if used & bit:
-            return
-        grid[idx] = d
-        rowm[r] |= bit
-        colm[c] |= bit
-        blkm[blk] |= bit
-        rec(idx + 1)
-        rowm[r] ^= bit
-        colm[c] ^= bit
-        blkm[blk] ^= bit
-
-    # Drive the first two cells by hand so partition slicing costs
-    # nothing inside the hot recursion.
-    for d0 in range(9):
-        for d1 in range(9):
-            if d1 == d0 or (9 * d0 + d1) % nparts != worker:
-                continue
-            grid[0], grid[1] = d0, d1
-            bits = (1 << d0) | (1 << d1)
-            rowm[0] = blkm[0] = bits
-            colm[0], colm[1] = 1 << d0, 1 << d1
-            rec(2)
-    rowm[0] = blkm[0] = colm[0] = colm[1] = 0
-    return count
-
-
-def iter_modular_magic() -> Iterator[Board]:
-    """Yield every modular-magic board in enumeration order."""
-    boards: list[Board] = []
-    enumerate_modular_magic(boards.append)
-    return iter(boards)
-
-
-def complete_modular_magic(
-    assignments: Mapping[int, int], limit: int | None = None
-) -> list[Board]:
-    """All modular-magic boards extending the given cell assignments.
-
-    Stops early once ``limit`` boards are found, if given.
-    """
-    preset: list[int] = [-1] * 81
-    for cell, digit in assignments.items():
-        if not (0 <= int(cell) <= 80 and 0 <= int(digit) <= 8):
-            raise DomainError(f"bad assignment {cell!r}: {digit!r}")
-        preset[cell] = digit
-    plan = _MM_PLAN
-    grid = bytearray(81)
-    rowm = [0] * 9
-    colm = [0] * 9
-    blkm = [0] * 9
-    out: list[Board] = []
-
-    def rec(idx: int) -> bool:
-        if idx == 81:
-            out.append(Board._wrap(bytes(grid)))
-            return limit is not None and len(out) >= limit
-        kind, r, c, blk = plan[idx]
-        used = rowm[r] | colm[c] | blkm[blk]
-        if kind == 0:
-            choices = 0x1FF & ~used
-        elif kind == 1:
-            choices = 1 << (-grid[idx - 1] - grid[idx - 2]) % 9
-        elif kind in (2, 3):
-            choices = 1 << (-grid[idx - 9] - grid[idx - 18]) % 9
-        else:
-            d = (-grid[idx - 1] - grid[idx - 2]) % 9
-            if d != (-grid[idx - 9] - grid[idx - 18]) % 9:
-                return False
-            choices = 1 << d
-        if preset[idx] >= 0:
-            choices &= 1 << preset[idx]
-        choices &= ~used
-        while choices:
-            bit = choices & -choices
-            choices ^= bit
-            d = bit.bit_length() - 1
-            if kind == 2 and (grid[idx - 16] + grid[idx - 8] + d) % 9:
-                continue
-            if kind == 4 and (grid[idx - 20] + grid[idx - 10] + d) % 9:
-                continue
-            grid[idx] = d
-            rowm[r] |= bit
-            colm[c] |= bit
-            blkm[blk] |= bit
-            stop = rec(idx + 1)
-            rowm[r] ^= bit
-            colm[c] ^= bit
-            blkm[blk] ^= bit
-            if stop:
-                return True
-        return False
-
-    rec(0)
-    return out
-
-
-# --- semi-magic enumeration ---
+    return _block_catalog(is_semi_magic_block)
 
 
 @cache
-def _sm_tables() -> tuple[
-    tuple[tuple[bytes, bytes, bytes], ...], tuple[int, ...], tuple[int, ...]
-]:
+def modular_magic_blocks() -> tuple[Block, ...]:
+    """All 72 blocks with distinct digits and every mini-row,
+    mini-column, and mini-diagonal summing to 0 mod 9, sorted by their
+    flattened entries."""
+    return _block_catalog(is_magic_mod9_block)
+
+
+# --- the block join ---
+
+
+@cache
+def _tables(
+    catalog_fn: _Catalog,
+) -> tuple[tuple[tuple[bytes, bytes, bytes], ...], tuple[int, ...], tuple[int, ...]]:
     """Per-block row bytes plus row/column compatibility bitmasks."""
-    catalog = semi_magic_blocks()
+    catalog = catalog_fn()
     n = len(catalog)
     row_sets = []
     col_sets = []
@@ -293,20 +144,158 @@ def _sm_tables() -> tuple[
     return rows, tuple(row_ok), tuple(col_ok)
 
 
-def _assemble(rows, i) -> bytes:
-    """Build board bytes from nine catalog indices in block order."""
-    (a, b, c), (d, e, f), (g, h, k) = (
-        (rows[i[0]], rows[i[1]], rows[i[2]]),
-        (rows[i[3]], rows[i[4]], rows[i[5]]),
-        (rows[i[6]], rows[i[7]], rows[i[8]]),
+def _fits(tables, picks, p: int) -> int:
+    """Catalog indices that may sit at block position p (row-major block
+    order) next to the blocks picks[:p]: mini-row sets disjoint from the
+    earlier blocks of its band, mini-column sets disjoint from the
+    earlier blocks of its pillar. Unconstrained bits are all set."""
+    _, row_ok, col_ok = tables
+    mask = -1
+    for q in range(p - p % 3, p):
+        mask &= row_ok[picks[q]]
+    for q in range(p % 3, p, 3):
+        mask &= col_ok[picks[q]]
+    return mask
+
+
+def _band(rows, i: int, j: int, k: int) -> bytes:
+    """The 27 cells of a band holding blocks i, j, k, row-major."""
+    a, b, c = rows[i], rows[j], rows[k]
+    return b"".join((a[0], b[0], c[0], a[1], b[1], c[1], a[2], b[2], c[2]))
+
+
+def _join(catalog_fn: _Catalog, keep: _Keep, visitor: Visitor | None = None) -> int:
+    """Visit every board built from the catalog, whose block blk with
+    catalog index i may sit at block position p only if keep(p, i, blk);
+    returns the count.
+
+    Positions are filled in row-major block order, lower indices first,
+    so earlier positions vary slowest.
+    """
+    tables = rows, row_ok, col_ok = _tables(catalog_fn)
+    cand = [
+        sum(1 << i for i, blk in enumerate(catalog_fn()) if keep(p, i, blk)) for p in range(9)
+    ]
+    picks = [0] * 9
+    count = 0
+
+    def rec(p: int) -> None:
+        nonlocal count
+        if p < 6:
+            mask = cand[p] & _fits(tables, picks, p)
+            while mask:
+                bit = mask & -mask
+                mask ^= bit
+                picks[p] = bit.bit_length() - 1
+                rec(p + 1)
+            return
+        # Band 2 unrolled: its three positions hold most of the nodes.
+        mask = cand[6] & col_ok[picks[0]] & col_ok[picks[3]]
+        c7 = cand[7] & col_ok[picks[1]] & col_ok[picks[4]]
+        c8 = cand[8] & col_ok[picks[2]] & col_ok[picks[5]]
+        top = _band(rows, *picks[0:3]) + _band(rows, *picks[3:6]) if visitor is not None else b""
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            i6 = bit.bit_length() - 1
+            r6 = row_ok[i6]
+            m7 = c7 & r6
+            c8r6 = c8 & r6
+            g = rows[i6]
+            while m7:
+                b7 = m7 & -m7
+                m7 ^= b7
+                i7 = b7.bit_length() - 1
+                m8 = c8r6 & row_ok[i7]
+                if visitor is None:
+                    count += m8.bit_count()
+                    continue
+                h = rows[i7]
+                while m8:
+                    b8 = m8 & -m8
+                    m8 ^= b8
+                    k = rows[b8.bit_length() - 1]
+                    count += 1
+                    # Band 2 as _band would build it, after the top two bands.
+                    cells = b"".join((top, g[0], h[0], k[0], g[1], h[1], k[1], g[2], h[2], k[2]))
+                    visitor(Board._wrap(cells))
+
+    rec(0)
+    return count
+
+
+def _check_partition(partition: tuple[int, int] | None) -> tuple[int, int]:
+    if partition is None:
+        return 0, 1
+    worker, count = partition
+    if count < 1 or not 0 <= worker < count:
+        raise DomainError(f"bad partition {partition!r}")
+    return worker, count
+
+
+def _stream(enumerate_fn, slices: int) -> Iterator[Board]:
+    # Stream one partition slice at a time to bound memory.
+    chunk: list[Board] = []
+    for worker in range(slices):
+        enumerate_fn(chunk.append, partition=(worker, slices))
+        yield from chunk
+        chunk.clear()
+
+
+# --- modular-magic enumeration ---
+
+
+def _mm_boards(keep: _Keep) -> list[Board]:
+    """The modular-magic boards the join admits under keep, sorted."""
+    boards: list[Board] = []
+    _join(modular_magic_blocks, keep, boards.append)
+    boards.sort(key=lambda b: b.cells)
+    return boards
+
+
+def enumerate_modular_magic(
+    visitor: Visitor | None = None, partition: tuple[int, int] | None = None
+) -> int:
+    """Visit every modular-magic board once; returns the count.
+
+    Boards are visited in lexicographic row-major order. Worker w of a
+    partition into n slices gets the boards whose first two cells d0, d1
+    satisfy (9 * d0 + d1) % n == w.
+    """
+    worker, nparts = _check_partition(partition)
+    boards = _mm_boards(
+        lambda p, i, blk: p > 0 or (9 * blk[0][0] + blk[0][1]) % nparts == worker
     )
-    return b"".join(
-        (
-            a[0], b[0], c[0], a[1], b[1], c[1], a[2], b[2], c[2],
-            d[0], e[0], f[0], d[1], e[1], f[1], d[2], e[2], f[2],
-            g[0], h[0], k[0], g[1], h[1], k[1], g[2], h[2], k[2],
-        )
-    )
+    for board in boards if visitor is not None else ():
+        visitor(board)
+    return len(boards)
+
+
+def iter_modular_magic() -> Iterator[Board]:
+    """Yield every modular-magic board in enumeration order."""
+    # Slice w of 81 holds the boards starting with digits divmod(w, 9).
+    return _stream(enumerate_modular_magic, 81)
+
+
+def complete_modular_magic(
+    assignments: Mapping[int, int], limit: int | None = None
+) -> list[Board]:
+    """All modular-magic boards extending the given cell assignments,
+    in lexicographic row-major order.
+
+    Returns only the first ``limit`` boards, if given.
+    """
+    fixed: list[list[tuple[int, int, int]]] = [[] for _ in range(9)]
+    for cell, digit in assignments.items():
+        if not (0 <= int(cell) <= 80 and 0 <= int(digit) <= 8):
+            raise DomainError(f"bad assignment {cell!r}: {digit!r}")
+        r, c = divmod(int(cell), 9)
+        fixed[3 * (r // 3) + c // 3].append((r % 3, c % 3, int(digit)))
+    boards = _mm_boards(lambda p, i, blk: all(blk[r][c] == d for r, c, d in fixed[p]))
+    return boards if limit is None else boards[:limit]
+
+
+# --- semi-magic enumeration ---
 
 
 def enumerate_semi_magic(
@@ -315,86 +304,17 @@ def enumerate_semi_magic(
     """Visit every semi-magic board once; returns the count.
 
     Boards are assembled block by block from the 72-block catalog in
-    deterministic catalog order (band 0 blocks vary slowest).
+    deterministic catalog order (band 0 blocks vary slowest). Worker w
+    of a partition into n slices gets the top-left catalog indices
+    congruent to w mod n.
     """
     worker, nparts = _check_partition(partition)
-    rows, row_ok, col_ok = _sm_tables()
-    n = len(rows)
-    count = 0
-    for i0 in range(worker % nparts, n, nparts) if nparts > 1 else range(n):
-        r0 = row_ok[i0]
-        c0 = col_ok[i0]
-        m1 = r0
-        while m1:
-            b1 = m1 & -m1
-            m1 ^= b1
-            i1 = b1.bit_length() - 1
-            c1 = col_ok[i1]
-            m2 = r0 & row_ok[i1]
-            while m2:
-                b2 = m2 & -m2
-                m2 ^= b2
-                i2 = b2.bit_length() - 1
-                c2 = col_ok[i2]
-                m3 = c0
-                while m3:
-                    b3 = m3 & -m3
-                    m3 ^= b3
-                    i3 = b3.bit_length() - 1
-                    r3 = row_ok[i3]
-                    m4 = c1 & r3
-                    while m4:
-                        b4 = m4 & -m4
-                        m4 ^= b4
-                        i4 = b4.bit_length() - 1
-                        m5 = c2 & r3 & row_ok[i4]
-                        while m5:
-                            b5 = m5 & -m5
-                            m5 ^= b5
-                            i5 = b5.bit_length() - 1
-                            m6 = c0 & col_ok[i3]
-                            while m6:
-                                b6 = m6 & -m6
-                                m6 ^= b6
-                                i6 = b6.bit_length() - 1
-                                r6 = row_ok[i6]
-                                m7 = c1 & col_ok[i4] & r6
-                                while m7:
-                                    b7 = m7 & -m7
-                                    m7 ^= b7
-                                    i7 = b7.bit_length() - 1
-                                    m8 = c2 & col_ok[i5] & r6 & row_ok[i7]
-                                    while m8:
-                                        b8 = m8 & -m8
-                                        m8 ^= b8
-                                        count += 1
-                                        if visitor is not None:
-                                            visitor(
-                                                Board._wrap(
-                                                    _assemble(
-                                                        rows,
-                                                        (
-                                                            i0, i1, i2, i3, i4, i5,
-                                                            i6, i7, b8.bit_length() - 1,
-                                                        ),
-                                                    )
-                                                )
-                                            )
-    return count
+    return _join(semi_magic_blocks, lambda p, i, blk: p > 0 or i % nparts == worker, visitor)
 
 
 def iter_semi_magic() -> Iterator[Board]:
     """Yield every semi-magic board in enumeration order."""
-
-    def gen() -> Iterator[Board]:
-        # Stream one top-left-block slice at a time to bound memory.
-        chunk: list[Board] = []
-        for i0 in range(72):
-            enumerate_semi_magic(chunk.append, partition=(i0, 72))
-            yield from chunk
-            chunk.clear()
-
-    return gen()
+    return _stream(enumerate_semi_magic, 72)
 
 
 def random_semi_magic(rng) -> Board:
@@ -403,52 +323,29 @@ def random_semi_magic(rng) -> Board:
     Retries from scratch when a partial assembly dead-ends, so draws
     are independent but not uniform across boards.
     """
-    rows, row_ok, col_ok = _sm_tables()
-    n = len(rows)
-    full = (1 << n) - 1
+    tables = _tables(semi_magic_blocks)
+    rows = tables[0]
     while True:
-        picks = []
-        ok = True
-        for j in range(9):
-            mask = full
-            band, pillar = divmod(j, 3)
-            for k, i in enumerate(picks):
-                if k // 3 == band:
-                    mask &= row_ok[i]
-                if k % 3 == pillar:
-                    mask &= col_ok[i]
-            if not mask:
-                ok = False
+        picks: list[int] = []
+        for p in range(9):
+            fits = _fits(tables, picks, p)
+            choices = [i for i in range(len(rows)) if fits >> i & 1]
+            if not choices:
                 break
-            picks.append(rng.choice(list(_bits(mask))))
-        if ok:
-            return Board._wrap(_assemble(rows, tuple(picks)))
+            picks.append(rng.choice(choices))
+        else:
+            return Board._wrap(b"".join(_band(rows, *picks[q : q + 3]) for q in (0, 3, 6)))
 
 
 @cache
 def complete_standard_gnomon() -> tuple[Board, ...]:
     """The 16 semi-magic boards whose gnomon is the standard gnomon,
     sorted by their (cell (6,5), cell (5,6)) label pair."""
-    catalog = semi_magic_blocks()
-    rows, row_ok, col_ok = _sm_tables()
-    pos = {key: catalog.index(blk) for key, blk in STANDARD_GNOMON_BLOCKS.items()}
-    i0, i1, i2 = pos[(0, 0)], pos[(0, 1)], pos[(0, 2)]
-    i3, i6 = pos[(1, 0)], pos[(2, 0)]
-    boards = []
-    r3 = row_ok[i3]
-    r6 = row_ok[i6]
-    for i4 in _bits(col_ok[i1] & r3):
-        for i5 in _bits(col_ok[i2] & r3 & row_ok[i4]):
-            for i7 in _bits(col_ok[i1] & col_ok[i4] & r6):
-                for i8 in _bits(col_ok[i2] & col_ok[i5] & r6 & row_ok[i7]):
-                    cells = _assemble(rows, (i0, i1, i2, i3, i4, i5, i6, i7, i8))
-                    boards.append(Board._wrap(cells))
+    boards: list[Board] = []
+    _join(
+        semi_magic_blocks,
+        lambda p, i, blk: STANDARD_GNOMON_BLOCKS.get(divmod(p, 3), blk) == blk,
+        boards.append,
+    )
     boards.sort(key=lambda b: (b[9 * 6 + 5], b[9 * 5 + 6]))
     return tuple(boards)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit.bit_length() - 1

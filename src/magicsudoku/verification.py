@@ -23,7 +23,7 @@ import numpy as np
 
 from . import catalog, nestgraph, nests
 from .analysis import check_two_equal, g9_minimality_certificate
-from .boards import Board
+from .boards import Board, format_board, is_modular_magic
 from .enumeration import (
     complete_standard_gnomon,
     enumerate_modular_magic,
@@ -31,7 +31,7 @@ from .enumeration import (
     random_semi_magic,
     semi_magic_blocks,
 )
-from .errors import DomainError
+from .errors import DomainError, IntegrityError
 from .keedwell import (
     apply_alpha,
     apply_beta,
@@ -114,6 +114,8 @@ def _mm_survey_slice(args: tuple[int, int]):
 
     def visit(board: Board) -> None:
         nonlocal failures, seen
+        if not is_modular_magic(board):
+            raise IntegrityError(f"enumerated board {format_board(board)} is not modular-magic")
         alpha, gamma, _ = nests._mm_reduce(board.cells)
         counts[(alpha, gamma)] += 1
         if not check_two_equal(board):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from magicsudoku import cli
 from magicsudoku.boards import read_mssb
 from magicsudoku.cli import run
 
@@ -55,7 +56,11 @@ def test_enumerate_count_only_quiet_json(capsys, tmp_path):
     assert json.loads(out.read_text()) == {"variant": "semi-magic", "count": 5971968}
 
 
-def test_enumerate_binary_requires_out(capsys):
+def test_enumerate_binary_requires_out(capsys, monkeypatch):
+    def enumerator_called():
+        raise AssertionError("enumerated boards before rejecting the flags")
+
+    monkeypatch.setattr(cli, "iter_modular_magic", enumerator_called)
     assert run(["enumerate", "--variant", "modular-magic", "--format", "binary"]) == 2
     captured = capsys.readouterr()
     assert "usage error" in captured.out + captured.err

@@ -6,14 +6,17 @@ import random
 import pytest
 
 from magicsudoku import enumeration as en
+from magicsudoku import verification
 from magicsudoku.boards import (
     blocks,
+    format_board,
+    is_magic_mod9_block,
     is_modular_magic,
     is_semi_magic,
     is_semi_magic_block,
     parse_board,
 )
-from magicsudoku.errors import DomainError
+from magicsudoku.errors import DomainError, IntegrityError
 
 from conftest import CANON_SM_71
 
@@ -35,6 +38,15 @@ def _take(n, enumerate_fn):
     return got
 
 
+def _brute_force_catalog(predicate):
+    # Independent oracle: filter all 9! digit arrangements.
+    return tuple(
+        blk
+        for p in itertools.permutations(range(9))
+        if predicate(blk := (p[0:3], p[3:6], p[6:9]))
+    )
+
+
 def test_semi_magic_blocks_catalog():
     cat = en.semi_magic_blocks()
     assert len(cat) == 72
@@ -44,10 +56,30 @@ def test_semi_magic_blocks_catalog():
         flat = sorted(d for row in blk for d in row)
         assert flat == list(range(9))
         assert is_semi_magic_block(blk)
+    assert cat == _brute_force_catalog(is_semi_magic_block)
+
+
+def test_modular_magic_blocks_catalog():
+    cat = en.modular_magic_blocks()
+    assert len(cat) == 72
+    assert len(set(cat)) == 72
+    assert list(cat) == sorted(cat)
+    assert all(is_magic_mod9_block(blk) for blk in cat)
+    assert cat == _brute_force_catalog(is_magic_mod9_block)
 
 
 def test_mm_total(mm_survey):
     assert mm_survey.total == 32256
+
+
+def test_mm_survey_rejects_a_board_that_is_not_modular_magic(monkeypatch, board_sm_71):
+    def enumerate_one(visitor, partition=None):
+        visitor(board_sm_71)
+        return 1
+
+    monkeypatch.setattr(verification, "enumerate_modular_magic", enumerate_one)
+    with pytest.raises(IntegrityError, match=format_board(board_sm_71)):
+        verification._mm_survey_slice((0, 1))
 
 
 def test_mm_sample_boards(mm_sample):
@@ -60,9 +92,19 @@ def test_mm_sample_boards(mm_sample):
 
 
 def test_mm_partition_is_a_partition():
-    # Slices may be empty; they must still cover the full count exactly.
-    sizes = [en.enumerate_modular_magic(partition=(w, 6)) for w in range(6)]
-    assert sum(sizes) == 32256
+    for count in (6, 81):
+        # Slices may be empty; they must still cover the full count exactly.
+        sizes = [en.enumerate_modular_magic(partition=(w, count)) for w in range(count)]
+        assert sum(sizes) == 32256
+        for w in range(count):
+            cells = []
+            en.enumerate_modular_magic(lambda b: cells.append(b.cells), (w, count))
+            assert cells == sorted(cells)
+            assert len(cells) == sizes[w]
+    # The last sizes are the first-two-digit slicing: 36 admissible digit
+    # pairs hold 896 boards each.
+    assert sorted(set(sizes)) == [0, 896]
+    assert sizes.count(896) == 36
 
 
 def test_mm_prefix_respects_partition_branch():
