@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
-from collections import Counter
+from functools import partial
 from typing import Sequence
 
 from . import boards as boards_mod
@@ -24,6 +23,7 @@ from .analysis import g9_minimality_certificate
 from .boards import parse_board
 from .catalog import parse_generator
 from .enumeration import (
+    _map_partitions,
     enumerate_modular_magic,
     enumerate_semi_magic,
     iter_modular_magic,
@@ -36,7 +36,7 @@ from .errors import (
     MagicSudokuError,
 )
 from .keedwell import keedwell_decompose, linearity_degree
-from .nests import MM, NestLabel, normalize_variant
+from .nests import MM, normalize_variant
 
 __all__ = ["run", "main", "build_parser"]
 
@@ -92,30 +92,6 @@ def _split_tokens(text: str) -> list[str]:
     return out
 
 
-def _count_slice(args: tuple[str, int, int]) -> int:
-    variant, worker, count = args
-    part = (worker, count) if count > 1 else None
-    if variant == MM:
-        return enumerate_modular_magic(None, part)
-    return enumerate_semi_magic(None, part)
-
-
-def _census_slice(args: tuple[str, int, int]) -> tuple[int, dict]:
-    variant, worker, count = args
-    part = (worker, count) if count > 1 else None
-    result = nests.census(variant, part)
-    return result.total, {
-        (l.first, l.second): n for l, n in result.counts.items()
-    }
-
-
-def _map_workers(fn, jobs, threads: int):
-    if threads == 1 or len(jobs) == 1:
-        return [fn(job) for job in jobs]
-    with multiprocessing.Pool(threads) as pool:
-        return pool.map(fn, jobs)
-
-
 # --- subcommand handlers ---
 
 
@@ -123,8 +99,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     variant = normalize_variant(args.variant)
     threads = _resolve_threads(args)
     if args.count_only:
-        jobs = [(variant, w, threads) for w in range(threads)]
-        count = sum(_map_workers(_count_slice, jobs, threads))
+        enumerate_fn = enumerate_modular_magic if variant == MM else enumerate_semi_magic
+        count = sum(_map_partitions(partial(enumerate_fn, None), threads))
         if args.json:
             _emit_json(args, {"variant": args.variant, "count": count})
         elif not args.quiet:
@@ -148,21 +124,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    variant = normalize_variant(args.variant)
-    threads = _resolve_threads(args)
-    jobs = [(variant, w, threads) for w in range(threads)]
-    counts: Counter = Counter()
-    total = 0
-    for part_total, part_counts in _map_workers(_census_slice, jobs, threads):
-        total += part_total
-        counts.update(part_counts)
+    result = nests._threaded_census(args.variant, _resolve_threads(args))
     payload = {
         "variant": args.variant,
-        "total": total,
-        "nests": [
-            {"label": str(NestLabel(variant, a, b)), "count": n}
-            for (a, b), n in sorted(counts.items())
-        ],
+        "total": result.total,
+        "nests": [{"label": str(l), "count": n} for l, n in result.counts.items()],
     }
     _emit_json(args, payload)
     return 0

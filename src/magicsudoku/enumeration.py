@@ -20,8 +20,9 @@ is the full enumeration.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 from functools import cache
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, TypeVar
 
 from .boards import Block, Board, is_magic_mod9_block, is_semi_magic_block
 from .errors import DomainError
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 Visitor = Callable[[Board], None]
+_T = TypeVar("_T")
 #: A block catalog builder, such as semi_magic_blocks.
 _Catalog = Callable[[], tuple[Block, ...]]
 #: keep(p, i, blk): whether catalog block i, which is blk, may sit at block position p.
@@ -233,6 +235,15 @@ def _check_partition(partition: tuple[int, int] | None) -> tuple[int, int]:
     return worker, count
 
 
+def _map_partitions(fn: Callable[[tuple[int, int] | None], _T], threads: int) -> list[_T]:
+    """fn(partition) for every slice of a threads-way partition, in slice
+    order, each slice in its own process; one thread runs fn(None) here."""
+    if threads == 1:
+        return [fn(None)]
+    with multiprocessing.Pool(threads) as pool:
+        return pool.map(fn, [(w, threads) for w in range(threads)])
+
+
 def _stream(enumerate_fn, slices: int) -> Iterator[Board]:
     # Stream one partition slice at a time to bound memory.
     chunk: list[Board] = []
@@ -263,10 +274,11 @@ def enumerate_modular_magic(
     satisfy (9 * d0 + d1) % n == w.
     """
     worker, nparts = _check_partition(partition)
-    boards = _mm_boards(
-        lambda p, i, blk: p > 0 or (9 * blk[0][0] + blk[0][1]) % nparts == worker
-    )
-    for board in boards if visitor is not None else ():
+    keep = lambda p, i, blk: p > 0 or (9 * blk[0][0] + blk[0][1]) % nparts == worker
+    if visitor is None:
+        return _join(modular_magic_blocks, keep)
+    boards = _mm_boards(keep)
+    for board in boards:
         visitor(board)
     return len(boards)
 

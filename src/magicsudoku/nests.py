@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Mapping
 
 import numpy as np
@@ -26,6 +26,7 @@ import numpy as np
 from .boards import Board, is_modular_magic, is_semi_magic
 from .catalog import h_gamma_group, h_mm_group
 from .enumeration import (
+    _map_partitions,
     complete_modular_magic,
     complete_standard_gnomon,
     enumerate_modular_magic,
@@ -343,6 +344,10 @@ def representative(label: NestLabel) -> Board:
 # --- censuses ---
 
 
+def _mm_label(cells: bytes) -> tuple[int, int]:
+    return _mm_reduce(cells)[:2]
+
+
 def census(variant: str, partition: tuple[int, int] | None = None) -> Census:
     """Enumerate the variant and count boards per nest label.
 
@@ -350,19 +355,25 @@ def census(variant: str, partition: tuple[int, int] | None = None) -> Census:
     censuses merge by adding counts.
     """
     v = normalize_variant(variant)
+    label = _mm_label if v == MM else _sm_label
     counts: Counter = Counter()
-    if v == MM:
 
-        def visit(board: Board) -> None:
-            alpha, gamma, _ = _mm_reduce(board.cells)
-            counts[(alpha, gamma)] += 1
+    def visit(board: Board) -> None:
+        counts[label(board.cells)] += 1
 
-        total = enumerate_modular_magic(visit, partition)
-    else:
-
-        def visit(board: Board) -> None:
-            counts[_sm_label(board.cells)] += 1
-
-        total = enumerate_semi_magic(visit, partition)
+    total = (enumerate_modular_magic if v == MM else enumerate_semi_magic)(visit, partition)
     mapping = {NestLabel(v, a, b): n for (a, b), n in sorted(counts.items())}
     return Census(v, mapping, total)
+
+
+def _threaded_census(variant: str, threads: int) -> Census:
+    """census(variant), computed in threads partition slices and merged;
+    counts stay in label order."""
+    v = normalize_variant(variant)
+    if v == MM:
+        _mm_scan_tables()  # build once, before any fork
+    parts = _map_partitions(partial(census, v), threads)
+    counts: Counter = Counter()
+    for part in parts:
+        counts.update(part.counts)
+    return Census(v, dict(sorted(counts.items())), sum(part.total for part in parts))

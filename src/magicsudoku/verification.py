@@ -3,20 +3,23 @@ reproduces: group orders, enumeration counts, censuses, nest graphs,
 minimality certificates, decomposition suites, and property samples.
 
 Checks are registered by name; each returns an (expected, actual) pair
-of JSON-ready values and passes exactly when they are equal. Expensive
-enumeration passes are shared through a VerifyContext: one sweep over
-the 32,256 modular-magic boards feeds the count, census, and
-off-diagonal checks, and one sweep over the 5,971,968 semi-magic
-boards feeds the count and census checks.
+of JSON-ready values and passes exactly when they are equal. Checks
+that differ between the variants only in data share one function and
+a per-variant table. Expensive passes are shared through a
+VerifyContext: each variant's census (nests.census over the 32,256
+modular-magic or the 5,971,968 semi-magic boards) feeds that variant's
+count, census, minimality and orbit-size checks, and one off-diagonal
+sweep over the modular-magic boards re-checks each board and feeds the
+off-diagonal check.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Callable, Iterable
 
 import numpy as np
@@ -25,13 +28,14 @@ from . import catalog, nestgraph, nests
 from .analysis import check_two_equal, g9_minimality_certificate
 from .boards import Board, format_board, is_modular_magic
 from .enumeration import (
+    _map_partitions,
     complete_standard_gnomon,
     enumerate_modular_magic,
-    enumerate_semi_magic,
+    iter_modular_magic,
     random_semi_magic,
     semi_magic_blocks,
 )
-from .errors import DomainError, IntegrityError
+from .errors import DomainError, IntegrityError, MagicSudokuError
 from .keedwell import (
     apply_alpha,
     apply_beta,
@@ -39,8 +43,8 @@ from .keedwell import (
     linearity_degree,
     swap_block_columns,
 )
-from .nests import MM, SM, Census, NestLabel
-from .perms import act, closure, compose, identity, inverse
+from .nests import MM, SM, Census
+from .perms import PermGroup, act, closure, compose, identity, inverse
 
 __all__ = [
     "CheckResult",
@@ -86,64 +90,30 @@ class VerifyReport:
         }
 
 
-# --- shared enumeration surveys ---
+# --- shared enumeration passes ---
 
 
-@dataclass(frozen=True)
-class MMSurvey:
-    total: int
-    labels: dict[tuple[int, int], int]
-    off_diagonal_failures: int
-    sample_cells: tuple[bytes, ...]
-    seconds: float
-
-
-@dataclass(frozen=True)
-class SMSurvey:
-    total: int
-    labels: dict[tuple[int, int], int]
-    seconds: float
-
-
-def _mm_survey_slice(args: tuple[int, int]):
-    worker, count = args
-    counts: Counter = Counter()
+def _mm_sweep_slice(partition: tuple[int, int] | None) -> tuple[int, int]:
+    """(boards, check_two_equal failures) over one slice of the
+    modular-magic boards; a board failing is_modular_magic raises."""
     failures = 0
-    seen = 0
-    sample: list[bytes] = []
 
     def visit(board: Board) -> None:
-        nonlocal failures, seen
+        nonlocal failures
         if not is_modular_magic(board):
             raise IntegrityError(f"enumerated board {format_board(board)} is not modular-magic")
-        alpha, gamma, _ = nests._mm_reduce(board.cells)
-        counts[(alpha, gamma)] += 1
-        if not check_two_equal(board):
-            failures += 1
-        if seen % 31 == 0:
-            sample.append(board.cells)
-        seen += 1
+        failures += not check_two_equal(board)
 
-    total = enumerate_modular_magic(visit, (worker, count) if count > 1 else None)
-    return total, dict(counts), failures, sample
-
-
-def _sm_survey_slice(args: tuple[int, int]):
-    worker, count = args
-    counts: Counter = Counter()
-
-    def visit(board: Board) -> None:
-        counts[nests._sm_label(board.cells)] += 1
-
-    total = enumerate_semi_magic(visit, (worker, count) if count > 1 else None)
-    return total, dict(counts)
+    return enumerate_modular_magic(visit, partition), failures
 
 
 class VerifyContext:
-    """Lazy shared state for the check suite.
+    """Lazy shared state for the check suite: each shared result is
+    computed once and timed.
 
-    threads > 1 splits the enumeration surveys across processes; all
-    other work stays in the calling process.
+    threads > 1 splits the censuses and the off-diagonal sweep across
+    processes; all other work stays in the calling process. Results do
+    not depend on threads.
     """
 
     def __init__(self, threads: int = 1, seed: int = DEFAULT_SEED):
@@ -151,82 +121,97 @@ class VerifyContext:
             raise DomainError(f"bad thread count {threads}")
         self.threads = threads
         self.seed = seed
-        self._mm: MMSurvey | None = None
-        self._sm: SMSurvey | None = None
-        self._crosscheck: tuple[int, int, float] | None = None
+        self._results: dict[str, object] = {}
+        self._seconds: dict[str, float] = {}
 
-    def _map_slices(self, fn):
-        if self.threads == 1:
-            return [fn((0, 1))]
-        parts = [(w, self.threads) for w in range(self.threads)]
-        with multiprocessing.Pool(self.threads) as pool:
-            return pool.map(fn, parts)
-
-    def mm_survey(self) -> MMSurvey:
-        if self._mm is None:
+    def _once(self, key: str, compute: Callable[[], object]):
+        if key not in self._results:
             t0 = time.perf_counter()
-            nests._mm_scan_tables()  # build once, before any fork
-            results = self._map_slices(_mm_survey_slice)
-            counts: Counter = Counter()
-            total = failures = 0
-            sample: list[bytes] = []
-            for part_total, part_counts, part_failures, part_sample in results:
-                total += part_total
-                failures += part_failures
-                counts.update(part_counts)
-                sample.extend(part_sample)
-            self._mm = MMSurvey(
-                total, dict(counts), failures, tuple(sample),
-                time.perf_counter() - t0,
-            )
-        return self._mm
+            self._results[key] = compute()
+            self._seconds[key] = time.perf_counter() - t0
+        return self._results[key]
 
-    def sm_survey(self) -> SMSurvey:
-        if self._sm is None:
-            t0 = time.perf_counter()
-            results = self._map_slices(_sm_survey_slice)
-            counts: Counter = Counter()
-            total = 0
-            for part_total, part_counts in results:
-                total += part_total
-                counts.update(part_counts)
-            self._sm = SMSurvey(total, dict(counts), time.perf_counter() - t0)
-        return self._sm
+    def census(self, variant: str) -> Census:
+        v = nests.normalize_variant(variant)
+        return self._once(v, lambda: nests._threaded_census(v, self.threads))
 
-    def sm_crosscheck(self) -> tuple[int, int, float]:
-        """(boards checked, mismatches, seconds) for the constructive
-        vs scan-oracle comparison on random semi-magic boards."""
-        if self._crosscheck is None:
-            t0 = time.perf_counter()
+    def off_diagonal_sweep(self) -> tuple[int, int]:
+        """(boards, check_two_equal failures) over every modular-magic
+        board, each re-checked with is_modular_magic."""
+
+        def sweep() -> tuple[int, int]:
+            parts = _map_partitions(_mm_sweep_slice, self.threads)
+            return sum(n for n, _ in parts), sum(f for _, f in parts)
+
+        return self._once("off_diagonal_sweep", sweep)
+
+    def enumeration_seconds(self, variant: str) -> float:
+        """Time of the work a variant's enumeration time bound covers:
+        its census, plus the off-diagonal sweep for modular-magic."""
+        v = nests.normalize_variant(variant)
+        self.census(v)
+        if v == SM:
+            return self._seconds[SM]
+        self.off_diagonal_sweep()
+        return self._seconds[MM] + self._seconds["off_diagonal_sweep"]
+
+    def sm_crosscheck(self) -> tuple[int, int]:
+        """(boards checked, mismatches) for the constructive vs
+        scan-oracle comparison on random semi-magic boards. A mismatch
+        is a MagicSudokuError; any other exception propagates."""
+
+        def crosscheck() -> tuple[int, int]:
             rng = random.Random(self.seed)
             mismatches = 0
             for _ in range(SM_CROSSCHECK_TARGET):
                 board = random_semi_magic(rng)
                 try:
                     nests.crosscheck_sm(board)
-                except Exception:
+                except MagicSudokuError:
                     mismatches += 1
-            self._crosscheck = (
-                SM_CROSSCHECK_TARGET, mismatches, time.perf_counter() - t0
-            )
-        return self._crosscheck
+            return SM_CROSSCHECK_TARGET, mismatches
 
-    def mm_census(self) -> Census:
-        survey = self.mm_survey()
-        counts = {
-            NestLabel(MM, a, b): n for (a, b), n in sorted(survey.labels.items())
-        }
-        return Census(MM, counts, survey.total)
-
-    def sm_census(self) -> Census:
-        survey = self.sm_survey()
-        counts = {
-            NestLabel(SM, a, b): n for (a, b), n in sorted(survey.labels.items())
-        }
-        return Census(SM, counts, survey.total)
+        return self._once("sm_crosscheck", crosscheck)
 
     def mm_sample_boards(self) -> tuple[Board, ...]:
-        return tuple(Board._wrap(c) for c in self.mm_survey().sample_cells)
+        """Every 31st modular-magic board in enumeration order."""
+        return self._once(
+            "mm_sample", lambda: tuple(islice(iter_modular_magic(), None, None, 31))
+        )
+
+
+@dataclass(frozen=True)
+class _Variant:
+    """What the twin MM/SM checks differ in."""
+
+    count: int
+    within_s: int  # time bound of the enumeration check
+    orbit_sizes: tuple[int, ...]
+    full_order: Callable[[], int]
+    seed_offset: int  # of the property check's RNG
+    group: Callable[[], PermGroup]
+    generators: Callable[[], list[catalog.NamedGenerator]]
+    relabelings: Callable[[], PermGroup]
+    draw: Callable[[VerifyContext, random.Random], Board]
+    label: Callable[[bytes], tuple[int, int]]
+
+
+_VARIANTS = {
+    MM: _Variant(
+        count=32_256, within_s=60,
+        orbit_sizes=(4608, 27_648), full_order=lambda: catalog.g_mm_group().order,
+        seed_offset=1, group=catalog.h_mm_group, generators=catalog.h_mm_generators,
+        relabelings=catalog.s_mm_elements, label=nests._mm_label,
+        draw=lambda ctx, rng: rng.choice(ctx.mm_sample_boards()),
+    ),
+    SM: _Variant(
+        count=5_971_968, within_s=600,
+        orbit_sizes=(373_248, 2_239_488, 3_359_232), full_order=catalog.g_sm_order,
+        seed_offset=2, group=catalog.h_gamma_group, generators=catalog.h_gamma_generators,
+        relabelings=catalog.s_sm_group, label=nests._sm_label,
+        draw=lambda ctx, rng: random_semi_magic(rng),
+    ),
+}
 
 
 # --- individual checks ---
@@ -257,10 +242,14 @@ def _check_group_orders(ctx: VerifyContext):
     return expected, actual
 
 
-def _check_mm_enumeration(ctx: VerifyContext):
-    survey = ctx.mm_survey()
-    expected = {"count": 32_256, "within_60s": True}
-    actual = {"count": survey.total, "within_60s": survey.seconds < 60}
+def _check_enumeration(ctx: VerifyContext, variant: str):
+    spec = _VARIANTS[variant]
+    within = f"within_{spec.within_s}s"
+    expected = {"count": spec.count, within: True}
+    actual = {
+        "count": ctx.census(variant).total,
+        within: ctx.enumeration_seconds(variant) < spec.within_s,
+    }
     return expected, actual
 
 
@@ -272,13 +261,6 @@ def _check_sm_blocks(ctx: VerifyContext):
         {"count": 72, "within_1s": True},
         {"count": count, "within_1s": elapsed < 1},
     )
-
-
-def _check_sm_enumeration(ctx: VerifyContext):
-    survey = ctx.sm_survey()
-    expected = {"count": 5_971_968, "within_600s": True}
-    actual = {"count": survey.total, "within_600s": survey.seconds < 600}
-    return expected, actual
 
 
 def _check_gnomon_completions(ctx: VerifyContext):
@@ -302,22 +284,21 @@ def _check_mm_census(ctx: VerifyContext):
         },
         "total": 32_256,
     }
-    survey = ctx.mm_survey()
+    census = ctx.census(MM)
     actual = {
-        "counts": {f"[{a},{b}]": n for (a, b), n in sorted(survey.labels.items())},
-        "total": survey.total,
+        "counts": {str(label): n for label, n in census.counts.items()},
+        "total": census.total,
     }
     return expected, actual
 
 
 def _check_sm_census(ctx: VerifyContext):
-    survey = ctx.sm_survey()
+    census = ctx.census(SM)
     actual = {
-        "label_count": len(survey.labels),
-        "distinct_sizes": sorted(set(survey.labels.values())),
-        "labels_match_standard_boards": sorted(survey.labels)
-        == sorted((l.first, l.second) for l in nests.sm_labels()),
-        "total": survey.total,
+        "label_count": len(census.counts),
+        "distinct_sizes": sorted(set(census.counts.values())),
+        "labels_match_standard_boards": sorted(census.counts) == list(nests.sm_labels()),
+        "total": census.total,
     }
     expected = {
         "label_count": 16,
@@ -329,7 +310,7 @@ def _check_sm_census(ctx: VerifyContext):
 
 
 def _check_sm_crosscheck(ctx: VerifyContext):
-    checked, mismatches, _ = ctx.sm_crosscheck()
+    checked, mismatches = ctx.sm_crosscheck()
     return (
         {"mismatches": 0, "at_least_10000": True},
         {"mismatches": mismatches, "at_least_10000": checked >= 10_000},
@@ -362,7 +343,7 @@ def _check_sm_nest_graphs(ctx: VerifyContext):
 
 
 def _check_mm_minimality(ctx: VerifyContext):
-    census = ctx.mm_census()
+    census = ctx.census(MM)
     small = nestgraph.minimality(
         MM, catalog.h_mm_group(), ["rho", "mu(4,0)"], census
     )
@@ -392,7 +373,7 @@ def _check_mm_minimality(ctx: VerifyContext):
 
 def _check_sm_minimality(ctx: VerifyContext):
     report = nestgraph.minimality(
-        SM, catalog.h9_group(), ["(12)(45)(78)"], ctx.sm_census()
+        SM, catalog.h9_group(), ["(12)(45)(78)"], ctx.census(SM)
     )
     actual = {
         "group_order": report.group_order,
@@ -411,28 +392,15 @@ def _check_sm_minimality(ctx: VerifyContext):
     return expected, actual
 
 
-def _check_mm_orbit_sizes(ctx: VerifyContext):
-    sizes = nestgraph.orbit_sizes(MM, nest_census=ctx.mm_census())
-    full = catalog.g_mm_group().order
+def _check_orbit_sizes(ctx: VerifyContext, variant: str):
+    spec = _VARIANTS[variant]
+    sizes = nestgraph.orbit_sizes(variant, nest_census=ctx.census(variant))
+    full = spec.full_order()
     actual = {
         "sizes": list(sizes),
         "divide_full_group": all(full % s == 0 for s in sizes),
     }
-    expected = {"sizes": [4608, 27_648], "divide_full_group": True}
-    return expected, actual
-
-
-def _check_sm_orbit_sizes(ctx: VerifyContext):
-    sizes = nestgraph.orbit_sizes(SM, nest_census=ctx.sm_census())
-    full = catalog.g_sm_order()
-    actual = {
-        "sizes": list(sizes),
-        "divide_full_group": all(full % s == 0 for s in sizes),
-    }
-    expected = {
-        "sizes": [373_248, 2_239_488, 3_359_232],
-        "divide_full_group": True,
-    }
+    expected = {"sizes": list(spec.orbit_sizes), "divide_full_group": True}
     return expected, actual
 
 
@@ -492,11 +460,11 @@ def _check_keedwell_suite(ctx: VerifyContext):
 
 
 def _check_off_diagonal_sweep(ctx: VerifyContext):
-    survey = ctx.mm_survey()
+    boards, failures = ctx.off_diagonal_sweep()
     actual = {
-        "boards": survey.total,
-        "failures": survey.off_diagonal_failures,
-        "within_120s": survey.seconds < 120,
+        "boards": boards,
+        "failures": failures,
+        "within_120s": ctx.enumeration_seconds(MM) < 120,
     }
     expected = {"boards": 32_256, "failures": 0, "within_120s": True}
     return expected, actual
@@ -519,11 +487,11 @@ def _check_g9_certificate(ctx: VerifyContext):
     return expected, actual
 
 
-def _check_mm_properties(ctx: VerifyContext):
-    rng = random.Random(ctx.seed + 1)
-    sample = ctx.mm_sample_boards()
-    group = catalog.h_mm_group()
-    relabelings = catalog.s_mm_elements()
+def _check_properties(ctx: VerifyContext, variant: str):
+    spec = _VARIANTS[variant]
+    rng = random.Random(ctx.seed + spec.seed_offset)
+    group = spec.group()
+    relabelings = spec.relabelings()
 
     def draw_symmetry(r):
         kind = r.randrange(3)
@@ -534,7 +502,7 @@ def _check_mm_properties(ctx: VerifyContext):
     axiom_failures = 0
     invariance_failures = 0
     for _ in range(1000):
-        board = rng.choice(sample)
+        board = spec.draw(ctx, rng)
         s1 = draw_symmetry(rng)
         s2 = draw_symmetry(rng)
         if act(identity(), board) != board:
@@ -544,61 +512,10 @@ def _check_mm_properties(ctx: VerifyContext):
         if act(compose(s2, s1), board) != act(s2, act(s1, board)):
             axiom_failures += 1
         h = group.element(rng.randrange(group.order))
-        a0, g0, _ = nests._mm_reduce(board.cells)
-        a1, g1, _ = nests._mm_reduce(act(h, board).cells)
-        if (a0, g0) != (a1, g1):
+        if spec.label(act(h, board).cells) != spec.label(board.cells):
             invariance_failures += 1
 
-    shuffled = list(catalog.h_mm_generators())
-    rng.shuffle(shuffled)
-    regrown = closure([g.symmetry for g in shuffled])
-    deterministic = regrown.order == group.order and np.array_equal(
-        regrown._rows, group._rows
-    )
-
-    actual = {
-        "action_axiom_failures": axiom_failures,
-        "label_invariance_failures": invariance_failures,
-        "closure_deterministic": deterministic,
-        "samples": 1000,
-    }
-    expected = {
-        "action_axiom_failures": 0,
-        "label_invariance_failures": 0,
-        "closure_deterministic": True,
-        "samples": 1000,
-    }
-    return expected, actual
-
-
-def _check_sm_properties(ctx: VerifyContext):
-    rng = random.Random(ctx.seed + 2)
-    group = catalog.h_gamma_group()
-    relabelings = catalog.s_sm_group()
-
-    def draw_symmetry(r):
-        kind = r.randrange(3)
-        h = group.element(r.randrange(group.order))
-        s = relabelings.element(r.randrange(relabelings.order))
-        return h if kind == 0 else s if kind == 1 else compose(h, s)
-
-    axiom_failures = 0
-    invariance_failures = 0
-    for _ in range(1000):
-        board = random_semi_magic(rng)
-        s1 = draw_symmetry(rng)
-        s2 = draw_symmetry(rng)
-        if act(identity(), board) != board:
-            axiom_failures += 1
-        if act(inverse(s1), act(s1, board)) != board:
-            axiom_failures += 1
-        if act(compose(s2, s1), board) != act(s2, act(s1, board)):
-            axiom_failures += 1
-        h = group.element(rng.randrange(group.order))
-        if nests._sm_label(act(h, board).cells) != nests._sm_label(board.cells):
-            invariance_failures += 1
-
-    shuffled = list(catalog.h_gamma_generators())
+    shuffled = list(spec.generators())
     rng.shuffle(shuffled)
     regrown = closure([g.symmetry for g in shuffled])
     deterministic = regrown.order == group.order and np.array_equal(
@@ -622,9 +539,9 @@ def _check_sm_properties(ctx: VerifyContext):
 
 CHECKS: dict[str, Callable[[VerifyContext], tuple[object, object]]] = {
     "group_orders": _check_group_orders,
-    "mm_enumeration": _check_mm_enumeration,
+    "mm_enumeration": partial(_check_enumeration, variant=MM),
     "sm_blocks": _check_sm_blocks,
-    "sm_enumeration": _check_sm_enumeration,
+    "sm_enumeration": partial(_check_enumeration, variant=SM),
     "gnomon_completions": _check_gnomon_completions,
     "mm_census": _check_mm_census,
     "sm_census": _check_sm_census,
@@ -633,13 +550,13 @@ CHECKS: dict[str, Callable[[VerifyContext], tuple[object, object]]] = {
     "sm_nest_graphs": _check_sm_nest_graphs,
     "mm_minimality": _check_mm_minimality,
     "sm_minimality": _check_sm_minimality,
-    "mm_orbit_sizes": _check_mm_orbit_sizes,
-    "sm_orbit_sizes": _check_sm_orbit_sizes,
+    "mm_orbit_sizes": partial(_check_orbit_sizes, variant=MM),
+    "sm_orbit_sizes": partial(_check_orbit_sizes, variant=SM),
     "keedwell_suite": _check_keedwell_suite,
     "off_diagonal_sweep": _check_off_diagonal_sweep,
     "g9_certificate": _check_g9_certificate,
-    "mm_properties": _check_mm_properties,
-    "sm_properties": _check_sm_properties,
+    "mm_properties": partial(_check_properties, variant=MM),
+    "sm_properties": partial(_check_properties, variant=SM),
 }
 
 #: Acceptance criterion number -> check names covering it.

@@ -1,5 +1,5 @@
 """Shared fixtures: one verification context per session so the big
-enumeration sweeps run once, plus pinned canonical-board literals."""
+censuses run once, plus pinned canonical-board literals."""
 
 import pytest
 
@@ -30,28 +30,18 @@ def ctx():
 
 
 @pytest.fixture(scope="session")
-def mm_survey(ctx):
-    return ctx.mm_survey()
-
-
-@pytest.fixture(scope="session")
-def sm_survey(ctx):
-    return ctx.sm_survey()
-
-
-@pytest.fixture(scope="session")
 def mm_sample(ctx):
     return ctx.mm_sample_boards()
 
 
 @pytest.fixture(scope="session")
 def mm_census(ctx):
-    return ctx.mm_census()
+    return ctx.census("MM")
 
 
 @pytest.fixture(scope="session")
 def sm_census(ctx):
-    return ctx.sm_census()
+    return ctx.census("SM")
 
 
 @pytest.fixture

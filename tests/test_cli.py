@@ -88,7 +88,7 @@ def test_enumerate_to_binary_file(tmp_path, mm_sample):
     assert len(set(boards)) == 32256
 
 
-def test_census_json(tmp_path, capsys):
+def test_census_json(tmp_path, capsys, mm_census):
     out = tmp_path / "census.json"
     code = run(
         [
@@ -119,6 +119,8 @@ def test_census_json(tmp_path, capsys):
         "[7,5]": 4608,
     }
     assert [entry["label"] for entry in payload["nests"]] == sorted(got)
+    # Two workers give the one-thread census.
+    assert got == {str(label): n for label, n in mm_census.counts.items()}
 
 
 def test_nest_graph_outputs(tmp_path, capsys):

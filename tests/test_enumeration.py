@@ -68,22 +68,22 @@ def test_modular_magic_blocks_catalog():
     assert cat == _brute_force_catalog(is_magic_mod9_block)
 
 
-def test_mm_total(mm_survey):
-    assert mm_survey.total == 32256
+def test_mm_total(mm_census):
+    assert mm_census.total == 32256
 
 
-def test_mm_survey_rejects_a_board_that_is_not_modular_magic(monkeypatch, board_sm_71):
+def test_mm_sweep_rejects_a_board_that_is_not_modular_magic(monkeypatch, board_sm_71):
     def enumerate_one(visitor, partition=None):
         visitor(board_sm_71)
         return 1
 
     monkeypatch.setattr(verification, "enumerate_modular_magic", enumerate_one)
     with pytest.raises(IntegrityError, match=format_board(board_sm_71)):
-        verification._mm_survey_slice((0, 1))
+        verification._mm_sweep_slice(None)
 
 
 def test_mm_sample_boards(mm_sample):
-    # Survey keeps every 31st board in enumeration order.
+    # The sample is every 31st board in enumeration order.
     assert len(mm_sample) == 32256 // 31 + 1
     assert all(is_modular_magic(b) for b in mm_sample)
     cells = [b.cells for b in mm_sample]
@@ -125,8 +125,8 @@ def test_partition_validation():
             en.enumerate_semi_magic(partition=bad)
 
 
-def test_sm_total(sm_survey):
-    assert sm_survey.total == 5971968
+def test_sm_total(sm_census):
+    assert sm_census.total == 5971968
 
 
 def test_sm_partition_is_a_partition():

@@ -161,8 +161,8 @@ def test_census_rejects_bad_variant():
         nests.census("nope")
 
 
-def test_mm_census_expected_sizes(mm_survey):
-    counts = dict(mm_survey.labels)
+def test_mm_census_expected_sizes(mm_census):
+    counts = {(l.first, l.second): n for l, n in mm_census.counts.items()}
     small = {(1, 1), (2, 2), (7, 7)}
     assert {k: v for k, v in counts.items() if k in small} == {k: 1536 for k in small}
     rest = {k: v for k, v in counts.items() if k not in small}
@@ -171,8 +171,8 @@ def test_mm_census_expected_sizes(mm_survey):
     assert sum(counts.values()) == 32256
 
 
-def test_sm_census_expected_sizes(sm_survey):
-    counts = dict(sm_survey.labels)
+def test_sm_census_expected_sizes(sm_census):
+    counts = {(l.first, l.second): n for l, n in sm_census.counts.items()}
     assert len(counts) == 16
     assert set(counts.values()) == {373248}
     assert sum(counts.values()) == 5971968

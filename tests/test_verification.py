@@ -1,0 +1,91 @@
+"""The verify check registry and the shared VerifyContext results."""
+
+import pytest
+
+from magicsudoku import nests, verification
+from magicsudoku.errors import IntegrityError
+from magicsudoku.verification import VerifyContext
+
+
+def test_check_registry_is_pinned():
+    assert list(verification.CHECKS) == [
+        "group_orders",
+        "mm_enumeration",
+        "sm_blocks",
+        "sm_enumeration",
+        "gnomon_completions",
+        "mm_census",
+        "sm_census",
+        "sm_crosscheck",
+        "mm_nest_graph",
+        "sm_nest_graphs",
+        "mm_minimality",
+        "sm_minimality",
+        "mm_orbit_sizes",
+        "sm_orbit_sizes",
+        "keedwell_suite",
+        "off_diagonal_sweep",
+        "g9_certificate",
+        "mm_properties",
+        "sm_properties",
+    ]
+    assert verification.CRITERIA == {
+        1: ("group_orders",),
+        2: ("mm_enumeration", "sm_blocks", "sm_enumeration", "gnomon_completions"),
+        3: ("mm_census",),
+        4: ("sm_census", "sm_crosscheck"),
+        5: ("mm_nest_graph", "sm_nest_graphs"),
+        6: ("mm_minimality", "sm_minimality"),
+        7: ("mm_orbit_sizes", "sm_orbit_sizes"),
+        8: ("keedwell_suite",),
+        9: ("off_diagonal_sweep",),
+        10: ("g9_certificate",),
+        11: ("mm_properties", "sm_properties"),
+    }
+    assert verification.VARIANT_CHECKS == {
+        "MM": (
+            "group_orders",
+            "mm_enumeration",
+            "mm_census",
+            "mm_nest_graph",
+            "mm_minimality",
+            "mm_orbit_sizes",
+            "off_diagonal_sweep",
+            "g9_certificate",
+            "mm_properties",
+        ),
+        "SM": (
+            "group_orders",
+            "sm_blocks",
+            "sm_enumeration",
+            "gnomon_completions",
+            "sm_census",
+            "sm_crosscheck",
+            "sm_nest_graphs",
+            "sm_minimality",
+            "sm_orbit_sizes",
+            "keedwell_suite",
+            "g9_certificate",
+            "sm_properties",
+        ),
+    }
+
+
+def test_mm_sample_does_not_depend_on_threads(mm_sample):
+    assert VerifyContext(threads=2).mm_sample_boards() == mm_sample
+
+
+def _raise(exc):
+    def crosscheck(board):
+        raise exc
+
+    return crosscheck
+
+
+def test_sm_crosscheck_counts_only_library_errors(monkeypatch):
+    monkeypatch.setattr(verification, "SM_CROSSCHECK_TARGET", 3)
+    monkeypatch.setattr(nests, "crosscheck_sm", _raise(IntegrityError("disagree")))
+    assert VerifyContext().sm_crosscheck() == (3, 3)
+    monkeypatch.setattr(nests, "crosscheck_sm", _raise(TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        VerifyContext().sm_crosscheck()
