@@ -233,7 +233,7 @@ def unpack(data: bytes) -> Board:
         byte = data[k // 2]
         cells[k] = byte & 0x0F
         cells[k + 1] = byte >> 4
-    cells[80] = data[40] & 0x0F
+    cells[80] = data[40]
     if max(cells) > 8:
         raise BoardFormatError("packed data contains a nibble above 8")
     return Board._wrap(bytes(cells))
@@ -279,7 +279,8 @@ def write_mssb(fh: BinaryIO, boards: Iterable[Board]) -> int:
 
 
 def read_mssb(fh: BinaryIO) -> list[Board]:
-    """Read all boards from an MSSB binary stream."""
+    """Read all boards from an MSSB binary stream; data after the
+    boards the header counts is an error."""
     header = fh.read(9)
     if len(header) != 9 or header[:4] != MSSB_MAGIC:
         raise BoardFormatError("not an MSSB stream")
@@ -292,4 +293,6 @@ def read_mssb(fh: BinaryIO) -> list[Board]:
         if len(data) != PACKED_SIZE:
             raise BoardFormatError("MSSB stream truncated")
         boards.append(unpack(data))
+    if fh.read(1):
+        raise BoardFormatError("trailing bytes after the MSSB boards")
     return boards

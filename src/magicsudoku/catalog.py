@@ -5,6 +5,11 @@ row/column swaps, transpose, rotation, cyclic shifts, and simultaneous
 triple transpositions); digit-permutation builders cover the relabeling
 moves. Each builder returns a NamedGenerator whose token round-trips
 through parse_generator.
+
+The physical groups are built from their generator lists as the product
+they are, transpose x row moves x column moves (PhysicalGroup), and the
+full modular-magic group as physical x relabeling; breadth-first closure
+builds only the line groups and the relabeling groups.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
+import numpy as np
+
 from .enumeration import semi_magic_blocks
 from .errors import DomainError, IntegrityError
-from .perms import PermGroup, Symmetry, closure, compose
+from .perms import PermGroup, Symmetry, _sort_rows, closure, compose
 
 __all__ = [
     "NamedGenerator",
@@ -248,34 +255,15 @@ def relabeling(image: Sequence[int]) -> NamedGenerator:
     return NamedGenerator(digit_cycles(sym.digit), sym)
 
 
-_TOKEN_RES: list[tuple[re.Pattern, object]] = []
-
-
-def _register(pattern: str, builder) -> None:
-    _TOKEN_RES.append((re.compile(pattern), builder))
-
-
-_register(r"transpose", lambda m: transpose())
-_register(r"rot90", lambda m: rot90())
-_register(r"rho", lambda m: rho())
-_register(r"mu\((\d),(\d)\)", lambda m: mu(int(m.group(1)), int(m.group(2))))
-_register(r"swap_rows\((\d),(\d)\)", lambda m: swap_rows(int(m.group(1)), int(m.group(2))))
-_register(r"swap_cols\((\d),(\d)\)", lambda m: swap_cols(int(m.group(1)), int(m.group(2))))
-_register(r"swap_bands\((\d),(\d)\)", lambda m: swap_bands(int(m.group(1)), int(m.group(2))))
-_register(
-    r"swap_pillars\((\d),(\d)\)", lambda m: swap_pillars(int(m.group(1)), int(m.group(2)))
-)
-_register(r"cycle_rows\((\d)\)", lambda m: cycle_rows(int(m.group(1))))
-_register(r"cycle_cols\((\d)\)", lambda m: cycle_cols(int(m.group(1))))
-_register(
-    r"triple_rows\((\d),(\d),(\d)\)",
-    lambda m: triple_rows(int(m.group(1)), int(m.group(2)), int(m.group(3))),
-)
-_register(
-    r"triple_cols\((\d),(\d),(\d)\)",
-    lambda m: triple_cols(int(m.group(1)), int(m.group(2)), int(m.group(3))),
-)
-
+# Token name -> (builder, count of its single-digit arguments).
+_BUILDERS = {
+    "transpose": (transpose, 0), "rot90": (rot90, 0), "rho": (rho, 0), "mu": (mu, 2),
+    "swap_rows": (swap_rows, 2), "swap_cols": (swap_cols, 2),
+    "swap_bands": (swap_bands, 2), "swap_pillars": (swap_pillars, 2),
+    "cycle_rows": (cycle_rows, 1), "cycle_cols": (cycle_cols, 1),
+    "triple_rows": (triple_rows, 3), "triple_cols": (triple_cols, 3),
+}
+_TOKEN_RE = re.compile(r"(\w+?)(?:\((\d(?:,\d)*)\))?")
 _CYCLES_RE = re.compile(r"(\(\d*\))+")
 
 
@@ -298,10 +286,12 @@ def parse_generator(token: str) -> NamedGenerator:
     """Parse a generator token ("rho", "mu(4,0)", "swap_bands(0,1)",
     digit cycle notation, and so on) into a NamedGenerator."""
     text = token.strip()
-    for pattern, builder in _TOKEN_RES:
-        m = pattern.fullmatch(text)
-        if m:
-            return builder(m)
+    m = _TOKEN_RE.fullmatch(text)
+    if m and m.group(1) in _BUILDERS:
+        builder, arity = _BUILDERS[m.group(1)]
+        args = [int(d) for d in (m.group(2) or "").split(",") if d]
+        if len(args) == arity:
+            return builder(*args)
     if _CYCLES_RE.fullmatch(text):
         return _parse_cycles(text)
     raise DomainError(f"unrecognized generator token {token!r}")
@@ -315,20 +305,10 @@ def _band_pillar_swaps() -> list[NamedGenerator]:
     return [swap_bands(i, j) for i, j in pairs] + [swap_pillars(i, j) for i, j in pairs]
 
 
-def _within_band_row_swaps() -> list[NamedGenerator]:
-    return [
-        swap_rows(3 * band + x, 3 * band + y)
-        for band in range(3)
-        for x, y in ((0, 1), (0, 2), (1, 2))
-    ]
-
-
-def _within_pillar_col_swaps() -> list[NamedGenerator]:
-    return [
-        swap_cols(3 * pillar + x, 3 * pillar + y)
-        for pillar in range(3)
-        for x, y in ((0, 1), (0, 2), (1, 2))
-    ]
+def _within_swaps(swap) -> list[NamedGenerator]:
+    """Every swap of two rows in one band (swap=swap_rows) or of two
+    columns in one pillar (swap=swap_cols)."""
+    return [swap(3 * k + x, 3 * k + y) for k in range(3) for x, y in ((0, 1), (0, 2), (1, 2))]
 
 
 def h_mm_generators() -> list[NamedGenerator]:
@@ -346,8 +326,8 @@ def h_gamma_generators() -> list[NamedGenerator]:
     and the band and pillar swaps not moving band/pillar 0."""
     return (
         [transpose(), swap_bands(1, 2), swap_pillars(1, 2)]
-        + _within_band_row_swaps()
-        + _within_pillar_col_swaps()
+        + _within_swaps(swap_rows)
+        + _within_swaps(swap_cols)
     )
 
 
@@ -357,8 +337,8 @@ def h9_generators() -> list[NamedGenerator]:
     return (
         [transpose()]
         + _band_pillar_swaps()
-        + _within_band_row_swaps()
-        + _within_pillar_col_swaps()
+        + _within_swaps(swap_rows)
+        + _within_swaps(swap_cols)
     )
 
 
@@ -367,25 +347,106 @@ def s_mm_generators() -> list[NamedGenerator]:
     return [rho(), mu(4, 0), mu(5, 3), mu(5, 6)]
 
 
+# --- physical groups, factored as transpose x row moves x column moves ---
+
+
+def _split(s: Symmetry) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
+    """(e, rp, cp) with s = transpose^e after the line move sending each
+    cell (r, c) to (rp[r], cp[c]); None if s is no such product."""
+    if s.digit != tuple(range(9)):
+        return None
+    for e, cell in enumerate((s.cell, tuple(_TRANSPOSE_CELL[k] for k in s.cell))):
+        rp = tuple(cell[9 * r] // 9 for r in range(9))
+        cp = tuple(cell[c] % 9 for c in range(9))
+        if all(cell[9 * r + c] == 9 * rp[r] + cp[c] for r in range(9) for c in range(9)):
+            return e, rp, cp
+    return None
+
+
+class PhysicalGroup:
+    """A physical group generated by transpose and line moves, held
+    through its factorization instead of an element list.
+
+    Every generator must be transpose^e after a move of rows only or of
+    columns only. Transpose turns a row move into the same move of the
+    columns, so the group is every transpose^e after (rp, cp), with rp
+    and cp drawn from one line group R closed from all the generators'
+    line parts; its order is 2·|R|².
+    """
+
+    def __init__(self, generators: Sequence[NamedGenerator]):
+        self.generators = tuple(generators)
+        ident = tuple(range(9))
+        parts = []
+        has_transpose = False
+        for g in self.generators:
+            split = _split(g.symmetry)
+            if split is None:
+                raise IntegrityError(f"{g.name} is not transpose^e after a line move")
+            e, rp, cp = split
+            moved = [p for p in (rp, cp) if p != ident]
+            if len(moved) > 1:
+                raise IntegrityError(f"{g.name} moves rows and columns together")
+            has_transpose |= e == 1 and not moved
+            parts += moved
+        if not has_transpose:
+            raise IntegrityError("transpose is not among the generators")
+        lines = closure([Symmetry.from_cell(_from_row_perm(p)) for p in parts])
+        self._lines = lines.cell_images[:, ::9] // 9  # (|R|, 9) row perms
+        self._line_keys = frozenset(p.tobytes() for p in self._lines)
+        self.order = 2 * len(self._lines) ** 2
+
+    def contains(self, s: Symmetry) -> bool:
+        """Membership test: s splits into transpose^e after (rp, cp)
+        with rp and cp both in the line group."""
+        split = _split(s)
+        return split is not None and all(bytes(p) in self._line_keys for p in split[1:])
+
+    __contains__ = contains
+
+    def materialize(self) -> PermGroup:
+        """Every element, in the sorted row order closure gives."""
+        lines = self._lines
+        n = len(lines)
+        moves = (9 * lines[:, None, :, None] + lines[None, :, None, :]).reshape(n * n, 81)
+        rows = np.empty((2 * n * n, 90), dtype=np.uint8)
+        rows[: n * n, :81] = moves
+        rows[n * n :, :81] = np.array(_TRANSPOSE_CELL, dtype=np.uint8)[moves]
+        rows[:, 81:] = np.arange(9, dtype=np.uint8)
+        return PermGroup([g.symmetry for g in self.generators], _sort_rows(rows))
+
+
 @cache
 def h_mm_group() -> PermGroup:
-    """The materialized modular-magic physical group (order 4608)."""
-    return closure([g.symmetry for g in h_mm_generators()])
+    """The modular-magic physical group (order 4608 = 2·48²)."""
+    return PhysicalGroup(h_mm_generators()).materialize()
 
 
 @cache
 def h_gamma_group() -> PermGroup:
-    """The materialized gnomon-preserving physical group (order 72^3)."""
-    return closure([g.symmetry for g in h_gamma_generators()])
+    """The gnomon-preserving physical group (order 72^3 = 2·432²)."""
+    return PhysicalGroup(h_gamma_generators()).materialize()
 
 
 @cache
 def g_mm_group() -> PermGroup:
-    """The materialized full modular-magic group (order 165,888):
-    closure of the physical and relabeling generators together."""
-    return closure(
-        [g.symmetry for g in h_mm_generators() + s_mm_generators()]
-    )
+    """The full modular-magic group (order 165,888): the direct product
+    of H_MM, which moves only cells, and S_MM, which moves only digits
+    (its formula check pins every element as a pure relabeling)."""
+    h, s = h_mm_group(), s_mm_elements()
+    if not h.is_cell_only:
+        raise IntegrityError("modular-magic physical group relabels digits")
+    rows = np.empty((h.order * s.order, 90), dtype=np.uint8)
+    rows[:, :81] = np.repeat(h.cell_images, s.order, axis=0)
+    rows[:, 81:] = np.tile(s.digit_images, (h.order, 1))
+    return PermGroup(h.generators + s.generators, _sort_rows(rows))
+
+
+@cache
+def h9_group() -> PhysicalGroup:
+    """The full physical group (order 3,359,232 = 2·1296²), never
+    materialized."""
+    return PhysicalGroup(h9_generators())
 
 
 @cache
@@ -426,98 +487,6 @@ def s_sm_group() -> PermGroup:
         else:
             keep.append(Symmetry.from_digit(p))
     return PermGroup.from_symmetries(keep)
-
-
-# --- the full physical group, factored instead of materialized ---
-
-
-def _perm9_closure(gens: list[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-    ident = tuple(range(9))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for f in frontier:
-            for g in gens:
-                h = tuple(f[g[i]] for i in range(9))
-                if h not in seen:
-                    seen.add(h)
-                    new.append(h)
-        frontier = new
-    return frozenset(seen)
-
-
-def _line_perm_group() -> frozenset[tuple[int, ...]]:
-    """All 9-line permutations preserving the band/pillar partition."""
-    gens = []
-    for band in range(3):
-        for x, y in ((0, 1), (0, 2), (1, 2)):
-            p = list(range(9))
-            p[3 * band + x], p[3 * band + y] = p[3 * band + y], p[3 * band + x]
-            gens.append(tuple(p))
-    for i, j in ((0, 1), (1, 2)):
-        p = list(range(9))
-        for k in range(3):
-            p[3 * i + k], p[3 * j + k] = p[3 * j + k], p[3 * i + k]
-        gens.append(tuple(p))
-    return _perm9_closure(gens)
-
-
-class H9Group:
-    """The full physical group, represented through its factorization.
-
-    Every element is either a (row permutation, column permutation) pair
-    or transpose composed with such a pair, where both line permutations
-    preserve the band/pillar partition. The order is computed from that
-    structure; membership decomposes a candidate instead of searching a
-    materialized element list.
-    """
-
-    def __init__(self):
-        self._lines = _line_perm_group()
-        self.generators = h9_generators()
-        # Row and column moves act on independent coordinates, so the
-        # product below is direct; transpose conjugates one factor onto
-        # the other, which the generator-level check confirms.
-        tr = transpose().symmetry.cell
-        for g in _within_band_row_swaps() + [swap_bands(0, 1)]:
-            rowed = g.symmetry.cell
-            conj = tuple(tr[rowed[tr[k]]] for k in range(81))
-            mirrored = _mirror_line_perm(rowed)
-            if conj != _from_col_perm(mirrored):
-                raise IntegrityError("transpose does not exchange row and column moves")
-        self.order = 2 * len(self._lines) * len(self._lines)
-
-    def contains(self, s: Symmetry) -> bool:
-        """Membership test for a symmetry (digit part must be identity)."""
-        if s.digit != tuple(range(9)):
-            return False
-        if self._contains_cell(s.cell):
-            return True
-        tr = _TRANSPOSE_CELL
-        flipped = tuple(tr[s.cell[k]] for k in range(81))
-        return self._contains_cell(flipped)
-
-    def _contains_cell(self, cell: tuple[int, ...]) -> bool:
-        rp = tuple(cell[9 * r] // 9 for r in range(9))
-        cp = tuple(cell[c] % 9 for c in range(9))
-        if any(cell[9 * r + c] != 9 * rp[r] + cp[c] for r in range(9) for c in range(9)):
-            return False
-        return rp in self._lines and cp in self._lines
-
-    def __contains__(self, s: Symmetry) -> bool:
-        return self.contains(s)
-
-
-def _mirror_line_perm(row_cell: tuple[int, ...]) -> tuple[int, ...]:
-    """Extract the 9-line permutation from a row-move cell permutation."""
-    return tuple(row_cell[9 * r] // 9 for r in range(9))
-
-
-@cache
-def h9_group() -> H9Group:
-    """The full physical group (order 3,359,232), never materialized."""
-    return H9Group()
 
 
 def g_sm_order() -> int:

@@ -107,6 +107,22 @@ def _mm_sweep_slice(partition: tuple[int, int] | None) -> tuple[int, int]:
     return enumerate_modular_magic(visit, partition), failures
 
 
+def _sm_crosscheck_slice(
+    boards: list[Board], partition: tuple[int, int] | None
+) -> tuple[int, int]:
+    """(boards, mismatches) of nests.crosscheck_sm over one slice of the
+    boards, boards[w::n]."""
+    w, n = partition or (0, 1)
+    mine = boards[w::n]
+    mismatches = 0
+    for board in mine:
+        try:
+            nests.crosscheck_sm(board)
+        except MagicSudokuError:
+            mismatches += 1
+    return len(mine), mismatches
+
+
 class VerifyContext:
     """Lazy shared state for the check suite: each shared result is
     computed once and timed.
@@ -157,19 +173,16 @@ class VerifyContext:
 
     def sm_crosscheck(self) -> tuple[int, int]:
         """(boards checked, mismatches) for the constructive vs
-        scan-oracle comparison on random semi-magic boards. A mismatch
-        is a MagicSudokuError; any other exception propagates."""
+        scan-oracle comparison on random semi-magic boards, drawn here
+        and compared in threads slices. A mismatch is a
+        MagicSudokuError; any other exception propagates."""
 
         def crosscheck() -> tuple[int, int]:
             rng = random.Random(self.seed)
-            mismatches = 0
-            for _ in range(SM_CROSSCHECK_TARGET):
-                board = random_semi_magic(rng)
-                try:
-                    nests.crosscheck_sm(board)
-                except MagicSudokuError:
-                    mismatches += 1
-            return SM_CROSSCHECK_TARGET, mismatches
+            boards = [random_semi_magic(rng) for _ in range(SM_CROSSCHECK_TARGET)]
+            nests._sm_scan_tables()  # build once, before any fork
+            parts = _map_partitions(partial(_sm_crosscheck_slice, boards), self.threads)
+            return sum(n for n, _ in parts), sum(m for _, m in parts)
 
         return self._once("sm_crosscheck", crosscheck)
 
@@ -515,6 +528,7 @@ def _check_properties(ctx: VerifyContext, variant: str):
         if spec.label(act(h, board).cells) != spec.label(board.cells):
             invariance_failures += 1
 
+    # The breadth-first closure is the oracle for the factored group.
     shuffled = list(spec.generators())
     rng.shuffle(shuffled)
     regrown = closure([g.symmetry for g in shuffled])

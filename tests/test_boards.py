@@ -135,6 +135,13 @@ def test_pack_unpack(board_mm_72, board_sm_71, board_mm_11):
         unpack(b"\x99" * 41)
 
 
+def test_unpack_rejects_a_padding_nibble(board_mm_72):
+    blob = bytearray(pack(board_mm_72))
+    blob[40] |= 0x10
+    with pytest.raises(BoardFormatError):
+        unpack(bytes(blob))
+
+
 def test_text_stream_round_trip(board_mm_72, board_sm_71):
     fh = io.StringIO()
     write_text(fh, [board_mm_72, board_sm_71])
@@ -158,6 +165,15 @@ def test_mssb_rejects_garbage():
     write_mssb(fh, iter([]))
     fh.seek(0)
     assert read_mssb(fh) == []
+
+
+def test_mssb_rejects_trailing_bytes(board_mm_72):
+    fh = io.BytesIO()
+    write_mssb(fh, iter([board_mm_72]))
+    fh.write(b"\x00")
+    fh.seek(0)
+    with pytest.raises(BoardFormatError, match="trailing"):
+        read_mssb(fh)
 
 
 def test_mssb_many_boards(board_mm_72):

@@ -1,12 +1,13 @@
 """Named generators, symmetry groups, and independent order oracles."""
 
+import numpy as np
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from magicsudoku import catalog
 from magicsudoku.boards import is_modular_magic, is_semi_magic, is_sudoku
-from magicsudoku.errors import DomainError
-from magicsudoku.perms import act, compose, identity
+from magicsudoku.errors import DomainError, IntegrityError
+from magicsudoku.perms import act, closure, compose, identity
 
 
 def _sympy_cell(sym):
@@ -117,6 +118,29 @@ def test_h9_membership():
         assert gen.symmetry in h9
     mixed = compose(catalog.transpose().symmetry, catalog.swap_bands(0, 2).symmetry)
     assert mixed in h9
+
+
+def test_g_mm_product_equals_closure():
+    gens = catalog.h_mm_generators() + catalog.s_mm_generators()
+    regrown = closure([g.symmetry for g in gens])
+    assert np.array_equal(catalog.g_mm_group()._rows, regrown._rows)
+
+
+def test_factored_h_mm_membership():
+    hmm = catalog.PhysicalGroup(catalog.h_mm_generators())
+    assert hmm.order == 4608
+    assert catalog.rot90().symmetry in hmm
+    assert catalog.swap_rows(0, 1).symmetry not in hmm
+
+
+def test_factored_group_rejects_bad_generators():
+    with pytest.raises(IntegrityError, match="transpose is not among"):
+        catalog.PhysicalGroup([catalog.swap_bands(0, 1), catalog.swap_pillars(0, 1)])
+    both = compose(catalog.swap_rows(0, 1).symmetry, catalog.swap_cols(0, 1).symmetry)
+    with pytest.raises(IntegrityError, match="rows and columns together"):
+        catalog.PhysicalGroup([catalog.transpose(), catalog.NamedGenerator("both", both)])
+    with pytest.raises(IntegrityError, match="not transpose"):
+        catalog.PhysicalGroup([catalog.transpose(), catalog.rho()])
 
 
 def test_h9_rejects_digit_action():

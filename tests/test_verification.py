@@ -89,3 +89,15 @@ def test_sm_crosscheck_counts_only_library_errors(monkeypatch):
     monkeypatch.setattr(nests, "crosscheck_sm", _raise(TypeError("bug")))
     with pytest.raises(TypeError, match="bug"):
         VerifyContext().sm_crosscheck()
+
+
+def test_sm_crosscheck_does_not_depend_on_threads(monkeypatch):
+    def crosscheck(board):
+        if board.cells[0] % 2 == 0:
+            raise IntegrityError("disagree")
+
+    monkeypatch.setattr(verification, "SM_CROSSCHECK_TARGET", 12)
+    monkeypatch.setattr(nests, "crosscheck_sm", crosscheck)
+    checked, mismatches = VerifyContext(threads=1).sm_crosscheck()
+    assert checked == 12 and mismatches > 0
+    assert VerifyContext(threads=2).sm_crosscheck() == (checked, mismatches)
