@@ -180,10 +180,7 @@ def _cmd_keedwell(args: argparse.Namespace) -> int:
             "d": [list(row) for row in dec.exponents.d],
             "degree": linearity_degree(board),
         }
-    if args.json:
-        _emit_json(args, payload)
-    elif not args.quiet:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _emit_json(args, payload)
     return 0
 
 
@@ -203,10 +200,7 @@ def _cmd_minimality_g9(args: argparse.Namespace) -> int:
         "average_orbit_floor": cert.average_orbit_floor,
         "bound_holds": cert.bound_holds,
     }
-    if args.json:
-        _emit_json(args, payload)
-    elif not args.quiet:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _emit_json(args, payload)
     return 0 if cert.bound_holds else 1
 
 

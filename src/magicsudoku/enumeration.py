@@ -6,8 +6,8 @@ mini-columns, and mini-diagonals sum to 0 mod 9). Nine catalog blocks
 form a board exactly when blocks sharing a band have disjoint mini-row
 digit sets and blocks sharing a pillar have disjoint mini-column digit
 sets, so one join over block indices enumerates either variant.
-Partitions, preset cells, and fixed gnomon blocks all become per-position
-candidate masks of that join.
+Partitions and preset cells (such as the 45 cells of the standard
+gnomon) become per-position candidate masks of that join.
 
 Both enumerators are deterministic: semi-magic boards come in join
 order (band 0 blocks vary slowest), modular-magic boards in
@@ -253,15 +253,27 @@ def _stream(enumerate_fn, slices: int) -> Iterator[Board]:
         chunk.clear()
 
 
-# --- modular-magic enumeration ---
-
-
-def _mm_boards(keep: _Keep) -> list[Board]:
-    """The modular-magic boards the join admits under keep, sorted."""
+def _sorted_join(catalog_fn: _Catalog, keep: _Keep) -> list[Board]:
+    """The boards the join admits under keep, sorted by cells."""
     boards: list[Board] = []
-    _join(modular_magic_blocks, keep, boards.append)
+    _join(catalog_fn, keep, boards.append)
     boards.sort(key=lambda b: b.cells)
     return boards
+
+
+def _complete(catalog_fn: _Catalog, assignments: Mapping[int, int]) -> list[Board]:
+    """The boards built from the catalog that extend the given cell
+    assignments, sorted by cells."""
+    fixed: list[list[tuple[int, int, int]]] = [[] for _ in range(9)]
+    for cell, digit in assignments.items():
+        if not (0 <= int(cell) <= 80 and 0 <= int(digit) <= 8):
+            raise DomainError(f"bad assignment {cell!r}: {digit!r}")
+        r, c = divmod(int(cell), 9)
+        fixed[3 * (r // 3) + c // 3].append((r % 3, c % 3, int(digit)))
+    return _sorted_join(catalog_fn, lambda p, i, blk: all(blk[r][c] == d for r, c, d in fixed[p]))
+
+
+# --- modular-magic enumeration ---
 
 
 def enumerate_modular_magic(
@@ -277,7 +289,7 @@ def enumerate_modular_magic(
     keep = lambda p, i, blk: p > 0 or (9 * blk[0][0] + blk[0][1]) % nparts == worker
     if visitor is None:
         return _join(modular_magic_blocks, keep)
-    boards = _mm_boards(keep)
+    boards = _sorted_join(modular_magic_blocks, keep)
     for board in boards:
         visitor(board)
     return len(boards)
@@ -297,13 +309,7 @@ def complete_modular_magic(
 
     Returns only the first ``limit`` boards, if given.
     """
-    fixed: list[list[tuple[int, int, int]]] = [[] for _ in range(9)]
-    for cell, digit in assignments.items():
-        if not (0 <= int(cell) <= 80 and 0 <= int(digit) <= 8):
-            raise DomainError(f"bad assignment {cell!r}: {digit!r}")
-        r, c = divmod(int(cell), 9)
-        fixed[3 * (r // 3) + c // 3].append((r % 3, c % 3, int(digit)))
-    boards = _mm_boards(lambda p, i, blk: all(blk[r][c] == d for r, c, d in fixed[p]))
+    boards = _complete(modular_magic_blocks, assignments)
     return boards if limit is None else boards[:limit]
 
 
@@ -353,11 +359,5 @@ def random_semi_magic(rng) -> Board:
 def complete_standard_gnomon() -> tuple[Board, ...]:
     """The 16 semi-magic boards whose gnomon is the standard gnomon,
     sorted by their (cell (6,5), cell (5,6)) label pair."""
-    boards: list[Board] = []
-    _join(
-        semi_magic_blocks,
-        lambda p, i, blk: STANDARD_GNOMON_BLOCKS.get(divmod(p, 3), blk) == blk,
-        boards.append,
-    )
-    boards.sort(key=lambda b: (b[9 * 6 + 5], b[9 * 5 + 6]))
-    return tuple(boards)
+    boards = _complete(semi_magic_blocks, dict(standard_gnomon_cells()))
+    return tuple(sorted(boards, key=lambda b: (b[9 * 6 + 5], b[9 * 5 + 6])))

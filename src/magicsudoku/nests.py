@@ -8,10 +8,12 @@ the label reads cells (0,2) and (3,8); for semi-magic boards the
 canonical board carries the standard gnomon and the label reads cells
 (6,5) and (5,6).
 
-Modular-magic canonicalization scans the materialized 4608-element
-physical group for the pattern match; the scan doubles as a uniqueness
-check. Semi-magic canonicalization is a constructive reduction (the
-full-group scan is kept as a reference oracle for cross-validation).
+One group scan finds the image of a board that holds a given cell
+pattern and checks that it is unique. Over the 4608-element physical
+group of modular-magic boards, with the mini-diagonal pattern, it is the
+modular-magic canonicalization. Over the 373,248-element physical group
+of semi-magic boards, with the standard gnomon, it is the reference
+oracle that cross-validates the constructive semi-magic reduction.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .enumeration import (
     standard_gnomon_cells,
 )
 from .errors import DomainError, IntegrityError
+from .perms import PermGroup
 
 __all__ = [
     "MM",
@@ -122,36 +125,43 @@ _MM_ALPHA, _MM_BETA, _MM_GAMMA1, _MM_GAMMA2 = 2, 18, 35, 59
 _SM_A, _SM_B = 9 * 6 + 5, 9 * 5 + 6
 
 
-@cache
-def _mm_scan_tables():
-    group = h_mm_group()
-    inv = group.inverse_cell_images
-    return inv, _MM_TEMPLATE
+def _scan(
+    group: PermGroup,
+    pattern: tuple[tuple[int, int], ...],
+    cells: bytes,
+    ties: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> bytes:
+    """The one image of the board under the group that holds every
+    (cell, digit) pair of the pattern and, given ties, passes its row
+    mask over the (n, 81) matching images. Raises IntegrityError unless
+    such images exist and are all equal."""
+    inv = group.inverse_cell_images.T
+    arr = np.frombuffer(cells, dtype=np.uint8)
+    idx = np.arange(group.order)
+    for pos, val in pattern:
+        # Until a cell narrows idx, read the contiguous row whole.
+        row = inv[pos] if len(idx) == group.order else inv[pos, idx]
+        idx = idx[arr[row] == val]
+    images = arr[inv[:, idx]].T
+    if ties is not None:
+        images = images[ties(images)]
+    if not len(images) or (images != images[0]).any():
+        distinct = len(np.unique(images, axis=0))
+        raise IntegrityError(f"{distinct} distinct pattern images in one orbit")
+    return images[0].tobytes()
+
+
+def _mm_ties(images: np.ndarray) -> np.ndarray:
+    """Which images carry a label: alpha below beta, gamma repeated."""
+    return (images[:, _MM_ALPHA] < images[:, _MM_BETA]) & (
+        images[:, _MM_GAMMA1] == images[:, _MM_GAMMA2]
+    )
 
 
 def _mm_reduce(cells: bytes) -> tuple[int, int, bytes]:
-    """Scan the physical group for the unique pattern-matching image;
-    returns (alpha, gamma, canonical cells)."""
-    inv, template = _mm_scan_tables()
-    arr = np.frombuffer(cells, dtype=np.uint8)
-    idx = np.arange(inv.shape[0])
-    for pos, val in template:
-        idx = idx[arr[inv[idx, pos]] == val]
-        if not idx.size:
-            raise IntegrityError("no pattern match in physical orbit")
-    keep = arr[inv[idx, _MM_ALPHA]] < arr[inv[idx, _MM_BETA]]
-    idx = idx[keep]
-    keep = arr[inv[idx, _MM_GAMMA1]] == arr[inv[idx, _MM_GAMMA2]]
-    idx = idx[keep]
-    if not idx.size:
-        raise IntegrityError("no pattern match in physical orbit")
-    images = arr[inv[idx]]
-    distinct = np.unique(images, axis=0)
-    if distinct.shape[0] != 1:
-        raise IntegrityError(
-            f"{distinct.shape[0]} distinct pattern matches in one orbit"
-        )
-    canon = distinct[0].tobytes()
+    """Scan the physical group for the canonical image; returns (alpha,
+    gamma, canonical cells)."""
+    canon = _scan(h_mm_group(), _MM_TEMPLATE, cells, _mm_ties)
     return canon[_MM_ALPHA], canon[_MM_GAMMA1], canon
 
 
@@ -238,31 +248,12 @@ def canonicalize_sm(board: Board) -> tuple[NestLabel, Board]:
     return NestLabel(SM, canon[_SM_A], canon[_SM_B]), Board._wrap(canon)
 
 
-@cache
-def _sm_scan_tables():
-    group = h_gamma_group()
-    return group.inverse_cell_images, _SM_GNOMON_CELLS
-
-
 def canonicalize_sm_by_scan(board: Board) -> tuple[NestLabel, Board]:
     """Reference canonicalization scanning the full 373,248-element
     physical group; slow, used to cross-validate the reduction."""
     if not is_semi_magic(board):
         raise DomainError("board is not semi-magic")
-    inv, gnomon = _sm_scan_tables()
-    arr = np.frombuffer(board.cells, dtype=np.uint8)
-    idx = np.arange(inv.shape[0])
-    for pos, val in gnomon:
-        idx = idx[arr[inv[idx, pos]] == val]
-        if not idx.size:
-            raise IntegrityError("no standard-gnomon image in physical orbit")
-    images = arr[inv[idx]]
-    distinct = np.unique(images, axis=0)
-    if distinct.shape[0] != 1:
-        raise IntegrityError(
-            f"{distinct.shape[0]} distinct standard-gnomon images in one orbit"
-        )
-    canon = distinct[0].tobytes()
+    canon = _scan(h_gamma_group(), _SM_GNOMON_CELLS, board.cells)
     return NestLabel(SM, canon[_SM_A], canon[_SM_B]), Board._wrap(canon)
 
 
@@ -289,24 +280,16 @@ def canonicalize(variant: str, board: Board) -> tuple[NestLabel, Board]:
 
 @cache
 def _mm_representatives() -> dict[tuple[int, int], Board]:
-    """Solve the canonical pattern for every label candidate; the nine
-    solvable ones (each uniquely) form the label alphabet."""
-    reps = {}
-    for alpha in (1, 2, 7):
-        beta = (-3 - alpha) % 9
-        for gamma in range(9):
-            preset = dict(_MM_TEMPLATE)
-            preset[_MM_ALPHA] = alpha
-            preset[_MM_BETA] = beta
-            preset[_MM_GAMMA1] = gamma
-            preset[_MM_GAMMA2] = gamma
-            found = complete_modular_magic(preset, limit=2)
-            if len(found) > 1:
-                raise IntegrityError(f"pattern [{alpha},{gamma}] is ambiguous")
-            if found:
-                reps[(alpha, gamma)] = found[0]
-    if len(reps) != 9:
-        raise IntegrityError(f"{len(reps)} modular-magic nest labels, expected 9")
+    """The boards holding the canonical pattern that pass the label
+    tie-break: one per nest, nine with distinct labels."""
+    boards = complete_modular_magic(dict(_MM_TEMPLATE))
+    cells = np.frombuffer(b"".join(b.cells for b in boards), dtype=np.uint8)
+    kept = [b for b, ok in zip(boards, _mm_ties(cells.reshape(-1, 81))) if ok]
+    reps = {(b[_MM_ALPHA], b[_MM_GAMMA1]): b for b in kept}
+    if len(kept) != 9 or len(reps) != 9:
+        raise IntegrityError(
+            f"{len(kept)} canonical modular-magic boards with {len(reps)} labels, expected 9"
+        )
     return reps
 
 
@@ -371,7 +354,7 @@ def _threaded_census(variant: str, threads: int) -> Census:
     counts stay in label order."""
     v = normalize_variant(variant)
     if v == MM:
-        _mm_scan_tables()  # build once, before any fork
+        h_mm_group().inverse_cell_images  # build once, before any fork
     parts = _map_partitions(partial(census, v), threads)
     counts: Counter = Counter()
     for part in parts:

@@ -154,10 +154,20 @@ class PermGroup:
 
     @property
     def inverse_cell_images(self) -> np.ndarray:
-        """(order, 81) matrix of inverted cell permutations (cached)."""
+        """(order, 81) uint8 matrix of inverted cell permutations (cached):
+        row i maps target cell j to its source cell.
+
+        The table is stored cell-major, so ``.T[j]`` (the source of cell j
+        under every element) is one contiguous row, as a pattern scan
+        reads it."""
         if self._inv_cells is None:
-            self._inv_cells = np.argsort(self.cell_images, axis=1).astype(np.int16)
-            self._inv_cells.setflags(write=False)
+            images = self.cell_images
+            elements = np.arange(self.order)
+            table = np.empty((81, self.order), dtype=np.uint8)
+            for k in range(81):
+                table[images[:, k], elements] = k
+            table.setflags(write=False)
+            self._inv_cells = table.T
         return self._inv_cells
 
     @property

@@ -180,7 +180,7 @@ class VerifyContext:
         def crosscheck() -> tuple[int, int]:
             rng = random.Random(self.seed)
             boards = [random_semi_magic(rng) for _ in range(SM_CROSSCHECK_TARGET)]
-            nests._sm_scan_tables()  # build once, before any fork
+            catalog.h_gamma_group().inverse_cell_images  # build once, before any fork
             parts = _map_partitions(partial(_sm_crosscheck_slice, boards), self.threads)
             return sum(n for n, _ in parts), sum(m for _, m in parts)
 
@@ -266,23 +266,13 @@ def _check_enumeration(ctx: VerifyContext, variant: str):
     return expected, actual
 
 
-def _check_sm_blocks(ctx: VerifyContext):
+def _check_timed_count(ctx: VerifyContext, build: Callable[[], tuple], count: int):
     t0 = time.perf_counter()
-    count = len(semi_magic_blocks())
+    actual = len(build())
     elapsed = time.perf_counter() - t0
     return (
-        {"count": 72, "within_1s": True},
-        {"count": count, "within_1s": elapsed < 1},
-    )
-
-
-def _check_gnomon_completions(ctx: VerifyContext):
-    t0 = time.perf_counter()
-    count = len(complete_standard_gnomon())
-    elapsed = time.perf_counter() - t0
-    return (
-        {"count": 16, "within_1s": True},
-        {"count": count, "within_1s": elapsed < 1},
+        {"count": count, "within_1s": True},
+        {"count": actual, "within_1s": elapsed < 1},
     )
 
 
@@ -554,9 +544,9 @@ def _check_properties(ctx: VerifyContext, variant: str):
 CHECKS: dict[str, Callable[[VerifyContext], tuple[object, object]]] = {
     "group_orders": _check_group_orders,
     "mm_enumeration": partial(_check_enumeration, variant=MM),
-    "sm_blocks": _check_sm_blocks,
+    "sm_blocks": partial(_check_timed_count, build=semi_magic_blocks, count=72),
     "sm_enumeration": partial(_check_enumeration, variant=SM),
-    "gnomon_completions": _check_gnomon_completions,
+    "gnomon_completions": partial(_check_timed_count, build=complete_standard_gnomon, count=16),
     "mm_census": _check_mm_census,
     "sm_census": _check_sm_census,
     "sm_crosscheck": _check_sm_crosscheck,

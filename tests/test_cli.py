@@ -208,6 +208,14 @@ def test_keedwell_json(tmp_path, capsys):
     }
 
 
+def test_keedwell_stdout_matches_json_file(tmp_path, capsys):
+    out = tmp_path / "kw.json"
+    assert run(["keedwell", "--board", CANON_SM_71, "--json", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(["keedwell", "--board", CANON_SM_71]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_keedwell_rejects_bad_board(capsys):
     assert run(["keedwell", "--board", "123", "--quiet"]) == 2
     capsys.readouterr()

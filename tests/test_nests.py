@@ -11,8 +11,8 @@ from magicsudoku.enumeration import (
     enumerate_modular_magic,
     random_semi_magic,
 )
-from magicsudoku.errors import DomainError
-from magicsudoku.perms import act
+from magicsudoku.errors import DomainError, IntegrityError
+from magicsudoku.perms import act, closure
 
 
 def test_normalize_variant():
@@ -144,6 +144,17 @@ def test_sm_scan_agrees_with_constructive(board_sm_71):
         slow = nests.canonicalize_sm_by_scan(board)
         assert fast == slow
         assert nests.crosscheck_sm(board) == fast
+
+
+def test_scan_needs_exactly_one_distinct_image(board_mm_72):
+    group = closure([catalog.transpose().symmetry])
+    cells = board_mm_72.cells
+    assert cells[1] != cells[9]  # not symmetric under transpose
+    assert nests._scan(group, ((1, cells[1]),), cells) == cells
+    with pytest.raises(IntegrityError):
+        nests._scan(group, (), cells)  # both images remain, and they differ
+    with pytest.raises(IntegrityError):
+        nests._scan(group, ((0, (cells[0] + 1) % 9),), cells)  # no image holds it
 
 
 def test_census_slice_matches_enumeration():

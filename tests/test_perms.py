@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from magicsudoku import catalog
@@ -119,3 +120,11 @@ def test_inverse_cell_images(board_mm_72):
         # Row i of the table maps target position j to its source cell.
         rebuilt = bytes(s.digit[cells[inv[i][j]]] for j in range(81))
         assert bytes(moved.cells) == rebuilt
+
+
+def test_inverse_cell_images_is_a_cell_major_uint8_table():
+    g = catalog.h_mm_group()
+    inv = g.inverse_cell_images
+    assert inv.dtype == np.uint8
+    assert inv.T.flags.c_contiguous
+    assert np.array_equal(inv, np.argsort(g.cell_images, axis=1))
