@@ -88,15 +88,8 @@ def _check_small(value: int, what: str) -> None:
 
 
 _TRANSPOSE_CELL = tuple(9 * c + r for r in range(9) for c in range(9))
-
-
-def _rot90_cell() -> tuple[int, ...]:
-    # Quarter turn clockwise: cell (r, c) moves to (c, 8 - r).
-    image = [0] * 81
-    for r in range(9):
-        for c in range(9):
-            image[9 * r + c] = 9 * c + (8 - r)
-    return tuple(image)
+# Quarter turn clockwise: cell (r, c) moves to (c, 8 - r).
+_ROT90_CELL = tuple(9 * c + 8 - r for r in range(9) for c in range(9))
 
 
 def transpose() -> NamedGenerator:
@@ -106,7 +99,7 @@ def transpose() -> NamedGenerator:
 
 def rot90() -> NamedGenerator:
     """Rotate the grid a quarter turn clockwise."""
-    return NamedGenerator("rot90", Symmetry.from_cell(_rot90_cell()))
+    return NamedGenerator("rot90", Symmetry.from_cell(_ROT90_CELL))
 
 
 def swap_rows(r1: int, r2: int) -> NamedGenerator:

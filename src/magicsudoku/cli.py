@@ -185,14 +185,8 @@ def _cmd_keedwell(args: argparse.Namespace) -> int:
 
 
 def _cmd_minimality_g9(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.total is not None:
-        kwargs["total_boards"] = args.total
-    if args.orbits is not None:
-        kwargs["orbit_count"] = args.orbits
-    if args.group_order is not None:
-        kwargs["group_order"] = args.group_order
-    cert = g9_minimality_certificate(**kwargs)
+    given = dict(total_boards=args.total, orbit_count=args.orbits, group_order=args.group_order)
+    cert = g9_minimality_certificate(**{k: v for k, v in given.items() if v is not None})
     payload = {
         "total_boards": cert.total_boards,
         "orbit_count": cert.orbit_count,

@@ -9,12 +9,18 @@ sets, so one join over block indices enumerates either variant.
 Partitions and preset cells (such as the 45 cells of the standard
 gnomon) become per-position candidate masks of that join.
 
+The join is level-wise over numpy arrays: it fills block positions in
+row-major order, extending every partial assembly by one position at a
+time, and yields (n, 9) uint8 chunks of catalog indices, one per
+admissible pair of blocks at positions 0 and 1. Chunks and their rows
+come in lexicographic order, so earlier positions vary slowest. Board
+objects are built only for visitors, the iterators and completions.
+
 Both enumerators are deterministic: semi-magic boards come in join
-order (band 0 blocks vary slowest), modular-magic boards in
-lexicographic row-major order. An optional partition (worker,
-worker_count) restricts a run to a slice of top-left blocks so censuses
-can be split across processes; the slices are disjoint and their union
-is the full enumeration.
+order, modular-magic boards in lexicographic row-major order. An
+optional partition (worker, worker_count) restricts a run to a slice of
+top-left blocks so censuses can be split across processes; the slices
+are disjoint and their union is the full enumeration.
 """
 
 from __future__ import annotations
@@ -22,10 +28,12 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 from functools import cache
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+
+import numpy as np
 
 from .boards import Block, Board, is_magic_mod9_block, is_semi_magic_block
-from .errors import DomainError
+from .errors import DomainError, IntegrityError
 
 __all__ = [
     "semi_magic_blocks",
@@ -44,8 +52,6 @@ Visitor = Callable[[Board], None]
 _T = TypeVar("_T")
 #: A block catalog builder, such as semi_magic_blocks.
 _Catalog = Callable[[], tuple[Block, ...]]
-#: keep(p, i, blk): whether catalog block i, which is blk, may sit at block position p.
-_Keep = Callable[[int, int, Block], bool]
 
 #: Blocks of the standard gnomon (first band and first pillar), keyed by
 #: block coordinates.
@@ -60,12 +66,12 @@ STANDARD_GNOMON_BLOCKS: dict[tuple[int, int], Block] = {
 
 def standard_gnomon_cells() -> list[tuple[int, int]]:
     """The 45 (cell index, digit) pairs fixed by the standard gnomon."""
-    pairs = []
-    for (I, J), blk in sorted(STANDARD_GNOMON_BLOCKS.items()):
-        for r in range(3):
-            for c in range(3):
-                pairs.append((9 * (3 * I + r) + 3 * J + c, blk[r][c]))
-    return sorted(pairs)
+    return sorted(
+        (9 * (3 * I + r) + 3 * J + c, blk[r][c])
+        for (I, J), blk in STANDARD_GNOMON_BLOCKS.items()
+        for r in range(3)
+        for c in range(3)
+    )
 
 
 # --- block catalogs ---
@@ -117,122 +123,77 @@ def modular_magic_blocks() -> tuple[Block, ...]:
 
 
 @cache
-def _tables(
-    catalog_fn: _Catalog,
-) -> tuple[tuple[tuple[bytes, bytes, bytes], ...], tuple[int, ...], tuple[int, ...]]:
-    """Per-block row bytes plus row/column compatibility bitmasks."""
-    catalog = catalog_fn()
-    n = len(catalog)
-    row_sets = []
-    col_sets = []
-    for blk in catalog:
-        rmask = 0
-        cmask = 0
-        for i in range(3):
-            for j in range(3):
-                rmask |= 1 << (9 * i + blk[i][j])
-                cmask |= 1 << (9 * j + blk[i][j])
-        row_sets.append(rmask)
-        col_sets.append(cmask)
-    row_ok = [0] * n
-    col_ok = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if not row_sets[i] & row_sets[j]:
-                row_ok[i] |= 1 << j
-            if not col_sets[i] & col_sets[j]:
-                col_ok[i] |= 1 << j
-    rows = tuple(tuple(bytes(blk[i]) for i in range(3)) for blk in catalog)
-    return rows, tuple(row_ok), tuple(col_ok)
+def _join_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The catalog as a (72, 9) uint8 array of flattened blocks, and
+    (72, 72) matrices of which block pairs have disjoint mini-row sets
+    and which have disjoint mini-column sets."""
+    blocks = np.array(catalog_fn(), dtype=np.uint8)
+    bits = np.left_shift(1, blocks.astype(np.int64))
+    # One 9-bit digit set per mini-line, mini-line k at bit 9k.
+    rows = (bits.sum(axis=2) << [0, 9, 18]).sum(axis=1)
+    cols = (bits.sum(axis=1) << [0, 9, 18]).sum(axis=1)
+    return blocks.reshape(-1, 9), rows[:, None] & rows == 0, cols[:, None] & cols == 0
 
 
-def _fits(tables, picks, p: int) -> int:
-    """Catalog indices that may sit at block position p (row-major block
-    order) next to the blocks picks[:p]: mini-row sets disjoint from the
-    earlier blocks of its band, mini-column sets disjoint from the
-    earlier blocks of its pillar. Unconstrained bits are all set."""
+def _admissible(tables, allowed: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(n, 72) mask of the allowed catalog blocks that may sit at block
+    position p = idx.shape[1] (row-major block order) next to the
+    blocks idx[k, :p] of each partial assembly k: mini-row sets disjoint
+    from the earlier blocks of its band, mini-column sets disjoint from
+    the earlier blocks of its pillar."""
     _, row_ok, col_ok = tables
-    mask = -1
+    p = idx.shape[1]
+    # Only position 0 has no earlier block in its band or pillar.
+    mask = np.broadcast_to(allowed, (len(idx), len(allowed))) if p == 0 else allowed
     for q in range(p - p % 3, p):
-        mask &= row_ok[picks[q]]
+        mask = mask & row_ok[idx[:, q]]
     for q in range(p % 3, p, 3):
-        mask &= col_ok[picks[q]]
+        mask = mask & col_ok[idx[:, q]]
     return mask
 
 
-def _band(rows, i: int, j: int, k: int) -> bytes:
-    """The 27 cells of a band holding blocks i, j, k, row-major."""
-    a, b, c = rows[i], rows[j], rows[k]
-    return b"".join((a[0], b[0], c[0], a[1], b[1], c[1], a[2], b[2], c[2]))
+def _extend(tables, cand: np.ndarray, idx: np.ndarray, stop: int) -> np.ndarray:
+    """Extend the (n, p) partial assemblies idx through block position
+    stop - 1, position q drawing from the mask cand[q]. Rows stay in
+    lexicographic order: np.nonzero lists a mask's rows in order and
+    each row's blocks in ascending order."""
+    for p in range(idx.shape[1], stop):
+        rows, picks = np.nonzero(_admissible(tables, cand[p], idx))
+        idx = np.column_stack((idx[rows], picks.astype(np.uint8)))
+    return idx
 
 
-def _join(catalog_fn: _Catalog, keep: _Keep, visitor: Visitor | None = None) -> int:
-    """Visit every board built from the catalog, whose block blk with
-    catalog index i may sit at block position p only if keep(p, i, blk);
-    returns the count.
-
-    Positions are filled in row-major block order, lower indices first,
-    so earlier positions vary slowest.
-    """
-    tables = rows, row_ok, col_ok = _tables(catalog_fn)
-    cand = [
-        sum(1 << i for i, blk in enumerate(catalog_fn()) if keep(p, i, blk)) for p in range(9)
-    ]
-    picks = [0] * 9
-    count = 0
-
-    def rec(p: int) -> None:
-        nonlocal count
-        if p < 6:
-            mask = cand[p] & _fits(tables, picks, p)
-            while mask:
-                bit = mask & -mask
-                mask ^= bit
-                picks[p] = bit.bit_length() - 1
-                rec(p + 1)
-            return
-        # Band 2 unrolled: its three positions hold most of the nodes.
-        mask = cand[6] & col_ok[picks[0]] & col_ok[picks[3]]
-        c7 = cand[7] & col_ok[picks[1]] & col_ok[picks[4]]
-        c8 = cand[8] & col_ok[picks[2]] & col_ok[picks[5]]
-        top = _band(rows, *picks[0:3]) + _band(rows, *picks[3:6]) if visitor is not None else b""
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            i6 = bit.bit_length() - 1
-            r6 = row_ok[i6]
-            m7 = c7 & r6
-            c8r6 = c8 & r6
-            g = rows[i6]
-            while m7:
-                b7 = m7 & -m7
-                m7 ^= b7
-                i7 = b7.bit_length() - 1
-                m8 = c8r6 & row_ok[i7]
-                if visitor is None:
-                    count += m8.bit_count()
-                    continue
-                h = rows[i7]
-                while m8:
-                    b8 = m8 & -m8
-                    m8 ^= b8
-                    k = rows[b8.bit_length() - 1]
-                    count += 1
-                    # Band 2 as _band would build it, after the top two bands.
-                    cells = b"".join((top, g[0], h[0], k[0], g[1], h[1], k[1], g[2], h[2], k[2]))
-                    visitor(Board._wrap(cells))
-
-    rec(0)
-    return count
+def _join(catalog_fn: _Catalog, cand: np.ndarray) -> Iterator[np.ndarray]:
+    """Every board built from the catalog whose block at position p has
+    its catalog index in the mask cand[p], as (n, 9) uint8 chunks of
+    catalog indices: one chunk per admissible pair of blocks at
+    positions 0 and 1, in lexicographic order."""
+    tables = _join_tables(catalog_fn)
+    for head in _extend(tables, cand, np.zeros((1, 0), dtype=np.uint8), 2):
+        idx = _extend(tables, cand, head[None], 9)
+        if len(idx):
+            yield idx
 
 
-def _check_partition(partition: tuple[int, int] | None) -> tuple[int, int]:
-    if partition is None:
-        return 0, 1
-    worker, count = partition
-    if count < 1 or not 0 <= worker < count:
+def _slice(keys: np.ndarray, partition: tuple[int, int] | None) -> np.ndarray:
+    """Join candidate masks of a partition slice: worker w of n gets the
+    top-left catalog blocks whose key is congruent to w mod n."""
+    worker, nparts = (0, 1) if partition is None else partition
+    if nparts < 1 or not 0 <= worker < nparts:
         raise DomainError(f"bad partition {partition!r}")
-    return worker, count
+    cand = np.ones((9, len(keys)), dtype=bool)
+    cand[0] = keys % nparts == worker
+    return cand
+
+
+def _boards(catalog_fn: _Catalog, chunks: Iterable[np.ndarray]) -> Iterator[Board]:
+    """The boards of the index chunks, in order."""
+    cat = _join_tables(catalog_fn)[0]
+    for idx in chunks:
+        # (board, I, J, r, c) -> (board, I, r, J, c): row-major cells.
+        data = cat[idx].reshape(-1, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4).tobytes()
+        for k in range(0, len(data), 81):
+            yield Board._wrap(data[k : k + 81])
 
 
 def _map_partitions(fn: Callable[[tuple[int, int] | None], _T], threads: int) -> list[_T]:
@@ -244,36 +205,30 @@ def _map_partitions(fn: Callable[[tuple[int, int] | None], _T], threads: int) ->
         return pool.map(fn, [(w, threads) for w in range(threads)])
 
 
-def _stream(enumerate_fn, slices: int) -> Iterator[Board]:
-    # Stream one partition slice at a time to bound memory.
-    chunk: list[Board] = []
-    for worker in range(slices):
-        enumerate_fn(chunk.append, partition=(worker, slices))
-        yield from chunk
-        chunk.clear()
-
-
-def _sorted_join(catalog_fn: _Catalog, keep: _Keep) -> list[Board]:
-    """The boards the join admits under keep, sorted by cells."""
-    boards: list[Board] = []
-    _join(catalog_fn, keep, boards.append)
-    boards.sort(key=lambda b: b.cells)
-    return boards
+def _sorted_join(catalog_fn: _Catalog, cand: np.ndarray) -> list[Board]:
+    """The boards the join admits under cand, sorted by cells."""
+    return sorted(_boards(catalog_fn, _join(catalog_fn, cand)), key=lambda b: b.cells)
 
 
 def _complete(catalog_fn: _Catalog, assignments: Mapping[int, int]) -> list[Board]:
     """The boards built from the catalog that extend the given cell
     assignments, sorted by cells."""
-    fixed: list[list[tuple[int, int, int]]] = [[] for _ in range(9)]
+    cat = _join_tables(catalog_fn)[0]
+    cand = np.ones((9, len(cat)), dtype=bool)
     for cell, digit in assignments.items():
         if not (0 <= int(cell) <= 80 and 0 <= int(digit) <= 8):
             raise DomainError(f"bad assignment {cell!r}: {digit!r}")
         r, c = divmod(int(cell), 9)
-        fixed[3 * (r // 3) + c // 3].append((r % 3, c % 3, int(digit)))
-    return _sorted_join(catalog_fn, lambda p, i, blk: all(blk[r][c] == d for r, c, d in fixed[p]))
+        cand[3 * (r // 3) + c // 3] &= cat[:, 3 * (r % 3) + c % 3] == int(digit)
+    return _sorted_join(catalog_fn, cand)
 
 
 # --- modular-magic enumeration ---
+
+
+def _mm_slice(partition: tuple[int, int] | None) -> np.ndarray:
+    cat = _join_tables(modular_magic_blocks)[0].astype(int)
+    return _slice(9 * cat[:, 0] + cat[:, 1], partition)
 
 
 def enumerate_modular_magic(
@@ -285,11 +240,10 @@ def enumerate_modular_magic(
     partition into n slices gets the boards whose first two cells d0, d1
     satisfy (9 * d0 + d1) % n == w.
     """
-    worker, nparts = _check_partition(partition)
-    keep = lambda p, i, blk: p > 0 or (9 * blk[0][0] + blk[0][1]) % nparts == worker
+    cand = _mm_slice(partition)
     if visitor is None:
-        return _join(modular_magic_blocks, keep)
-    boards = _sorted_join(modular_magic_blocks, keep)
+        return sum(map(len, _join(modular_magic_blocks, cand)))
+    boards = _sorted_join(modular_magic_blocks, cand)
     for board in boards:
         visitor(board)
     return len(boards)
@@ -297,8 +251,7 @@ def enumerate_modular_magic(
 
 def iter_modular_magic() -> Iterator[Board]:
     """Yield every modular-magic board in enumeration order."""
-    # Slice w of 81 holds the boards starting with digits divmod(w, 9).
-    return _stream(enumerate_modular_magic, 81)
+    return iter(_sorted_join(modular_magic_blocks, _mm_slice(None)))
 
 
 def complete_modular_magic(
@@ -316,6 +269,11 @@ def complete_modular_magic(
 # --- semi-magic enumeration ---
 
 
+def _sm_join(partition: tuple[int, int] | None = None) -> Iterator[np.ndarray]:
+    """The join chunks of a partition slice of the semi-magic boards."""
+    return _join(semi_magic_blocks, _slice(np.arange(len(semi_magic_blocks())), partition))
+
+
 def enumerate_semi_magic(
     visitor: Visitor | None = None, partition: tuple[int, int] | None = None
 ) -> int:
@@ -326,33 +284,38 @@ def enumerate_semi_magic(
     of a partition into n slices gets the top-left catalog indices
     congruent to w mod n.
     """
-    worker, nparts = _check_partition(partition)
-    return _join(semi_magic_blocks, lambda p, i, blk: p > 0 or i % nparts == worker, visitor)
+    chunks = _sm_join(partition)
+    if visitor is None:
+        return sum(map(len, chunks))
+    count = 0
+    for board in _boards(semi_magic_blocks, chunks):
+        visitor(board)
+        count += 1
+    return count
 
 
 def iter_semi_magic() -> Iterator[Board]:
     """Yield every semi-magic board in enumeration order."""
-    return _stream(enumerate_semi_magic, 72)
+    return _boards(semi_magic_blocks, _sm_join())
 
 
 def random_semi_magic(rng) -> Board:
-    """A random semi-magic board, via randomized block assembly.
+    """A uniformly random semi-magic board, via randomized block assembly.
 
-    Retries from scratch when a partial assembly dead-ends, so draws
-    are independent but not uniform across boards.
+    Each block position takes rng.choice over the ascending catalog
+    indices that fit. At every depth all partial assemblies have equally
+    many completions, so the board is exactly uniform. A dead end, which
+    the catalog never produces, raises IntegrityError.
     """
-    tables = _tables(semi_magic_blocks)
-    rows = tables[0]
-    while True:
-        picks: list[int] = []
-        for p in range(9):
-            fits = _fits(tables, picks, p)
-            choices = [i for i in range(len(rows)) if fits >> i & 1]
-            if not choices:
-                break
-            picks.append(rng.choice(choices))
-        else:
-            return Board._wrap(b"".join(_band(rows, *picks[q : q + 3]) for q in (0, 3, 6)))
+    tables = _join_tables(semi_magic_blocks)
+    allowed = np.ones(len(tables[0]), dtype=bool)
+    idx = np.zeros((1, 9), dtype=np.uint8)
+    for p in range(9):
+        choices = np.flatnonzero(_admissible(tables, allowed, idx[:, :p])).tolist()
+        if not choices:
+            raise IntegrityError("a partial semi-magic assembly has no completion")
+        idx[0, p] = rng.choice(choices)
+    return next(_boards(semi_magic_blocks, [idx]))
 
 
 @cache

@@ -14,6 +14,10 @@ group of modular-magic boards, with the mini-diagonal pattern, it is the
 modular-magic canonicalization. Over the 373,248-element physical group
 of semi-magic boards, with the standard gnomon, it is the reference
 oracle that cross-validates the constructive semi-magic reduction.
+
+The semi-magic census runs that reduction in batch: it labels the
+join's (n, 9) chunks of block indices through per-block lookup tables
+and counts labels with np.bincount, building no Board.
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ import numpy as np
 from .boards import Board, is_modular_magic, is_semi_magic
 from .catalog import h_gamma_group, h_mm_group
 from .enumeration import (
+    _join_tables,
     _map_partitions,
+    _sm_join,
     complete_modular_magic,
     complete_standard_gnomon,
     enumerate_modular_magic,
-    enumerate_semi_magic,
+    semi_magic_blocks,
     standard_gnomon_cells,
 )
 from .errors import DomainError, IntegrityError
@@ -105,20 +111,14 @@ class Census:
 # --- modular-magic canonical pattern ---
 
 
-def _mm_template() -> tuple[tuple[int, int], ...]:
-    """The 27 (cell, digit) pairs of the canonical mini-diagonals:
-    block (I,J) holds (3*((I+J)%3) + 3t) mod 9 at diagonal slot t."""
-    pairs = []
-    for I in range(3):
-        for J in range(3):
-            for t in range(3):
-                pairs.append(
-                    (9 * (3 * I + t) + 3 * J + t, (3 * ((I + J) % 3) + 3 * t) % 9)
-                )
-    return tuple(pairs)
-
-
-_MM_TEMPLATE = _mm_template()
+# The 27 (cell, digit) pairs of the canonical mini-diagonals: block
+# (I,J) holds (3*((I+J)%3) + 3t) mod 9 at diagonal slot t.
+_MM_TEMPLATE = tuple(
+    (9 * (3 * I + t) + 3 * J + t, (3 * ((I + J) % 3) + 3 * t) % 9)
+    for I in range(3)
+    for J in range(3)
+    for t in range(3)
+)
 # Label cells of the canonical pattern: alpha at (0,2), beta at (2,0),
 # gamma at (3,8) and repeated at (6,5).
 _MM_ALPHA, _MM_BETA, _MM_GAMMA1, _MM_GAMMA2 = 2, 18, 35, 59
@@ -234,6 +234,64 @@ def _sm_label(cells: bytes) -> tuple[int, int]:
     return base[9 * rowperm[6] + colperm[5]], base[9 * rowperm[5] + colperm[6]]
 
 
+# --- the same reduction over join chunks ---
+
+# Block positions of the transposed board: position 3I+J holds the
+# transpose of the block at 3J+I.
+_TRANSPOSE_POS = [0, 3, 6, 1, 4, 7, 2, 5, 8]
+
+
+@cache
+def _block_tables() -> tuple[np.ndarray, ...]:
+    """_sm_reduce's lookups per semi-magic catalog index: the cells, the
+    transpose's index, row 0 outside the row family (transpose first)
+    and in neither family, every mini-row in the row family, each
+    mini-row's row family (3 if none), each row family's mini-row, each
+    digit's mini-column, and which mini-columns are {8,1,3}."""
+    cat = _join_tables(semi_magic_blocks)[0]
+    blocks = cat.reshape(-1, 3, 3)
+    bits = np.left_shift(1, blocks.astype(np.intp))
+    rows, cols = bits.sum(axis=2), bits.sum(axis=1)
+    lookup = np.full(512, 3)
+    lookup[list(_ROW_FAMILY)] = list(_ROW_FAMILY.values())
+    family = lookup[rows]
+    index = {blk.tobytes(): i for i, blk in enumerate(cat)}
+    partner = np.array([index[blk.T.tobytes()] for blk in blocks], dtype=np.uint8)
+    flip = family[:, 0] == 3
+    stray = flip & ~np.isin(rows[:, 0], list(_COL_FAMILY_MASKS))
+    whole = (family < 3).all(axis=1)
+    row_of = np.argsort(family, axis=1)
+    return cat, partner, flip, stray, whole, family, row_of, np.argsort(cat) % 3, cols == _MASK_813
+
+
+def _sm_label_codes(idx: np.ndarray) -> np.ndarray:
+    """9 * first + second of _sm_label for every board of an (n, 9)
+    chunk of semi-magic catalog indices, following _sm_reduce step by
+    step in block coordinates; raises IntegrityError wherever it would."""
+    cat, partner, flip, stray, whole, family, row_of, col_of, is_813 = _block_tables()
+    base = np.where(flip[idx[:, 0], None], partner[idx[:, _TRANSPOSE_POS]], idx)
+    k = np.arange(len(base))
+    # rowperm[0], and the families of blocks 1 and 2 along it: p1 holds {7,2,3}.
+    r0 = row_of[base[:, 0], 0]
+    f1, f2 = family[base[:, 1], r0], family[base[:, 2], r0]
+    p1 = np.where(f1 == 2, 1, 2)
+    # colperm[0] fixes b1, the band whose pillar-0 column there is {8,1,3}.
+    b1 = np.where(is_813[base[:, 3], col_of[base[:, 0], 0]], 1, 2)
+    blk1, blk2 = base[k, 3 * b1], base[k, 9 - 3 * b1]
+    # f1 * f2 == 2 exactly when {f1, f2} = {1, 2}.
+    ok = ~stray[idx[:, 0]] & whole[base[:, 0]] & (f1 * f2 == 2) & whole[blk1] & whole[blk2]
+    if not ok.all():
+        raise IntegrityError("mini-line families inconsistent")
+    # rowperm[6] and rowperm[5]: the {0,4,8} row of band b2 and the
+    # {7,2,3} row of band b1. colperm[5] and colperm[6]: the columns of
+    # digits 3 and 5 along rowperm[0], in pillars p1 and p2.
+    r6, r5 = row_of[blk2, 0], row_of[blk1, 2]
+    c5, c6 = col_of[base[k, p1], 3], col_of[base[k, 3 - p1], 5]
+    first = cat[base[k, 9 - 3 * b1 + p1], 3 * r6 + c5]
+    second = cat[base[k, 3 * b1 + 3 - p1], 3 * r5 + c6]
+    return 9 * first.astype(np.intp) + second
+
+
 def canonicalize_sm(board: Board) -> tuple[NestLabel, Board]:
     """Canonical form of a semi-magic board under the physical group."""
     if not is_semi_magic(board):
@@ -335,26 +393,33 @@ def census(variant: str, partition: tuple[int, int] | None = None) -> Census:
     """Enumerate the variant and count boards per nest label.
 
     A partition restricts the underlying enumeration slice; partial
-    censuses merge by adding counts.
+    censuses merge by adding counts. Modular-magic boards are labelled
+    one by one; semi-magic labels come per join chunk from
+    _sm_label_codes, with no Board built.
     """
     v = normalize_variant(variant)
-    label = _mm_label if v == MM else _sm_label
-    counts: Counter = Counter()
-
-    def visit(board: Board) -> None:
-        counts[label(board.cells)] += 1
-
-    total = (enumerate_modular_magic if v == MM else enumerate_semi_magic)(visit, partition)
+    if v == MM:
+        boards: list[Board] = []
+        enumerate_modular_magic(boards.append, partition)
+        counts = Counter(_mm_label(board.cells) for board in boards)
+    else:
+        codes = np.zeros(81, dtype=int)
+        for idx in _sm_join(partition):
+            codes += np.bincount(_sm_label_codes(idx), minlength=81)
+        counts = {divmod(code, 9): int(n) for code, n in enumerate(codes) if n}
     mapping = {NestLabel(v, a, b): n for (a, b), n in sorted(counts.items())}
-    return Census(v, mapping, total)
+    return Census(v, mapping, sum(mapping.values()))
 
 
 def _threaded_census(variant: str, threads: int) -> Census:
     """census(variant), computed in threads partition slices and merged;
     counts stay in label order."""
     v = normalize_variant(variant)
+    # Build the lookup tables once, before any fork.
     if v == MM:
-        h_mm_group().inverse_cell_images  # build once, before any fork
+        h_mm_group().inverse_cell_images
+    else:
+        _block_tables()
     parts = _map_partitions(partial(census, v), threads)
     counts: Counter = Counter()
     for part in parts:

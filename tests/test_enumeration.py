@@ -1,8 +1,10 @@
 """Exhaustive enumeration, partitioning, completion, and sampling."""
 
+import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from magicsudoku import enumeration as en
@@ -36,6 +38,10 @@ def _take(n, enumerate_fn):
     with pytest.raises(_Stop):
         enumerate_fn(visit)
     return got
+
+
+def _digest(boards):
+    return hashlib.sha256(b"".join(b.cells for b in boards)).hexdigest()
 
 
 def _brute_force_catalog(predicate):
@@ -200,3 +206,47 @@ def test_random_semi_magic_reproducible():
     draws = {en.random_semi_magic(rng) for _ in range(30)}
     assert len(draws) > 25
     assert all(is_semi_magic(board) for board in draws)
+
+
+def test_random_semi_magic_pinned_draws():
+    rng = random.Random(99)
+    boards = [en.random_semi_magic(rng) for _ in range(5)]
+    assert _digest(boards) == (
+        "4a5e939a0f7fae79cce9060980354178d09fdd65f0975dcd77e79eece05c46ac"
+    )
+
+
+def test_sm_join_level_sizes():
+    # Every partial assembly of a given depth has as many completions as
+    # any other, which makes random_semi_magic exactly uniform; the last
+    # block is forced.
+    tables = en._join_tables(en.semi_magic_blocks)
+    for top_left in (0, 17, 71):
+        cand = en._slice(np.arange(72), (top_left, 72))
+        empty = np.zeros((1, 0), dtype=np.uint8)
+        sizes = [len(en._extend(tables, cand, empty, depth)) for depth in range(1, 10)]
+        assert sizes == [1, 12, 72, 864, 3456, 6912, 41472, 82944, 82944]
+
+
+# Order pins: SHA-256 of the concatenated cells, computed once with the
+# recursive bitmask join that the level-wise join replaced.
+
+
+def test_sm_slice_order_pinned():
+    boards = []
+    en.enumerate_semi_magic(boards.append, (17, 72))
+    assert _digest(boards) == (
+        "c2045086bc20f979013784dfe1592094c0c52c233c57466e1726cb6d0a2cba19"
+    )
+
+
+def test_mm_stream_order_pinned():
+    assert _digest(en.iter_modular_magic()) == (
+        "e12c8f4129ba347631f40c98de87402bf27e0803b2b5434c35360f3969ac0e54"
+    )
+
+
+def test_standard_gnomon_completions_pinned():
+    assert _digest(en.complete_standard_gnomon()) == (
+        "91b1743454d13fcc556118706524d3161674621bcbc5918d54c48a3832024a65"
+    )

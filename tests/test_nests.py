@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from magicsudoku import catalog, nests
+from magicsudoku import enumeration as en
 from magicsudoku.boards import is_modular_magic, is_semi_magic
 from magicsudoku.enumeration import (
     complete_standard_gnomon,
@@ -187,3 +189,41 @@ def test_sm_census_expected_sizes(sm_census):
     assert len(counts) == 16
     assert set(counts.values()) == {373248}
     assert sum(counts.values()) == 5971968
+
+
+def _index_rows_and_boards(idx):
+    return idx, list(en._boards(en.semi_magic_blocks, [idx]))
+
+
+@pytest.mark.parametrize("top_left", [17, 68])  # reduced directly; transposed first
+def test_batch_sm_label_equals_scalar(top_left):
+    assert nests._block_tables()[2][top_left] == (top_left == 68)  # flip
+    for idx, boards in map(_index_rows_and_boards, en._sm_join((top_left, 72))):
+        want = [9 * a + b for a, b in (nests._sm_label(board.cells) for board in boards)]
+        assert nests._sm_label_codes(idx).tolist() == want
+
+
+def test_batch_sm_label_rejects_what_the_scalar_rejects():
+    # Nine copies of block 0 put {0,4,8} in row rowperm[0] of blocks 1
+    # and 2, so the scalar _sm_reduce raises where it reads the digits
+    # of block 2 along that row as {7,2,3}.
+    idx, (board,) = _index_rows_and_boards(np.zeros((1, 9), dtype=np.uint8))
+    with pytest.raises(IntegrityError):
+        nests._sm_label(board.cells)
+    with pytest.raises(IntegrityError):
+        nests._sm_label_codes(idx)
+    # Arbitrary index rows: the batch label raises exactly where the
+    # scalar raises, and agrees with it elsewhere.
+    rows = np.random.default_rng(5).integers(0, 72, (2000, 9)).astype(np.uint8)
+    for row in rows:
+        idx, (board,) = _index_rows_and_boards(row[None])
+        try:
+            a, b = nests._sm_label(board.cells)
+            want = 9 * a + b
+        except IntegrityError:
+            want = None
+        try:
+            got = int(nests._sm_label_codes(idx)[0])
+        except IntegrityError:
+            got = None
+        assert got == want

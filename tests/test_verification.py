@@ -1,5 +1,7 @@
 """The verify check registry and the shared VerifyContext results."""
 
+from functools import cache
+
 import pytest
 
 from magicsudoku import nests, verification
@@ -101,3 +103,17 @@ def test_sm_crosscheck_does_not_depend_on_threads(monkeypatch):
     checked, mismatches = VerifyContext(threads=1).sm_crosscheck()
     assert checked == 12 and mismatches > 0
     assert VerifyContext(threads=2).sm_crosscheck() == (checked, mismatches)
+
+
+def test_timed_count_times_a_fresh_build():
+    builds = []
+
+    @cache
+    def build():
+        builds.append(1)
+        return (1, 2, 3)
+
+    build()  # an earlier check filled the cache
+    expected, actual = verification._check_timed_count(VerifyContext(), build, 3)
+    assert expected == actual == {"count": 3, "within_1s": True}
+    assert len(builds) == 2
