@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boards import Board, blocks, is_modular_magic, off_diagonal_set
+from .boards import _BOARD_LINES, Board, _off_diagonal, is_modular_magic
 from .errors import DomainError
 from .nestgraph import orbit_sizes
 
@@ -37,12 +37,14 @@ G9_ORDER = 1_218_998_108_160
 
 def check_two_equal(board: Board) -> bool:
     """For each center entry in {0,3,6}: do at least two of the three
-    blocks with that center share their off-diagonal set?"""
+    blocks with that center share their off-diagonal set? Reads the
+    centers and mini-diagonals straight from the cells."""
     if not is_modular_magic(board):
         raise DomainError("board is not modular-magic")
+    cells = board.cells
     by_center: dict[int, list[frozenset[int]]] = {0: [], 3: [], 6: []}
-    for blk in blocks(board):
-        by_center[blk[1][1]].append(off_diagonal_set(blk))
+    for lines in _BOARD_LINES:
+        by_center[cells[lines[6]][1]].append(_off_diagonal(cells, lines))
     return all(
         len(sets) == 3 and len(set(sets)) <= 2 for sets in by_center.values()
     )

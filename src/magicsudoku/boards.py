@@ -4,10 +4,15 @@ Coordinates are 0-based and row-major throughout: rows and columns run
 0..8 top to bottom and left to right, cell index k corresponds to row
 k // 9 and column k % 9, and block (I, J) covers rows 3I..3I+2 and
 columns 3J..3J+2.
+
+The variant predicates slice the cells through fixed tables and build no
+Block: each mini-line of a block is a 3-byte slice tested against the
+variant's set of allowed lines, as in the block predicates.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from typing import BinaryIO, Iterable, Iterator, TextIO
 
@@ -118,13 +123,34 @@ def format_board(board: Board, pretty: bool = False) -> str:
     return "\n".join(flat[9 * r : 9 * r + 9] for r in range(9))
 
 
+def _mini_lines(base: int, width: int) -> tuple[slice, ...]:
+    """Slices of the mini-rows, mini-columns, main and anti mini-diagonal
+    of the block at cell ``base`` of a row-major grid ``width`` wide."""
+    return (
+        *(slice(base + width * r, base + width * r + 3) for r in range(3)),
+        *(slice(base + c, base + c + 2 * width + 1, width) for c in range(3)),
+        slice(base, base + 2 * width + 3, width + 1),
+        slice(base + 2, base + 2 * width + 1, width - 1),
+    )
+
+
+# The mini-lines of a flattened block and of each block of a board; the
+# rows and columns of a board, and the mini-rows of each block.
+_BLOCK_LINES = _mini_lines(0, 3)
+_BOARD_LINES = tuple(_mini_lines(27 * I + 3 * J, 9) for I in range(3) for J in range(3))
+_ROWS_COLS = [slice(9 * i, 9 * i + 9) for i in range(9)] + [slice(i, 81, 9) for i in range(9)]
+_BLOCK_ROWS = [lines[:3] for lines in _BOARD_LINES]
+# The lines a block may hold: magic mod 9 (all 8 lines sum to 0 mod 9)
+# and semi-magic (the mini-rows and mini-columns sum to 12).
+_MM_LINES = frozenset(bytes(t) for t in itertools.permutations(range(9), 3) if sum(t) % 9 == 0)
+_SM_LINES = frozenset(bytes(t) for t in itertools.permutations(range(9), 3) if sum(t) == 12)
+_MM_BOARD_LINES = [s for lines in _BOARD_LINES for s in lines]
+_SM_BOARD_LINES = [s for lines in _BOARD_LINES for s in lines[:6]]
+
+
 def block(board: Board, I: int, J: int) -> Block:
     """The 3x3 block at block coordinates (I, J)."""
-    cells = board.cells
-    base = 27 * I + 3 * J
-    return tuple(
-        tuple(cells[base + 9 * r + c] for c in range(3)) for r in range(3)
-    )
+    return tuple(tuple(board.cells[s]) for s in _BLOCK_ROWS[3 * I + J])
 
 
 def blocks(board: Board) -> list[Block]:
@@ -135,58 +161,55 @@ def blocks(board: Board) -> list[Block]:
 def is_sudoku(board: Board) -> bool:
     """True iff every row, column, and block holds each digit exactly once."""
     cells = board.cells
-    for i in range(9):
-        if set(cells[9 * i : 9 * i + 9]) != _DIGITS:
-            return False
-        if set(cells[i::9]) != _DIGITS:
-            return False
-    for base in (0, 3, 6, 27, 30, 33, 54, 57, 60):
-        blk = cells[base : base + 3] + cells[base + 9 : base + 12] + cells[base + 18 : base + 21]
-        if set(blk) != _DIGITS:
-            return False
-    return True
+    return all(map(_DIGITS.__eq__, map(set, map(cells.__getitem__, _ROWS_COLS)))) and all(
+        set(cells[a] + cells[b] + cells[c]) == _DIGITS for a, b, c in _BLOCK_ROWS
+    )
 
 
-def _block_lines(blk: Block) -> list[tuple[int, int, int]]:
-    """Rows, columns, and the two diagonals of a block."""
-    (a, b, c), (d, e, f), (g, h, i) = blk
-    return [
-        (a, b, c), (d, e, f), (g, h, i),
-        (a, d, g), (b, e, h), (c, f, i),
-        (a, e, i), (c, e, g),
-    ]
+def _block_bytes(blk: Block) -> bytes | None:
+    """The block's entries in row-major order, or None unless they are
+    the nine digits once each."""
+    flat = tuple(itertools.chain.from_iterable(blk))
+    return bytes(flat) if set(flat) == _DIGITS else None
 
 
 def is_magic_mod9_block(blk: Block) -> bool:
     """True iff the block has 9 distinct digits and every mini-row,
     mini-column, and mini-diagonal sums to 0 mod 9."""
-    flat = [d for row in blk for d in row]
-    if set(flat) != _DIGITS:
-        return False
-    return all(sum(line) % 9 == 0 for line in _block_lines(blk))
+    flat = _block_bytes(blk)
+    return flat is not None and all(flat[s] in _MM_LINES for s in _BLOCK_LINES)
 
 
 def is_semi_magic_block(blk: Block) -> bool:
     """True iff the block has 9 distinct digits and every mini-row and
     mini-column sums to 12 (diagonals unconstrained)."""
-    flat = [d for row in blk for d in row]
-    if set(flat) != _DIGITS:
-        return False
-    return all(sum(line) == 12 for line in _block_lines(blk)[:6])
+    flat = _block_bytes(blk)
+    return flat is not None and all(flat[s] in _SM_LINES for s in _BLOCK_LINES[:6])
 
 
 def is_modular_magic(board: Board) -> bool:
-    """True iff the board is a Sudoku board and all blocks are magic mod 9."""
-    if not is_sudoku(board):
-        return False
-    return all(is_magic_mod9_block(block(board, I, J)) for I in range(3) for J in range(3))
+    """True iff the board is a Sudoku board and all blocks are magic
+    mod 9: every mini-line of every block is a magic-mod-9 line."""
+    cells = board.cells
+    return is_sudoku(board) and all(cells[s] in _MM_LINES for s in _MM_BOARD_LINES)
 
 
 def is_semi_magic(board: Board) -> bool:
-    """True iff the board is a Sudoku board and all blocks are semi-magic."""
-    if not is_sudoku(board):
-        return False
-    return all(is_semi_magic_block(block(board, I, J)) for I in range(3) for J in range(3))
+    """True iff the board is a Sudoku board and all blocks are semi-magic:
+    every mini-row and mini-column of every block sums to 12."""
+    cells = board.cells
+    return is_sudoku(board) and all(cells[s] in _SM_LINES for s in _SM_BOARD_LINES)
+
+
+def _off_diagonal(cells: bytes, lines: tuple[slice, ...]) -> frozenset[int]:
+    """off_diagonal_set of the magic-mod-9 block whose mini-lines are
+    the slices ``lines`` of ``cells``."""
+    main, anti = cells[lines[6]], cells[lines[7]]
+    main_in = set(main) <= _CENTER_SET
+    if main_in == (set(anti) <= _CENTER_SET):
+        raise StructureError("expected exactly one {0,3,6} mini-diagonal")
+    corners = anti if main_in else main
+    return frozenset((corners[0], corners[2]))
 
 
 def off_diagonal_set(blk: Block) -> frozenset[int]:
@@ -197,14 +220,7 @@ def off_diagonal_set(blk: Block) -> frozenset[int]:
     """
     if not is_magic_mod9_block(blk):
         raise StructureError("off_diagonal_set requires a magic mod-9 block")
-    main = (blk[0][0], blk[1][1], blk[2][2])
-    anti = (blk[0][2], blk[1][1], blk[2][0])
-    main_in = set(main) <= _CENTER_SET
-    anti_in = set(anti) <= _CENTER_SET
-    if main_in == anti_in:
-        raise StructureError("expected exactly one {0,3,6} mini-diagonal")
-    corners = anti if main_in else main
-    return frozenset((corners[0], corners[2]))
+    return _off_diagonal(_block_bytes(blk), _BLOCK_LINES)
 
 
 # --- packing and file formats ---

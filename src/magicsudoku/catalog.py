@@ -467,19 +467,18 @@ def s_sm_group() -> PermGroup:
     """The semi-magic relabeling group, found by brute force.
 
     Keeps exactly the digit permutations that map every one of the 72
-    semi-magic blocks to a semi-magic block.
+    semi-magic blocks to a semi-magic block: all 9! permutations, as
+    rows p with p[d] the image of digit d, are filtered block by block
+    by the base-9 code of the block's image against the catalog's codes.
     """
-    catalog = semi_magic_blocks()
-    block_set = frozenset(catalog)
-    keep = []
-    for p in itertools.permutations(range(9)):
-        for blk in catalog:
-            image = tuple(tuple(p[d] for d in row) for row in blk)
-            if image not in block_set:
-                break
-        else:
-            keep.append(Symmetry.from_digit(p))
-    return PermGroup.from_symmetries(keep)
+    catalog = np.array(semi_magic_blocks(), dtype=np.intp).reshape(-1, 9)
+    weights = 9 ** np.arange(9)
+    codes = catalog @ weights
+    every = itertools.chain.from_iterable(itertools.permutations(range(9)))
+    perms = np.frombuffer(bytes(every), dtype=np.uint8).reshape(-1, 9)
+    for blk in catalog:
+        perms = perms[np.isin(perms[:, blk] @ weights, codes)]
+    return PermGroup.from_symmetries(Symmetry.from_digit(p) for p in perms.tolist())
 
 
 def g_sm_order() -> int:

@@ -299,23 +299,37 @@ def iter_semi_magic() -> Iterator[Board]:
     return _boards(semi_magic_blocks, _sm_join())
 
 
+@cache
+def _fit_masks(catalog_fn: _Catalog) -> tuple[list[int], list[int]]:
+    """The rows of _join_tables' row_ok and col_ok matrices as Python-int
+    bitmasks: bit j of mask i is set iff block j fits next to block i."""
+    _, *matrices = _join_tables(catalog_fn)
+    bits = np.packbits(matrices, axis=2, bitorder="little")
+    return tuple([int.from_bytes(row.tobytes(), "little") for row in m] for m in bits)
+
+
 def random_semi_magic(rng) -> Board:
     """A uniformly random semi-magic board, via randomized block assembly.
 
     Each block position takes rng.choice over the ascending catalog
-    indices that fit. At every depth all partial assemblies have equally
-    many completions, so the board is exactly uniform. A dead end, which
-    the catalog never produces, raises IntegrityError.
+    indices that fit, read off the bits of _fit_masks. At every depth
+    all partial assemblies have equally many completions, so the board
+    is exactly uniform. A dead end, which the catalog never produces,
+    raises IntegrityError.
     """
-    tables = _join_tables(semi_magic_blocks)
-    allowed = np.ones(len(tables[0]), dtype=bool)
-    idx = np.zeros((1, 9), dtype=np.uint8)
+    rows, cols = _fit_masks(semi_magic_blocks)
+    picks: list[int] = []
     for p in range(9):
-        choices = np.flatnonzero(_admissible(tables, allowed, idx[:, :p])).tolist()
+        mask = (1 << len(rows)) - 1
+        for q in range(p - p % 3, p):
+            mask &= rows[picks[q]]
+        for q in range(p % 3, p, 3):
+            mask &= cols[picks[q]]
+        choices = [j for j, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
         if not choices:
             raise IntegrityError("a partial semi-magic assembly has no completion")
-        idx[0, p] = rng.choice(choices)
-    return next(_boards(semi_magic_blocks, [idx]))
+        picks.append(rng.choice(choices))
+    return next(_boards(semi_magic_blocks, [np.array([picks], dtype=np.uint8)]))
 
 
 @cache

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import catalog, nestgraph, nests
 from .analysis import check_two_equal, g9_minimality_certificate
-from .boards import Board, format_board, is_modular_magic
+from .boards import Board, format_board
 from .enumeration import (
     _map_partitions,
     complete_standard_gnomon,
@@ -95,14 +95,17 @@ class VerifyReport:
 
 def _mm_sweep_slice(partition: tuple[int, int] | None) -> tuple[int, int]:
     """(boards, check_two_equal failures) over one slice of the
-    modular-magic boards; a board failing is_modular_magic raises."""
+    modular-magic boards; a board failing is_modular_magic, which
+    check_two_equal tests first, raises IntegrityError."""
     failures = 0
 
     def visit(board: Board) -> None:
         nonlocal failures
-        if not is_modular_magic(board):
-            raise IntegrityError(f"enumerated board {format_board(board)} is not modular-magic")
-        failures += not check_two_equal(board)
+        try:
+            failures += not check_two_equal(board)
+        except DomainError as exc:
+            text = format_board(board)
+            raise IntegrityError(f"enumerated board {text} is not modular-magic") from exc
 
     return enumerate_modular_magic(visit, partition), failures
 

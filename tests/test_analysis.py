@@ -23,6 +23,11 @@ def test_check_two_equal_rejects_non_mm(board_sm_71):
         an.check_two_equal(board_sm_71)
 
 
+def test_check_two_equal_pinned_on_the_sample(mm_sample):
+    # Every sampled board passes, as it did with the block-tuple check.
+    assert [an.check_two_equal(board) for board in mm_sample] == [True] * 1041
+
+
 def test_default_certificate():
     cert = an.g9_minimality_certificate()
     assert cert.total_boards == an.SUDOKU_BOARD_TOTAL

@@ -1,13 +1,16 @@
 """Named generators, symmetry groups, and independent order oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from magicsudoku import catalog
+from magicsudoku import enumeration as en
 from magicsudoku.boards import is_modular_magic, is_semi_magic, is_sudoku
 from magicsudoku.errors import DomainError, IntegrityError
-from magicsudoku.perms import act, closure, compose, identity
+from magicsudoku.perms import PermGroup, Symmetry, act, closure, compose, identity
 
 
 def _sympy_cell(sym):
@@ -105,6 +108,22 @@ def test_semi_magic_symmetry_order_against_sympy():
     )
     assert gsm.order() == catalog.g_sm_order() == 241864704
     assert catalog.g_sm_order() == catalog.h9_group().order * catalog.s_sm_group().order
+
+
+def test_s_sm_group_matches_the_loop_oracle():
+    # The Python loop over all 9! digit permutations that the numpy
+    # filter replaced.
+    catalog_blocks = en.semi_magic_blocks()
+    block_set = frozenset(catalog_blocks)
+    keep = [
+        Symmetry.from_digit(p)
+        for p in itertools.permutations(range(9))
+        if all(
+            tuple(tuple(p[d] for d in row) for row in blk) in block_set
+            for blk in catalog_blocks
+        )
+    ]
+    assert np.array_equal(catalog.s_sm_group()._rows, PermGroup.from_symmetries(keep)._rows)
 
 
 def test_h9_membership():

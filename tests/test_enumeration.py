@@ -216,6 +216,13 @@ def test_random_semi_magic_pinned_draws():
     )
 
 
+def test_fit_masks_hold_the_join_matrices():
+    _, row_ok, col_ok = en._join_tables(en.semi_magic_blocks)
+    rows, cols = en._fit_masks(en.semi_magic_blocks)
+    for masks, ok in ((rows, row_ok), (cols, col_ok)):
+        assert [[mask >> j & 1 for j in range(72)] for mask in masks] == ok.astype(int).tolist()
+
+
 def test_sm_join_level_sizes():
     # Every partial assembly of a given depth has as many completions as
     # any other, which makes random_semi_magic exactly uniform; the last

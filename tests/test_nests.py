@@ -1,5 +1,6 @@
 """Nest labels, canonicalization, representatives, and the census."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -157,6 +158,29 @@ def test_scan_needs_exactly_one_distinct_image(board_mm_72):
         nests._scan(group, (), cells)  # both images remain, and they differ
     with pytest.raises(IntegrityError):
         nests._scan(group, ((0, (cells[0] + 1) % 9),), cells)  # no image holds it
+
+
+def test_scan_does_not_depend_on_pattern_order(mm_sample):
+    # Reversed, the template narrows H_MM slowly and the gather tests
+    # other cells; the canonical image is the same.
+    group = catalog.h_mm_group()
+    reversed_template = nests._MM_TEMPLATE[::-1]
+    for board in mm_sample[::50]:
+        want = nests._mm_reduce(board.cells)[2]
+        assert nests._scan(group, reversed_template, board.cells, nests._mm_ties) == want
+
+
+def test_canonicalize_mm_sample_pinned(mm_sample):
+    # SHA-256 of every sample board's label digits and canonical cells,
+    # computed with the scan that narrowed through all 27 cells in
+    # block order.
+    digest = hashlib.sha256()
+    for board in mm_sample:
+        label, canon = nests.canonicalize_mm(board)
+        digest.update(bytes((label.first, label.second)) + canon.cells)
+    assert digest.hexdigest() == (
+        "50bbaf69114c8e61a0b426f43b72c052357916676cb174e1e83c08b7baea07e6"
+    )
 
 
 def test_census_slice_matches_enumeration():
