@@ -102,76 +102,69 @@ def rot90() -> NamedGenerator:
     return NamedGenerator("rot90", Symmetry.from_cell(_ROT90_CELL))
 
 
+def _line_move(name: str, perm: list[int], columns: bool) -> NamedGenerator:
+    """The move sending row r to row perm[r], or column c to perm[c]."""
+    image = _from_col_perm(perm) if columns else _from_row_perm(perm)
+    return NamedGenerator(name, Symmetry.from_cell(image))
+
+
+def _swap(kind: str, what: str, i: int, j: int) -> NamedGenerator:
+    """swap_<kind>(i, j) of two lines, or of two bands or pillars."""
+    width = 3 if kind in ("bands", "pillars") else 1
+    for line in (i, j):
+        (_check_small if width == 3 else _check_index)(line, what)
+    if i == j:
+        raise DomainError(f"swap_{kind} needs two distinct {what}s")
+    perm = list(range(9))
+    for k in range(width):
+        perm[width * i + k], perm[width * j + k] = width * j + k, width * i + k
+    return _line_move(f"swap_{kind}({min(i, j)},{max(i, j)})", perm, kind in ("cols", "pillars"))
+
+
 def swap_rows(r1: int, r2: int) -> NamedGenerator:
     """Swap two rows of the grid."""
-    _check_index(r1, "row")
-    _check_index(r2, "row")
-    if r1 == r2:
-        raise DomainError("swap_rows needs two distinct rows")
-    rp = list(range(9))
-    rp[r1], rp[r2] = rp[r2], rp[r1]
-    return NamedGenerator(
-        f"swap_rows({min(r1, r2)},{max(r1, r2)})", Symmetry.from_cell(_from_row_perm(rp))
-    )
+    return _swap("rows", "row", r1, r2)
 
 
 def swap_cols(c1: int, c2: int) -> NamedGenerator:
     """Swap two columns of the grid."""
-    _check_index(c1, "column")
-    _check_index(c2, "column")
-    if c1 == c2:
-        raise DomainError("swap_cols needs two distinct columns")
-    cp = list(range(9))
-    cp[c1], cp[c2] = cp[c2], cp[c1]
-    return NamedGenerator(
-        f"swap_cols({min(c1, c2)},{max(c1, c2)})", Symmetry.from_cell(_from_col_perm(cp))
-    )
+    return _swap("cols", "column", c1, c2)
 
 
 def swap_bands(i: int, j: int) -> NamedGenerator:
     """Swap two bands (horizontal block rows)."""
-    _check_small(i, "band")
-    _check_small(j, "band")
-    if i == j:
-        raise DomainError("swap_bands needs two distinct bands")
-    rp = list(range(9))
-    for k in range(3):
-        rp[3 * i + k], rp[3 * j + k] = rp[3 * j + k], rp[3 * i + k]
-    return NamedGenerator(
-        f"swap_bands({min(i, j)},{max(i, j)})", Symmetry.from_cell(_from_row_perm(rp))
-    )
+    return _swap("bands", "band", i, j)
 
 
 def swap_pillars(i: int, j: int) -> NamedGenerator:
     """Swap two pillars (vertical block columns)."""
-    _check_small(i, "pillar")
-    _check_small(j, "pillar")
-    if i == j:
-        raise DomainError("swap_pillars needs two distinct pillars")
-    cp = list(range(9))
-    for k in range(3):
-        cp[3 * i + k], cp[3 * j + k] = cp[3 * j + k], cp[3 * i + k]
-    return NamedGenerator(
-        f"swap_pillars({min(i, j)},{max(i, j)})", Symmetry.from_cell(_from_col_perm(cp))
-    )
+    return _swap("pillars", "pillar", i, j)
+
+
+def _cycle(kind: str, what: str, unit: int) -> NamedGenerator:
+    _check_small(unit, what)
+    perm = list(range(9))
+    perm[3 * unit : 3 * unit + 3] = perm[3 * unit + 1 : 3 * unit + 3] + [3 * unit]
+    return _line_move(f"cycle_{kind}({unit})", perm, kind == "cols")
 
 
 def cycle_rows(band: int) -> NamedGenerator:
     """Cyclically shift the three rows of a band downward by one."""
-    _check_small(band, "band")
-    rp = list(range(9))
-    for k in range(3):
-        rp[3 * band + k] = 3 * band + (k + 1) % 3
-    return NamedGenerator(f"cycle_rows({band})", Symmetry.from_cell(_from_row_perm(rp)))
+    return _cycle("rows", "band", band)
 
 
 def cycle_cols(pillar: int) -> NamedGenerator:
     """Cyclically shift the three columns of a pillar rightward by one."""
-    _check_small(pillar, "pillar")
-    cp = list(range(9))
-    for k in range(3):
-        cp[3 * pillar + k] = 3 * pillar + (k + 1) % 3
-    return NamedGenerator(f"cycle_cols({pillar})", Symmetry.from_cell(_from_col_perm(cp)))
+    return _cycle("cols", "pillar", pillar)
+
+
+def _triple(kind: str, what: str, fixed: tuple[int, int, int]) -> NamedGenerator:
+    perm = list(range(9))
+    for unit, p in enumerate(fixed):
+        _check_small(p, f"fixed {what} position")
+        a, b = (3 * unit + x for x in range(3) if x != p)
+        perm[a], perm[b] = b, a
+    return _line_move(f"triple_{kind}({','.join(map(str, fixed))})", perm, kind == "cols")
 
 
 def triple_rows(p1: int, p2: int, p3: int) -> NamedGenerator:
@@ -180,28 +173,12 @@ def triple_rows(p1: int, p2: int, p3: int) -> NamedGenerator:
     In band k the two rows other than position pk are swapped, so pk
     names the fixed row within its band.
     """
-    fixed = (p1, p2, p3)
-    rp = list(range(9))
-    for band, p in enumerate(fixed):
-        _check_small(p, "fixed row position")
-        a, b = (x for x in range(3) if x != p)
-        rp[3 * band + a], rp[3 * band + b] = rp[3 * band + b], rp[3 * band + a]
-    return NamedGenerator(
-        f"triple_rows({p1},{p2},{p3})", Symmetry.from_cell(_from_row_perm(rp))
-    )
+    return _triple("rows", "row", (p1, p2, p3))
 
 
 def triple_cols(p1: int, p2: int, p3: int) -> NamedGenerator:
     """Swap one column pair in every pillar simultaneously (pk fixed)."""
-    fixed = (p1, p2, p3)
-    cp = list(range(9))
-    for pillar, p in enumerate(fixed):
-        _check_small(p, "fixed column position")
-        a, b = (x for x in range(3) if x != p)
-        cp[3 * pillar + a], cp[3 * pillar + b] = cp[3 * pillar + b], cp[3 * pillar + a]
-    return NamedGenerator(
-        f"triple_cols({p1},{p2},{p3})", Symmetry.from_cell(_from_col_perm(cp))
-    )
+    return _triple("cols", "column", (p1, p2, p3))
 
 
 _MU_K = frozenset((1, 2, 4, 5, 7, 8))
@@ -225,21 +202,17 @@ def rho() -> NamedGenerator:
 
 def digit_cycles(image: Sequence[int]) -> str:
     """Canonical cycle notation for a digit permutation; "()" if identity."""
-    seen = [False] * 9
+    seen: set[int] = set()
     cycles = []
     for start in range(9):
-        if seen[start] or image[start] == start:
-            seen[start] = True
+        if start in seen or image[start] == start:
             continue
         cycle = [start]
-        seen[start] = True
-        n = image[start]
-        while n != start:
-            cycle.append(n)
-            seen[n] = True
-            n = image[n]
-        cycles.append("(" + "".join(str(d) for d in cycle) + ")")
-    return "".join(cycles) if cycles else "()"
+        while image[cycle[-1]] != start:
+            cycle.append(image[cycle[-1]])
+        seen.update(cycle)
+        cycles.append("(" + "".join(map(str, cycle)) + ")")
+    return "".join(cycles) or "()"
 
 
 def relabeling(image: Sequence[int]) -> NamedGenerator:

@@ -47,9 +47,12 @@ def _default_threads() -> int:
     env = os.environ.get("MSS_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError as exc:
             raise DomainError(f"bad MSS_THREADS value {env!r}") from exc
+        if threads < 1:
+            raise DomainError(f"bad MSS_THREADS value {env!r}")
+        return threads
     return os.cpu_count() or 1
 
 
@@ -200,7 +203,7 @@ def _cmd_minimality_g9(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     threads = _resolve_threads(args)
-    if args.checks:
+    if args.checks is not None:
         names = _split_tokens(args.checks)
     elif args.variant:
         names = list(verification.VARIANT_CHECKS[normalize_variant(args.variant)])

@@ -9,13 +9,14 @@ canonical board carries the standard gnomon and the label reads cells
 (6,5) and (5,6).
 
 One group scan finds the image of a board that holds a given cell
-pattern and checks that it is unique. It tests every group element:
-cell by cell in pattern order while many remain, then the remaining
-pattern cells of the survivors in one gather. Over the 4608-element
-physical group of modular-magic boards, with the mini-diagonal pattern
-ordered to narrow fastest, it is the modular-magic canonicalization.
-Over the 373,248-element physical group of semi-magic boards, with the
-standard gnomon, it is the reference oracle that cross-validates the
+pattern and checks that it is unique. Each element of a physical group
+is transpose^e after a row move a and a column move b from one line
+group R, and maps the board B to B'[a[r], b[c]], B' being B or its
+transpose. A pattern touching all nine columns forces b from (e, a), so
+the scan tries only the 2·|R| candidates (e, a), yet finds every element
+that holds the pattern. Over H_MM (96 candidates), with the mini-diagonal
+pattern, it is the modular-magic canonicalization. Over H_Γ (864), with
+the standard gnomon, it is the oracle that cross-validates the
 constructive semi-magic reduction.
 
 The semi-magic census runs that reduction in batch: it labels the
@@ -33,7 +34,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .boards import Board, is_modular_magic, is_semi_magic
-from .catalog import h_gamma_group, h_mm_group
+from .catalog import PhysicalGroup, h_gamma_generators, h_mm_generators
 from .enumeration import (
     _join_tables,
     _map_partitions,
@@ -45,7 +46,6 @@ from .enumeration import (
     standard_gnomon_cells,
 )
 from .errors import DomainError, IntegrityError
-from .perms import PermGroup
 
 __all__ = [
     "MM",
@@ -115,26 +115,46 @@ class Census:
 
 
 # The 27 (cell, digit) pairs of the canonical mini-diagonals: block
-# (I,J) holds (3*((I+J)%3) + 3t) mod 9 at diagonal slot t. _scan
-# narrows the group in pattern order, so the pairs at cells (0,0),
-# (2,8), (5,5) and (6,0) come first: they cut H_MM fastest, 4608 ->
-# 768 -> 96 -> 12 -> 6 images.
-_MM_TEMPLATE = tuple(sorted(
-    ((9 * (3 * I + t) + 3 * J + t, (3 * ((I + J) % 3) + 3 * t) % 9)
-     for I in range(3) for J in range(3) for t in range(3)),
-    key=lambda pair: pair[0] not in (0, 26, 50, 54),
-))
+# (I,J) holds (3*((I+J)%3) + 3t) mod 9 at diagonal slot t.
+_MM_TEMPLATE = tuple(sorted((9 * (3 * I + t) + 3 * J + t, (3 * ((I + J) % 3) + 3 * t) % 9)
+                            for I in range(3) for J in range(3) for t in range(3)))
 # Label cells of the canonical pattern: alpha at (0,2), beta at (2,0),
 # gamma at (3,8) and repeated at (6,5).
 _MM_ALPHA, _MM_BETA, _MM_GAMMA1, _MM_GAMMA2 = 2, 18, 35, 59
 _SM_A, _SM_B = 9 * 6 + 5, 9 * 5 + 6
-# _scan narrows cell by cell while more images remain; below that, one
-# gather of the rest of the pattern costs less than further steps.
-_NARROW_TO = 64
+
+
+@cache
+def _physical(generators: Callable[[], list]) -> PhysicalGroup:
+    return PhysicalGroup(generators())
+
+
+# Entry 81e + 9r + k of a flattened (board, transpose) pair is row r of
+# the board (e = 0) or its transpose (e = 1) at column k.
+_ROW_START, _COLUMN = np.arange(162) // 9 * 9, np.arange(162) % 9
+_BASE9 = 9 ** np.arange(9)
+
+
+@cache
+def _scan_tables(group: PhysicalGroup, pattern: tuple[tuple[int, int], ...]):
+    """For the 2·|R| candidates (e, a): row starts 81e + 9a[r] in a (board,
+    transpose) pair; column-of-digit entries of each column's first pattern
+    cell, which force b, and of the other cells, which must agree with b;
+    those cells' columns; R's sorted base-9 codes."""
+    lines = group._lines.astype(np.intp)
+    rows = 81 * np.repeat([0, 1], len(lines))[:, None] + 9 * np.tile(lines, (2, 1))
+    cell, digit = np.array(pattern, dtype=np.intp).reshape(-1, 2).T
+    r, c = np.divmod(cell, 9)
+    columns, first = np.unique(c, return_index=True)
+    if len(columns) < 9:
+        raise DomainError("pattern leaves a column unforced")
+    rest = np.setdiff1d(np.arange(len(c)), first)
+    entries = rows[:, r] + digit
+    return rows, entries[:, first], entries[:, rest], c[rest], np.sort(lines @ _BASE9)
 
 
 def _scan(
-    group: PermGroup,
+    group: PhysicalGroup,
     pattern: tuple[tuple[int, int], ...],
     cells: bytes,
     ties: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -142,21 +162,25 @@ def _scan(
     """The one image of the board under the group that holds every
     (cell, digit) pair of the pattern and, given ties, passes its row
     mask over the (n, 81) matching images. Raises IntegrityError unless
-    such images exist and are all equal. Every element is tested: cell
-    by cell in pattern order while more than _NARROW_TO remain, then the
-    rest of the pattern in one gather."""
-    inv = group.inverse_cell_images.T
-    arr = np.frombuffer(cells, dtype=np.uint8)
-    idx, k = np.arange(group.order), 0
-    while k < len(pattern) and len(idx) > _NARROW_TO:
-        pos, val = pattern[k]
-        # The first cell reads its contiguous row whole.
-        idx = idx[arr[inv[pos] if k == 0 else inv[pos, idx]] == val]
-        k += 1
-    pos = np.array([p for p, _ in pattern[k:]], dtype=np.intp)
-    val = np.array([v for _, v in pattern[k:]], dtype=np.uint8)
-    idx = idx[(arr[inv[pos[:, None], idx]] == val[:, None]).all(axis=0)]
-    images = arr[inv[:, idx]].T
+    such images exist and are all equal.
+
+    Each image is B'[a[r], b[c]], B' the board or its transpose and a, b
+    in R. Rows are permutations, so a pattern cell (r, c, d) forces b[c]
+    to the column of d in row a[r] of B'. Each candidate (e, a) holds
+    the pattern exactly when its other cells agree and b is in R, so no
+    element that holds it is skipped."""
+    rows, force, agree, agree_cols, codes = _scan_tables(group, pattern)
+    arr = np.frombuffer(cells, dtype=np.uint8).reshape(9, 9)
+    both = np.concatenate((arr, arr.T)).ravel()
+    column = np.zeros(162, dtype=np.intp)
+    column[_ROW_START + both] = _COLUMN
+    if (both[_ROW_START + column] != _COLUMN).any():
+        raise DomainError("board rows and columns must be permutations of the digits")
+    b = column[force]
+    idx = np.flatnonzero((column[agree] == b[:, agree_cols]).all(axis=1))
+    code = b[idx] @ _BASE9
+    idx = idx[codes.take(np.searchsorted(codes, code), mode="clip") == code]
+    images = both[rows[idx, :, None] + b[idx, None, :]].reshape(-1, 81)
     if ties is not None:
         images = images[ties(images)]
     if not len(images) or (images != images[0]).any():
@@ -175,7 +199,7 @@ def _mm_ties(images: np.ndarray) -> np.ndarray:
 def _mm_reduce(cells: bytes) -> tuple[int, int, bytes]:
     """Scan the physical group for the canonical image; returns (alpha,
     gamma, canonical cells)."""
-    canon = _scan(h_mm_group(), _MM_TEMPLATE, cells, _mm_ties)
+    canon = _scan(_physical(h_mm_generators), _MM_TEMPLATE, cells, _mm_ties)
     return canon[_MM_ALPHA], canon[_MM_GAMMA1], canon
 
 
@@ -321,11 +345,11 @@ def canonicalize_sm(board: Board) -> tuple[NestLabel, Board]:
 
 
 def canonicalize_sm_by_scan(board: Board) -> tuple[NestLabel, Board]:
-    """Reference canonicalization scanning the full 373,248-element
-    physical group; slow, used to cross-validate the reduction."""
+    """Reference canonicalization by the exhaustive scan of the 373,248
+    physical symmetries, independent of the reduction it checks."""
     if not is_semi_magic(board):
         raise DomainError("board is not semi-magic")
-    canon = _scan(h_gamma_group(), _SM_GNOMON_CELLS, board.cells)
+    canon = _scan(_physical(h_gamma_generators), _SM_GNOMON_CELLS, board.cells)
     return NestLabel(SM, canon[_SM_A], canon[_SM_B]), Board._wrap(canon)
 
 
@@ -429,11 +453,8 @@ def _threaded_census(variant: str, threads: int) -> Census:
     """census(variant), computed in threads partition slices and merged;
     counts stay in label order."""
     v = normalize_variant(variant)
-    # Build the lookup tables once, before any fork.
-    if v == MM:
-        h_mm_group().inverse_cell_images
-    else:
-        _block_tables()
+    if v == SM:
+        _block_tables()  # build once, before any fork
     parts = _map_partitions(partial(census, v), threads)
     counts: Counter = Counter()
     for part in parts:

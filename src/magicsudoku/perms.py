@@ -155,11 +155,11 @@ class PermGroup:
     @property
     def inverse_cell_images(self) -> np.ndarray:
         """(order, 81) uint8 matrix of inverted cell permutations (cached):
-        row i maps target cell j to its source cell.
-
-        The table is stored cell-major, so ``.T[j]`` (the source of cell j
-        under every element) is one contiguous row, as a pattern scan
-        reads it."""
+        row i maps target cell j to its source cell. For a group that
+        moves only cells, ``cells[table]`` lists every
+        image of a board; the nest scans use the factored physical
+        groups instead. Stored cell-major: ``.T[j]``, the source of cell
+        j under every element, is one contiguous row."""
         if self._inv_cells is None:
             images = self.cell_images
             elements = np.arange(self.order)

@@ -183,7 +183,6 @@ class VerifyContext:
         def crosscheck() -> tuple[int, int]:
             rng = random.Random(self.seed)
             boards = [random_semi_magic(rng) for _ in range(SM_CROSSCHECK_TARGET)]
-            catalog.h_gamma_group().inverse_cell_images  # build once, before any fork
             parts = _map_partitions(partial(_sm_crosscheck_slice, boards), self.threads)
             return sum(n for n, _ in parts), sum(m for _, m in parts)
 
@@ -599,12 +598,14 @@ def run_checks(
     seed: int = DEFAULT_SEED,
 ) -> VerifyReport:
     """Run the named checks (all by default) and collect a report."""
-    if ctx is None:
-        ctx = VerifyContext(threads=threads, seed=seed)
     selected = list(CHECKS) if names is None else list(names)
+    if not selected:
+        raise DomainError("no checks selected")
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:
         raise DomainError(f"unknown checks: {', '.join(unknown)}")
+    if ctx is None:
+        ctx = VerifyContext(threads=threads, seed=seed)
     results = []
     for name in selected:
         t0 = time.perf_counter()

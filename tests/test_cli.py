@@ -261,3 +261,24 @@ def test_verify_json_report(tmp_path, capsys):
     assert payload["overall"] is True
     assert payload["checks"][0]["name"] == "g9_certificate"
     assert payload["checks"][0]["pass"] is True
+
+
+@pytest.mark.parametrize("checks", [",", ""])
+def test_verify_empty_check_selection_is_usage_error(checks, capsys, monkeypatch):
+    def context_built(**_):
+        raise AssertionError("started checks before rejecting the selection")
+
+    monkeypatch.setattr(cli.verification, "VerifyContext", context_built)
+    assert run(["verify", "--checks", checks]) == 2
+    assert "no checks selected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_threads_env_below_one_is_usage_error(value, capsys, monkeypatch):
+    def checks_run(*_, **__):
+        raise AssertionError("ran checks before rejecting MSS_THREADS")
+
+    monkeypatch.setenv("MSS_THREADS", value)
+    monkeypatch.setattr(cli.verification, "run_checks", checks_run)
+    assert run(["verify", "--checks", "g9_certificate"]) == 2
+    assert "MSS_THREADS" in capsys.readouterr().err

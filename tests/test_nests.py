@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from magicsudoku.enumeration import (
     random_semi_magic,
 )
 from magicsudoku.errors import DomainError, IntegrityError
-from magicsudoku.perms import act, closure
+from magicsudoku.perms import act
 
 
 def test_normalize_variant():
@@ -150,24 +151,73 @@ def test_sm_scan_agrees_with_constructive(board_sm_71):
 
 
 def test_scan_needs_exactly_one_distinct_image(board_mm_72):
-    group = closure([catalog.transpose().symmetry])
+    group = catalog.PhysicalGroup([catalog.transpose()])  # order 2
     cells = board_mm_72.cells
     assert cells[1] != cells[9]  # not symmetric under transpose
-    assert nests._scan(group, ((1, cells[1]),), cells) == cells
+    row0 = tuple((c, cells[c]) for c in range(9))
+    diagonal = tuple((10 * r, cells[10 * r]) for r in range(9))
+    assert nests._scan(group, row0, cells) == cells
     with pytest.raises(IntegrityError):
-        nests._scan(group, (), cells)  # both images remain, and they differ
+        nests._scan(group, diagonal, cells)  # both images hold it, and they differ
+    changed = ((0, (cells[0] + 1) % 9),) + diagonal[1:]
     with pytest.raises(IntegrityError):
-        nests._scan(group, ((0, (cells[0] + 1) % 9),), cells)  # no image holds it
+        nests._scan(group, changed, cells)  # no image holds it
+    with pytest.raises(DomainError):
+        nests._scan(group, ((1, cells[1]),), cells)  # eight columns unforced
 
 
 def test_scan_does_not_depend_on_pattern_order(mm_sample):
-    # Reversed, the template narrows H_MM slowly and the gather tests
-    # other cells; the canonical image is the same.
-    group = catalog.h_mm_group()
+    # Reversed, the template forces each column through another of its
+    # three cells and checks the rest; the canonical image is the same.
+    group = catalog.PhysicalGroup(catalog.h_mm_generators())
     reversed_template = nests._MM_TEMPLATE[::-1]
     for board in mm_sample[::50]:
         want = nests._mm_reduce(board.cells)[2]
         assert nests._scan(group, reversed_template, board.cells, nests._mm_ties) == want
+
+
+def _scan_by_table(group, pattern, cells, ties=None):
+    """The distinct images, over every element of the materialized
+    group, that hold the pattern and pass the ties."""
+    arr = np.frombuffer(cells, dtype=np.uint8)
+    inv = group.inverse_cell_images
+    pos, val = map(list, zip(*pattern))
+    images = arr[inv[(arr[inv[:, pos]] == val).all(axis=1)]]
+    if ties is not None:
+        images = images[ties(images)]
+    return np.unique(images, axis=0)
+
+
+def test_scan_equals_the_materialized_group_filter(mm_sample):
+    mm_boards = [nests.representative(l) for l in nests.mm_labels()] + list(mm_sample[::50])
+    rng = random.Random(808)
+    sm_boards = [nests.representative(l) for l in nests.sm_labels()]
+    sm_boards += [random_semi_magic(rng) for _ in range(20)]
+    cases = [
+        (catalog.h_mm_generators, catalog.h_mm_group(), nests._MM_TEMPLATE, nests._mm_ties, mm_boards),
+        (catalog.h_gamma_generators, catalog.h_gamma_group(), nests._SM_GNOMON_CELLS, None, sm_boards),
+    ]
+    for generators, materialized, pattern, ties, boards in cases:
+        group = catalog.PhysicalGroup(generators())
+        for board in boards:
+            (want,) = _scan_by_table(materialized, pattern, board.cells, ties)
+            assert nests._scan(group, pattern, board.cells, ties) == want.tobytes()
+
+
+def test_census_times_stabilizer_is_the_group_order(mm_census, sm_census):
+    # Orbit-stabilizer: each nest has |H| / |Stab(rep)| boards. A cell
+    # map g fixes a board b exactly when b[g(k)] = b[k] for every cell k.
+    for census, group, want in (
+        (mm_census, catalog.h_mm_group(), {(1536, 3): 3, (4608, 1): 6}),
+        (sm_census, catalog.h_gamma_group(), {(373_248, 1): 16}),
+    ):
+        pairs = Counter()
+        for label, count in census.counts.items():
+            arr = np.frombuffer(nests.representative(label).cells, dtype=np.uint8)
+            stabilizer = int((arr[group.cell_images] == arr).all(axis=1).sum())
+            assert count * stabilizer == group.order
+            pairs[count, stabilizer] += 1
+        assert pairs == want
 
 
 def test_canonicalize_mm_sample_pinned(mm_sample):

@@ -5,7 +5,7 @@ from functools import cache
 import pytest
 
 from magicsudoku import nests, verification
-from magicsudoku.errors import IntegrityError
+from magicsudoku.errors import DomainError, IntegrityError
 from magicsudoku.verification import VerifyContext
 
 
@@ -71,6 +71,11 @@ def test_check_registry_is_pinned():
             "sm_properties",
         ),
     }
+
+
+def test_run_checks_rejects_an_empty_selection():
+    with pytest.raises(DomainError, match="no checks selected"):
+        verification.run_checks([])
 
 
 def test_mm_sample_does_not_depend_on_threads(mm_sample):
