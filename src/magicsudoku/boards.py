@@ -8,6 +8,14 @@ columns 3J..3J+2.
 The variant predicates slice the cells through fixed tables and build no
 Block: each mini-line of a block is a 3-byte slice tested against the
 variant's set of allowed lines, as in the block predicates.
+
+Board I/O shares one nibble-packing kernel (_pack_rows/_unpack_rows) and
+one digit translate table (_TO_ASCII/_FROM_ASCII). pack, unpack,
+parse_board and format_board are the one-board case; the four stream
+functions run the same kernels over batches of _CHUNK boards, so the
+memory a stream holds at once stays bounded (read_mssb still returns
+every board as a list). Errors name the failing input: the line of a
+text stream, and the board index of an MSSB stream.
 """
 
 from __future__ import annotations
@@ -15,6 +23,8 @@ from __future__ import annotations
 import itertools
 import struct
 from typing import BinaryIO, Iterable, Iterator, TextIO
+
+import numpy as np
 
 from .errors import BoardFormatError, DigitError, StructureError
 
@@ -43,6 +53,9 @@ __all__ = [
 Block = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
 
 _DIGITS = frozenset(range(9))
+# Cell value d <-> the ASCII digit "0" + d, for text in and out.
+_TO_ASCII = bytes.maketrans(bytes(range(9)), b"012345678")
+_FROM_ASCII = bytes.maketrans(b"012345678", bytes(range(9)))
 _CENTER_SET = frozenset((0, 3, 6))
 
 
@@ -106,18 +119,22 @@ class Board:
 
 def parse_board(text: str) -> Board:
     """Parse 81 digit characters (whitespace ignored) into a Board."""
+    if len(text) == 81 and text.isascii():
+        raw = text.encode("ascii")
+        if not raw.translate(None, b"012345678"):
+            return Board._wrap(raw.translate(_FROM_ASCII))
     stripped = "".join(text.split())
     if len(stripped) != 81:
         raise BoardFormatError(f"expected 81 digits, got {len(stripped)}")
     bad = set(stripped) - set("012345678")
     if bad:
         raise DigitError(f"invalid digit characters: {sorted(bad)}")
-    return Board._wrap(bytes(ord(ch) - 48 for ch in stripped))
+    return Board._wrap(stripped.encode("ascii").translate(_FROM_ASCII))
 
 
 def format_board(board: Board, pretty: bool = False) -> str:
     """Render a board as one 81-character line, or 9 lines if pretty."""
-    flat = "".join(str(d) for d in board.cells)
+    flat = board.cells.translate(_TO_ASCII).decode("ascii")
     if not pretty:
         return flat
     return "\n".join(flat[9 * r : 9 * r + 9] for r in range(9))
@@ -229,48 +246,79 @@ MSSB_MAGIC = b"MSSB"
 MSSB_VERSION = 1
 PACKED_SIZE = 41
 
+# Boards per batch of the stream functions: large enough that the numpy
+# and bytes calls dominate the per-board Python work, small enough that a
+# batch stays a few hundred KiB.
+_CHUNK = 4096
+
+
+def _pack_rows(cells: bytes) -> bytes:
+    """Nibble-pack concatenated boards of 81 cell bytes into 41 bytes
+    each: cells 2k and 2k+1 go to the low and high nibble of byte k, and
+    cell 80 to byte 40, whose high nibble stays zero."""
+    grid = np.frombuffer(cells, np.uint8).reshape(-1, 81)
+    packed = np.empty((len(grid), PACKED_SIZE), np.uint8)
+    packed[:, :40] = grid[:, 0:80:2] | grid[:, 1:80:2] << 4
+    packed[:, 40] = grid[:, 80]
+    return packed.tobytes()
+
+
+def _unpack_rows(data: bytes, first: int = 0) -> bytes:
+    """The concatenated cells of boards packed by _pack_rows; a nibble
+    above 8, the padding nibble included, raises and names the board,
+    counting the first row of ``data`` as board ``first``."""
+    packed = np.frombuffer(data, np.uint8).reshape(-1, PACKED_SIZE)
+    grid = np.empty((len(packed), 81), np.uint8)
+    grid[:, 0:80:2] = packed[:, :40] & 0x0F
+    grid[:, 1:80:2] = packed[:, :40] >> 4
+    grid[:, 80] = packed[:, 40]
+    bad = np.flatnonzero(grid.max(axis=1) > 8)
+    if len(bad):
+        board = first + int(bad[0])
+        raise BoardFormatError(f"packed data contains a nibble above 8 in board {board}")
+    return grid.tobytes()
+
+
+def _cell_chunks(boards: Iterable[Board]) -> Iterator[list[bytes]]:
+    """The cells of ``boards``, at most _CHUNK boards per list."""
+    it = iter(boards)
+    while chunk := [board.cells for board in itertools.islice(it, _CHUNK)]:
+        yield chunk
+
 
 def pack(board: Board) -> bytes:
     """Pack a board into 41 bytes, two 4-bit cells per byte."""
-    cells = board.cells
-    out = bytearray(PACKED_SIZE)
-    for k in range(0, 80, 2):
-        out[k // 2] = cells[k] | (cells[k + 1] << 4)
-    out[40] = cells[80]
-    return bytes(out)
+    return _pack_rows(board.cells)
 
 
 def unpack(data: bytes) -> Board:
     """Unpack 41 bytes produced by pack back into a Board."""
     if len(data) != PACKED_SIZE:
         raise BoardFormatError(f"expected {PACKED_SIZE} packed bytes, got {len(data)}")
-    cells = bytearray(81)
-    for k in range(0, 80, 2):
-        byte = data[k // 2]
-        cells[k] = byte & 0x0F
-        cells[k + 1] = byte >> 4
-    cells[80] = data[40]
-    if max(cells) > 8:
-        raise BoardFormatError("packed data contains a nibble above 8")
-    return Board._wrap(bytes(cells))
+    return Board._wrap(_unpack_rows(data))
 
 
 def write_text(fh: TextIO, boards: Iterable[Board]) -> int:
     """Write boards one 81-character line each; returns the count."""
     count = 0
-    for board in boards:
-        fh.write(format_board(board))
-        fh.write("\n")
-        count += 1
+    for chunk in _cell_chunks(boards):
+        fh.write((b"\n".join(chunk) + b"\n").translate(_TO_ASCII).decode("ascii"))
+        count += len(chunk)
     return count
 
 
 def iter_text(fh: TextIO) -> Iterator[Board]:
-    """Yield boards from a text stream, one 81-character line each."""
-    for line in fh:
+    """Yield boards from a text stream, one 81-character line each;
+    blank lines are skipped, and an error names its 1-based line."""
+    for number, line in enumerate(fh, 1):
         line = line.strip()
-        if line:
-            yield parse_board(line)
+        if not line:
+            continue
+        try:
+            board = parse_board(line)
+        except (BoardFormatError, DigitError) as exc:
+            raise type(exc)(f"line {number}: {exc}") from None
+        yield board
 
 
 def write_mssb(fh: BinaryIO, boards: Iterable[Board]) -> int:
@@ -284,9 +332,9 @@ def write_mssb(fh: BinaryIO, boards: Iterable[Board]) -> int:
     fh.write(bytes((MSSB_VERSION,)))
     fh.write(b"\x00\x00\x00\x00")
     count = 0
-    for board in boards:
-        fh.write(pack(board))
-        count += 1
+    for chunk in _cell_chunks(boards):
+        fh.write(_pack_rows(b"".join(chunk)))
+        count += len(chunk)
     end = fh.tell()
     fh.seek(start + 5)
     fh.write(struct.pack("<I", count))
@@ -296,19 +344,25 @@ def write_mssb(fh: BinaryIO, boards: Iterable[Board]) -> int:
 
 def read_mssb(fh: BinaryIO) -> list[Board]:
     """Read all boards from an MSSB binary stream; data after the
-    boards the header counts is an error."""
+    boards the header counts is an error. Reads go _CHUNK boards at a
+    time, so a header that overstates the count fails at the first short
+    read."""
     header = fh.read(9)
     if len(header) != 9 or header[:4] != MSSB_MAGIC:
         raise BoardFormatError("not an MSSB stream")
     if header[4] != MSSB_VERSION:
         raise BoardFormatError(f"unsupported MSSB version {header[4]}")
     (count,) = struct.unpack("<I", header[5:9])
-    boards = []
-    for _ in range(count):
-        data = fh.read(PACKED_SIZE)
-        if len(data) != PACKED_SIZE:
-            raise BoardFormatError("MSSB stream truncated")
-        boards.append(unpack(data))
+    boards: list[Board] = []
+    wrap = Board._wrap
+    while len(boards) < count:
+        size = PACKED_SIZE * min(_CHUNK, count - len(boards))
+        data = fh.read(size)
+        if len(data) != size:
+            done = len(boards) + len(data) // PACKED_SIZE
+            raise BoardFormatError(f"MSSB stream truncated: {done} of {count} boards read")
+        cells = _unpack_rows(data, len(boards))
+        boards.extend(wrap(cells[i : i + 81]) for i in range(0, len(cells), 81))
     if fh.read(1):
         raise BoardFormatError("trailing bytes after the MSSB boards")
     return boards

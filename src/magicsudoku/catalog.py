@@ -201,7 +201,12 @@ def rho() -> NamedGenerator:
 
 
 def digit_cycles(image: Sequence[int]) -> str:
-    """Canonical cycle notation for a digit permutation; "()" if identity."""
+    """Canonical cycle notation for a digit permutation; "()" if identity.
+
+    Raises DomainError unless ``image`` is a permutation of 0..8.
+    """
+    if sorted(image) != list(range(9)):
+        raise DomainError(f"not a permutation of 0..8: {list(image)}")
     seen: set[int] = set()
     cycles = []
     for start in range(9):

@@ -1,11 +1,14 @@
 """Board parsing, formatting, predicates, and serialization."""
 
 import io
+import itertools
 import random
+import struct
 
 import pytest
 
 from magicsudoku.boards import (
+    _CHUNK,
     Board,
     block,
     blocks,
@@ -24,6 +27,7 @@ from magicsudoku.boards import (
     write_mssb,
     write_text,
 )
+from magicsudoku.enumeration import iter_modular_magic, random_semi_magic
 from magicsudoku.errors import BoardFormatError, DigitError, StructureError
 
 from conftest import CANON_MM_72
@@ -187,3 +191,108 @@ def test_mssb_many_boards(board_mm_72):
     write_mssb(fh, iter(boards))
     fh.seek(0)
     assert read_mssb(fh) == boards
+
+
+# --- batch I/O against a per-board reference ---
+
+
+def _reference_pack(board):
+    cells = board.cells
+    out = bytearray(41)
+    for k in range(0, 80, 2):
+        out[k // 2] = cells[k] | (cells[k + 1] << 4)
+    out[40] = cells[80]
+    return bytes(out)
+
+
+def _reference_format(board):
+    return "".join(str(d) for d in board.cells)
+
+
+def _sample_boards():
+    """A generator of _CHUNK + 1 seeded semi-magic boards, then MM boards."""
+    rng = random.Random(9)
+    yield from (random_semi_magic(rng) for _ in range(_CHUNK + 1))
+    yield from itertools.islice(iter_modular_magic(), 0, 32256, 997)
+
+
+@pytest.mark.parametrize("kind", ["generator", "empty", "list"])
+def test_batch_io_equals_the_per_board_reference(kind, board_mm_72, board_sm_71):
+    source = {
+        "generator": _sample_boards,
+        "empty": lambda: iter([]),
+        "list": lambda: [board_mm_72, board_sm_71, board_mm_72],
+    }[kind]
+    boards = list(source())
+    mssb = io.BytesIO()
+    assert write_mssb(mssb, source()) == len(boards)
+    header = b"MSSB\x01" + struct.pack("<I", len(boards))
+    assert mssb.getvalue() == header + b"".join(map(_reference_pack, boards))
+    mssb.seek(0)
+    assert read_mssb(mssb) == boards
+
+    text = io.StringIO()
+    assert write_text(text, source()) == len(boards)
+    assert text.getvalue() == "".join(_reference_format(b) + "\n" for b in boards)
+    text.seek(0)
+    assert list(iter_text(text)) == boards
+    assert [pack(b) for b in boards[:3]] == [_reference_pack(b) for b in boards[:3]]
+    assert [format_board(b) for b in boards[:3]] == [_reference_format(b) for b in boards[:3]]
+
+
+def _second_chunk_mssb(board, extra=5):
+    fh = io.BytesIO()
+    write_mssb(fh, [board] * (_CHUNK + extra))
+    return bytearray(fh.getvalue())
+
+
+def test_read_mssb_names_the_board_with_a_bad_nibble(board_mm_72):
+    for byte, value in ((3, 0x9F), (40, 0x10)):
+        blob = _second_chunk_mssb(board_mm_72)
+        blob[9 + 41 * (_CHUNK + 2) + byte] = value
+        with pytest.raises(BoardFormatError, match=f"nibble above 8 in board {_CHUNK + 2}$"):
+            read_mssb(io.BytesIO(bytes(blob)))
+
+
+def test_read_mssb_counts_the_boards_read_before_a_truncation(board_mm_72):
+    blob = _second_chunk_mssb(board_mm_72)
+    cut = bytes(blob[: 9 + 41 * (_CHUNK + 2) + 20])
+    message = f"truncated: {_CHUNK + 2} of {_CHUNK + 5} boards read"
+    with pytest.raises(BoardFormatError, match=message):
+        read_mssb(io.BytesIO(cut))
+
+
+def test_iter_text_names_the_bad_line(board_mm_72):
+    lines = [format_board(board_mm_72)] * (_CHUNK + 5)
+    for bad, error in ((lines[0][:-1] + "9", DigitError), (lines[0][:-1], BoardFormatError)):
+        text = lines[: _CHUNK + 2] + [bad] + lines[_CHUNK + 2 :]
+        with pytest.raises(error, match=f"^line {_CHUNK + 3}: "):
+            list(iter_text(io.StringIO("\n".join(text) + "\n")))
+
+
+class _CountingReader(io.BytesIO):
+    def __init__(self, data):
+        super().__init__(data)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+def test_forged_mssb_count_fails_at_the_first_short_read(board_mm_72):
+    fh = _CountingReader(b"MSSB\x01" + struct.pack("<I", 2**32 - 1) + pack(board_mm_72))
+    with pytest.raises(BoardFormatError, match=f"truncated: 1 of {2**32 - 1} boards read"):
+        read_mssb(fh)
+    assert max(fh.sizes) <= 41 * _CHUNK
+
+
+def test_parse_board_text_edge_cases(board_mm_72):
+    line = format_board(board_mm_72)
+    for bad in ("\u0663", "9"):
+        with pytest.raises(DigitError, match=bad):
+            parse_board(line[:40] + bad + line[41:])
+    spaced = line[:30] + "  " + line[30:60] + "\t" + line[60:]
+    assert parse_board(spaced) == board_mm_72
+    text = io.StringIO(f"\n{line}\n   \n{spaced}\n\n")
+    assert list(iter_text(text)) == [board_mm_72, board_mm_72]

@@ -81,6 +81,16 @@ def test_digit_cycles_formatting():
     assert catalog.digit_cycles(catalog.rho().symmetry.digit) == "(12)(45)(78)"
 
 
+@pytest.mark.parametrize(
+    "image",
+    [(1, 1, 2, 3, 4, 5, 6, 7, 8), (0, 1, 2, 3, 4, 5, 6, 7, 9), (1, 0, 2, 3, 4, 5, 6, 7)],
+)
+def test_digit_cycles_rejects_a_non_permutation(image):
+    # Checked before the cycle walk, which never closes a cycle on these.
+    with pytest.raises(DomainError, match="not a permutation"):
+        catalog.digit_cycles(image)
+
+
 def test_group_orders_against_sympy():
     hmm = PermutationGroup([_sympy_cell(g.symmetry) for g in catalog.h_mm_generators()])
     assert hmm.order() == catalog.h_mm_group().order == 4608

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from magicsudoku import cli
-from magicsudoku.boards import read_mssb
+from magicsudoku.boards import format_board, read_mssb
+from magicsudoku.enumeration import iter_modular_magic
 from magicsudoku.cli import run
 
 from conftest import CANON_SM_71
@@ -86,6 +87,15 @@ def test_enumerate_to_binary_file(tmp_path, mm_sample):
     assert boards[0] == mm_sample[0]
     assert boards[31] == mm_sample[1]
     assert len(set(boards)) == 32256
+
+
+def test_enumerate_to_text_file(tmp_path, capsys):
+    out = tmp_path / "boards.txt"
+    assert run(["enumerate", "--variant", "modular-magic", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"32256 boards written to {out}\n"
+    lines = out.read_text().splitlines()
+    assert len(lines) == 32256
+    assert lines == [format_board(board) for board in iter_modular_magic()]
 
 
 def test_census_json(tmp_path, capsys, mm_census):
