@@ -104,25 +104,22 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
         enumerate_fn = enumerate_modular_magic if variant == MM else enumerate_semi_magic
         count = sum(_map_partitions(partial(enumerate_fn, None), threads))
-        if args.json:
-            _emit_json(args, {"variant": args.variant, "count": count})
-        elif not args.quiet:
+        if not (args.json or args.quiet):
             print(count)
-        return 0
-    if args.format == "binary" and not args.out:
-        raise DomainError("binary output requires --out FILE")
-    stream = iter_modular_magic() if variant == MM else iter_semi_magic()
-    if args.out:
-        if args.format == "binary":
-            with open(args.out, "wb") as fh:
-                count = boards_mod.write_mssb(fh, stream)
-        else:
-            with open(args.out, "w") as fh:
-                count = boards_mod.write_text(fh, stream)
-        if not args.quiet:
-            print(f"{count} boards written to {args.out}")
+    elif not args.out and (args.format == "binary" or args.quiet):
+        raise DomainError(f"{'--quiet' if args.quiet else 'binary output'} requires --out FILE")
     else:
-        count = boards_mod.write_text(sys.stdout, stream)
+        stream = iter_modular_magic() if variant == MM else iter_semi_magic()
+        if args.out:
+            binary = args.format == "binary"
+            with open(args.out, "wb" if binary else "w") as fh:
+                count = (boards_mod.write_mssb if binary else boards_mod.write_text)(fh, stream)
+            if not args.quiet:
+                print(f"{count} boards written to {args.out}")
+        else:
+            count = boards_mod.write_text(sys.stdout, stream)
+    if args.json:
+        _emit_json(args, {"variant": args.variant, "count": count})
     return 0
 
 

@@ -186,12 +186,17 @@ def _slice(keys: np.ndarray, partition: tuple[int, int] | None) -> np.ndarray:
     return cand
 
 
+def _cells(catalog_fn: _Catalog, idx: np.ndarray) -> np.ndarray:
+    """The (n, 81) uint8 row-major cells of an (n, 9) chunk of catalog indices."""
+    # (board, I, J, r, c) -> (board, I, r, J, c): row-major cells.
+    blocks = _join_tables(catalog_fn)[0][idx].reshape(-1, 3, 3, 3, 3)
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(-1, 81)
+
+
 def _boards(catalog_fn: _Catalog, chunks: Iterable[np.ndarray]) -> Iterator[Board]:
     """The boards of the index chunks, in order."""
-    cat = _join_tables(catalog_fn)[0]
     for idx in chunks:
-        # (board, I, J, r, c) -> (board, I, r, J, c): row-major cells.
-        data = cat[idx].reshape(-1, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4).tobytes()
+        data = _cells(catalog_fn, idx).tobytes()
         for k in range(0, len(data), 81):
             yield Board._wrap(data[k : k + 81])
 
@@ -205,9 +210,9 @@ def _map_partitions(fn: Callable[[tuple[int, int] | None], _T], threads: int) ->
         return pool.map(fn, [(w, threads) for w in range(threads)])
 
 
-def _sorted_join(catalog_fn: _Catalog, cand: np.ndarray) -> list[Board]:
-    """The boards the join admits under cand, sorted by cells."""
-    return sorted(_boards(catalog_fn, _join(catalog_fn, cand)), key=lambda b: b.cells)
+def _sorted(catalog_fn: _Catalog, chunks: Iterable[np.ndarray]) -> list[Board]:
+    """The boards of the index chunks, sorted by cells."""
+    return sorted(_boards(catalog_fn, chunks), key=lambda b: b.cells)
 
 
 def _complete(catalog_fn: _Catalog, assignments: Mapping[int, int]) -> list[Board]:
@@ -220,15 +225,16 @@ def _complete(catalog_fn: _Catalog, assignments: Mapping[int, int]) -> list[Boar
             raise DomainError(f"bad assignment {cell!r}: {digit!r}")
         r, c = divmod(int(cell), 9)
         cand[3 * (r // 3) + c // 3] &= cat[:, 3 * (r % 3) + c % 3] == int(digit)
-    return _sorted_join(catalog_fn, cand)
+    return _sorted(catalog_fn, _join(catalog_fn, cand))
 
 
 # --- modular-magic enumeration ---
 
 
-def _mm_slice(partition: tuple[int, int] | None) -> np.ndarray:
+def _mm_join(partition: tuple[int, int] | None = None) -> Iterator[np.ndarray]:
+    """The join chunks of a partition slice of the modular-magic boards."""
     cat = _join_tables(modular_magic_blocks)[0].astype(int)
-    return _slice(9 * cat[:, 0] + cat[:, 1], partition)
+    return _join(modular_magic_blocks, _slice(9 * cat[:, 0] + cat[:, 1], partition))
 
 
 def enumerate_modular_magic(
@@ -240,10 +246,10 @@ def enumerate_modular_magic(
     partition into n slices gets the boards whose first two cells d0, d1
     satisfy (9 * d0 + d1) % n == w.
     """
-    cand = _mm_slice(partition)
+    chunks = _mm_join(partition)
     if visitor is None:
-        return sum(map(len, _join(modular_magic_blocks, cand)))
-    boards = _sorted_join(modular_magic_blocks, cand)
+        return sum(map(len, chunks))
+    boards = _sorted(modular_magic_blocks, chunks)
     for board in boards:
         visitor(board)
     return len(boards)
@@ -251,7 +257,7 @@ def enumerate_modular_magic(
 
 def iter_modular_magic() -> Iterator[Board]:
     """Yield every modular-magic board in enumeration order."""
-    return iter(_sorted_join(modular_magic_blocks, _mm_slice(None)))
+    return iter(_sorted(modular_magic_blocks, _mm_join()))
 
 
 def complete_modular_magic(
@@ -260,8 +266,11 @@ def complete_modular_magic(
     """All modular-magic boards extending the given cell assignments,
     in lexicographic row-major order.
 
-    Returns only the first ``limit`` boards, if given.
+    Returns only the first ``limit`` boards, if given; a negative limit
+    raises DomainError.
     """
+    if limit is not None and limit < 0:
+        raise DomainError(f"bad limit {limit!r}")
     boards = _complete(modular_magic_blocks, assignments)
     return boards if limit is None else boards[:limit]
 

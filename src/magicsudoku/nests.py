@@ -19,9 +19,12 @@ pattern, it is the modular-magic canonicalization. Over H_Γ (864), with
 the standard gnomon, it is the oracle that cross-validates the
 constructive semi-magic reduction.
 
-The semi-magic census runs that reduction in batch: it labels the
-join's (n, 9) chunks of block indices through per-block lookup tables
-and counts labels with np.bincount, building no Board.
+The constructive reduction works in block coordinates: per-block
+lookup tables give its forced steps for an (n, 9) chunk of catalog
+indices, and canonicalize_sm runs it on a board's blocks as one row.
+The census of either variant labels the join's chunks (modular-magic
+by one scan per row) and counts labels with np.bincount, building no
+Board.
 """
 
 from __future__ import annotations
@@ -36,12 +39,14 @@ import numpy as np
 from .boards import Board, is_modular_magic, is_semi_magic
 from .catalog import PhysicalGroup, h_gamma_generators, h_mm_generators
 from .enumeration import (
+    _cells,
     _join_tables,
     _map_partitions,
+    _mm_join,
     _sm_join,
     complete_modular_magic,
     complete_standard_gnomon,
-    enumerate_modular_magic,
+    modular_magic_blocks,
     semi_magic_blocks,
     standard_gnomon_cells,
 )
@@ -132,7 +137,7 @@ def _physical(generators: Callable[[], list]) -> PhysicalGroup:
 # Entry 81e + 9r + k of a flattened (board, transpose) pair is row r of
 # the board (e = 0) or its transpose (e = 1) at column k.
 _ROW_START, _COLUMN = np.arange(162) // 9 * 9, np.arange(162) % 9
-_BASE9 = 9 ** np.arange(9)
+_BASE9 = 9 ** np.arange(8, -1, -1)  # most significant first
 
 
 @cache
@@ -211,81 +216,28 @@ def canonicalize_mm(board: Board) -> tuple[NestLabel, Board]:
     return NestLabel(MM, alpha, gamma), Board._wrap(canon)
 
 
-# --- semi-magic constructive reduction ---
+# --- semi-magic constructive reduction, in block coordinates ---
 
 # Digit-set bitmasks of the two families of mini-lines. In the standard
 # gnomon's top-left block the rows are {0,4,8},{5,6,1},{7,2,3} (in that
 # order) and the columns are {0,5,7},{4,6,2},{8,1,3}.
 _ROW_FAMILY = {0b100010001: 0, 0b001100010: 1, 0b010001100: 2}
 _COL_FAMILY_MASKS = frozenset((0b010100001, 0b001010100, 0b100001010))
-_POS_048 = {0: 0, 4: 1, 8: 2}
-_POS_723 = {7: 0, 2: 1, 3: 2}
-_POS_561 = {5: 0, 6: 1, 1: 2}
-_MASK_723 = 0b010001100
-_MASK_813 = 0b100001010
-_TRANSPOSE_IDX = tuple(9 * (i % 9) + i // 9 for i in range(81))
 _SM_GNOMON_CELLS = tuple(standard_gnomon_cells())
-
-
-def _sm_reduce(cells: bytes) -> tuple[bytes, list[int], list[int]]:
-    """Forced-step reduction to the standard gnomon.
-
-    Returns (base, rowperm, colperm) with the canonical board given by
-    canonical[9R+C] = base[9*rowperm[R]+colperm[C]]; base is the input
-    or its transpose. Every step is forced, so no tie-breaking arises.
-    """
-    m = (1 << cells[0]) | (1 << cells[1]) | (1 << cells[2])
-    if m not in _ROW_FAMILY:
-        if m not in _COL_FAMILY_MASKS:
-            raise IntegrityError("block rows outside both mini-line families")
-        cells = bytes(map(cells.__getitem__, _TRANSPOSE_IDX))
-    try:
-        rowperm = [0] * 9
-        colperm = [0] * 9
-        for r in range(3):
-            m = (1 << cells[9 * r]) | (1 << cells[9 * r + 1]) | (1 << cells[9 * r + 2])
-            rowperm[_ROW_FAMILY[m]] = r
-        base = 9 * rowperm[0]
-        for c in range(3):
-            colperm[_POS_048[cells[base + c]]] = c
-        m = (1 << cells[base + 3]) | (1 << cells[base + 4]) | (1 << cells[base + 5])
-        p1, p2 = (1, 2) if m == _MASK_723 else (2, 1)
-        for k in range(3):
-            colperm[3 + _POS_723[cells[base + 3 * p1 + k]]] = 3 * p1 + k
-            colperm[6 + _POS_561[cells[base + 3 * p2 + k]]] = 3 * p2 + k
-        cc0 = colperm[0]
-        m = (1 << cells[27 + cc0]) | (1 << cells[36 + cc0]) | (1 << cells[45 + cc0])
-        b1, b2 = (1, 2) if m == _MASK_813 else (2, 1)
-        for r in range(3 * b1, 3 * b1 + 3):
-            m = (1 << cells[9 * r]) | (1 << cells[9 * r + 1]) | (1 << cells[9 * r + 2])
-            rowperm[3 + _ROW_FAMILY[m]] = r
-        for r in range(3 * b2, 3 * b2 + 3):
-            m = (1 << cells[9 * r]) | (1 << cells[9 * r + 1]) | (1 << cells[9 * r + 2])
-            rowperm[6 + _ROW_FAMILY[m]] = r
-    except KeyError as exc:
-        raise IntegrityError("mini-line families inconsistent") from exc
-    return cells, rowperm, colperm
-
-
-def _sm_label(cells: bytes) -> tuple[int, int]:
-    base, rowperm, colperm = _sm_reduce(cells)
-    return base[9 * rowperm[6] + colperm[5]], base[9 * rowperm[5] + colperm[6]]
-
-
-# --- the same reduction over join chunks ---
-
+_GNOMON_ROW0 = np.array([[0, 4, 8], [7, 2, 3], [5, 6, 1]])  # row 0 by pillar
 # Block positions of the transposed board: position 3I+J holds the
 # transpose of the block at 3J+I.
-_TRANSPOSE_POS = [0, 3, 6, 1, 4, 7, 2, 5, 8]
+_TRANSPOSE_POS = np.array([0, 3, 6, 1, 4, 7, 2, 5, 8])
 
 
 @cache
 def _block_tables() -> tuple[np.ndarray, ...]:
-    """_sm_reduce's lookups per semi-magic catalog index: the cells, the
-    transpose's index, row 0 outside the row family (transpose first)
-    and in neither family, every mini-row in the row family, each
+    """The reduction's lookups per semi-magic catalog index: the cells,
+    the transpose's index, row 0 outside the row family (transpose
+    first) and in neither family, every mini-row in the row family, each
     mini-row's row family (3 if none), each row family's mini-row, each
-    digit's mini-column, and which mini-columns are {8,1,3}."""
+    digit's mini-column, which mini-columns are {8,1,3}, and the
+    ascending base-9 codes of the cells (the catalog is sorted)."""
     cat = _join_tables(semi_magic_blocks)[0]
     blocks = cat.reshape(-1, 3, 3)
     bits = np.left_shift(1, blocks.astype(np.intp))
@@ -293,33 +245,45 @@ def _block_tables() -> tuple[np.ndarray, ...]:
     lookup = np.full(512, 3)
     lookup[list(_ROW_FAMILY)] = list(_ROW_FAMILY.values())
     family = lookup[rows]
-    index = {blk.tobytes(): i for i, blk in enumerate(cat)}
-    partner = np.array([index[blk.T.tobytes()] for blk in blocks], dtype=np.uint8)
+    codes = cat @ _BASE9
+    partner = np.searchsorted(codes, blocks.transpose(0, 2, 1).reshape(-1, 9) @ _BASE9)
     flip = family[:, 0] == 3
     stray = flip & ~np.isin(rows[:, 0], list(_COL_FAMILY_MASKS))
     whole = (family < 3).all(axis=1)
     row_of = np.argsort(family, axis=1)
-    return cat, partner, flip, stray, whole, family, row_of, np.argsort(cat) % 3, cols == _MASK_813
+    return (cat, partner.astype(np.uint8), flip, stray, whole, family, row_of,
+            np.argsort(cat) % 3, cols == 0b100001010, codes)
 
 
-def _sm_label_codes(idx: np.ndarray) -> np.ndarray:
-    """9 * first + second of _sm_label for every board of an (n, 9)
-    chunk of semi-magic catalog indices, following _sm_reduce step by
-    step in block coordinates; raises IntegrityError wherever it would."""
-    cat, partner, flip, stray, whole, family, row_of, col_of, is_813 = _block_tables()
+def _sm_steps(idx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The forced steps of the reduction to the standard gnomon for an
+    (n, 9) chunk of semi-magic catalog indices: base (the block indices
+    of the board or its transpose), p1 (the pillar holding {7,2,3} along
+    rowperm[0]), b1 (the band whose pillar-0 column at colperm[0] is
+    {8,1,3}) and the pillar-0 blocks of bands b1 and 3 - b1. Raises
+    IntegrityError unless the mini-line families are consistent."""
+    _, partner, flip, stray, whole, family, row_of, col_of, is_813, _ = _block_tables()
     base = np.where(flip[idx[:, 0], None], partner[idx[:, _TRANSPOSE_POS]], idx)
     k = np.arange(len(base))
-    # rowperm[0], and the families of blocks 1 and 2 along it: p1 holds {7,2,3}.
+    # rowperm[0], and the families of blocks 1 and 2 along it.
     r0 = row_of[base[:, 0], 0]
     f1, f2 = family[base[:, 1], r0], family[base[:, 2], r0]
     p1 = np.where(f1 == 2, 1, 2)
-    # colperm[0] fixes b1, the band whose pillar-0 column there is {8,1,3}.
     b1 = np.where(is_813[base[:, 3], col_of[base[:, 0], 0]], 1, 2)
     blk1, blk2 = base[k, 3 * b1], base[k, 9 - 3 * b1]
     # f1 * f2 == 2 exactly when {f1, f2} = {1, 2}.
     ok = ~stray[idx[:, 0]] & whole[base[:, 0]] & (f1 * f2 == 2) & whole[blk1] & whole[blk2]
     if not ok.all():
         raise IntegrityError("mini-line families inconsistent")
+    return base, p1, b1, blk1, blk2
+
+
+def _sm_label_codes(idx: np.ndarray) -> np.ndarray:
+    """9 * first + second of the semi-magic label for every board of an
+    (n, 9) chunk of catalog indices, gathered on top of _sm_steps."""
+    cat, *_, row_of, col_of, _, _ = _block_tables()
+    base, p1, b1, blk1, blk2 = _sm_steps(idx)
+    k = np.arange(len(base))
     # rowperm[6] and rowperm[5]: the {0,4,8} row of band b2 and the
     # {7,2,3} row of band b1. colperm[5] and colperm[6]: the columns of
     # digits 3 and 5 along rowperm[0], in pillars p1 and p2.
@@ -331,13 +295,20 @@ def _sm_label_codes(idx: np.ndarray) -> np.ndarray:
 
 
 def canonicalize_sm(board: Board) -> tuple[NestLabel, Board]:
-    """Canonical form of a semi-magic board under the physical group."""
+    """Canonical form of a semi-magic board under the physical group:
+    base[9*rowperm[R]+colperm[C]], from _sm_steps on its nine blocks."""
     if not is_semi_magic(board):
         raise DomainError("board is not semi-magic")
-    base, rowperm, colperm = _sm_reduce(board.cells)
-    canon = bytes(
-        base[9 * rowperm[r] + colperm[c]] for r in range(9) for c in range(9)
-    )
+    *_, row_of, col_of, _, codes = _block_tables()
+    blocks = np.frombuffer(board.cells, dtype=np.uint8).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3)
+    idx = np.searchsorted(codes, blocks.reshape(1, 9, 9) @ _BASE9)
+    base, p1, b1, _, _ = (step[0] for step in _sm_steps(idx))
+    # Rows by family in bands 0, b1, b2; columns by gnomon row 0 in pillars 0, p1, p2.
+    bands, pillars = np.array([[0, b1, 3 - b1], [0, p1, 3 - p1]])
+    rowperm = row_of[base[3 * bands]] + 3 * bands[:, None]
+    colperm = col_of[base[pillars, None], _GNOMON_ROW0] + 3 * pillars[:, None]
+    cells = _cells(semi_magic_blocks, base[None])[0]
+    canon = cells[9 * rowperm.reshape(9, 1) + colperm.ravel()].tobytes()
     for pos, val in _SM_GNOMON_CELLS:
         if canon[pos] != val:
             raise IntegrityError("reduction missed the standard gnomon")
@@ -366,9 +337,7 @@ def crosscheck_sm(board: Board) -> tuple[NestLabel, Board]:
 
 def canonicalize(variant: str, board: Board) -> tuple[NestLabel, Board]:
     """Dispatch to the variant's canonicalization."""
-    if normalize_variant(variant) == MM:
-        return canonicalize_mm(board)
-    return canonicalize_sm(board)
+    return (canonicalize_mm if normalize_variant(variant) == MM else canonicalize_sm)(board)
 
 
 # --- representatives and label alphabets ---
@@ -423,29 +392,29 @@ def representative(label: NestLabel) -> Board:
 # --- censuses ---
 
 
-def _mm_label(cells: bytes) -> tuple[int, int]:
-    return _mm_reduce(cells)[:2]
+def _mm_label_codes(idx: np.ndarray) -> np.ndarray:
+    """9 * alpha + gamma for every board of an (n, 9) chunk of
+    modular-magic catalog indices, one _mm_reduce per row."""
+    cells = _cells(modular_magic_blocks, idx)
+    return np.array([9 * a + g for a, g, _ in map(_mm_reduce, map(bytes, cells))], dtype=np.intp)
+
+
+_CENSUS = {MM: (_mm_join, _mm_label_codes), SM: (_sm_join, _sm_label_codes)}
 
 
 def census(variant: str, partition: tuple[int, int] | None = None) -> Census:
     """Enumerate the variant and count boards per nest label.
 
     A partition restricts the underlying enumeration slice; partial
-    censuses merge by adding counts. Modular-magic boards are labelled
-    one by one; semi-magic labels come per join chunk from
-    _sm_label_codes, with no Board built.
+    censuses merge by adding counts. Labels come per join chunk of block
+    indices, with no Board built.
     """
     v = normalize_variant(variant)
-    if v == MM:
-        boards: list[Board] = []
-        enumerate_modular_magic(boards.append, partition)
-        counts = Counter(_mm_label(board.cells) for board in boards)
-    else:
-        codes = np.zeros(81, dtype=int)
-        for idx in _sm_join(partition):
-            codes += np.bincount(_sm_label_codes(idx), minlength=81)
-        counts = {divmod(code, 9): int(n) for code, n in enumerate(codes) if n}
-    mapping = {NestLabel(v, a, b): n for (a, b), n in sorted(counts.items())}
+    join, label_codes = _CENSUS[v]
+    codes = np.zeros(81, dtype=int)
+    for idx in join(partition):
+        codes += np.bincount(label_codes(idx), minlength=81)
+    mapping = {NestLabel(v, *divmod(code, 9)): int(n) for code, n in enumerate(codes) if n}
     return Census(v, mapping, sum(mapping.values()))
 
 
@@ -456,7 +425,5 @@ def _threaded_census(variant: str, threads: int) -> Census:
     if v == SM:
         _block_tables()  # build once, before any fork
     parts = _map_partitions(partial(census, v), threads)
-    counts: Counter = Counter()
-    for part in parts:
-        counts.update(part.counts)
+    counts = sum((Counter(part.counts) for part in parts), Counter())
     return Census(v, dict(sorted(counts.items())), sum(part.total for part in parts))

@@ -1,9 +1,14 @@
 """End-to-end command line behavior: exit codes, JSON payloads, files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import magicsudoku
 from magicsudoku import cli
 from magicsudoku.boards import format_board, read_mssb
 from magicsudoku.enumeration import iter_modular_magic
@@ -65,6 +70,36 @@ def test_enumerate_binary_requires_out(capsys, monkeypatch):
     assert run(["enumerate", "--variant", "modular-magic", "--format", "binary"]) == 2
     captured = capsys.readouterr()
     assert "usage error" in captured.out + captured.err
+
+
+def test_enumerate_quiet_requires_out(capsys, monkeypatch):
+    def enumerator_called():
+        raise AssertionError("enumerated boards before rejecting the flags")
+
+    monkeypatch.setattr(cli, "iter_modular_magic", enumerator_called)
+    assert run(["enumerate", "--variant", "modular-magic", "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err
+
+
+def test_enumerate_to_file_writes_the_json_count(tmp_path, capsys):
+    out, report = tmp_path / "boards.mssb", tmp_path / "count.json"
+    argv = ["enumerate", "--variant", "modular-magic", "--format", "binary"]
+    assert run(argv + ["--out", str(out), "--json", str(report)]) == 0
+    assert capsys.readouterr().out == f"32256 boards written to {out}\n"
+    assert json.loads(report.read_text()) == {"variant": "modular-magic", "count": 32256}
+    assert len(read_mssb(out.open("rb"))) == 32256
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(magicsudoku.__file__).resolve().parents[1])
+    paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = [sys.executable, "-m", "magicsudoku", "verify", "--checks", "g9_certificate"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "g9_certificate: PASS" in done.stdout
 
 
 def test_enumerate_to_binary_file(tmp_path, mm_sample):

@@ -174,6 +174,12 @@ def test_complete_modular_magic_edge_cases():
         en.complete_modular_magic({-1: 0})
 
 
+def test_complete_modular_magic_rejects_a_negative_limit():
+    assert en.complete_modular_magic({0: 0}, limit=0) == []
+    with pytest.raises(DomainError):
+        en.complete_modular_magic({0: 0}, limit=-1)
+
+
 def test_standard_gnomon_cells():
     pairs = en.standard_gnomon_cells()
     assert len(pairs) == 45

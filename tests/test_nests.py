@@ -1,6 +1,7 @@
 """Nest labels, canonicalization, representatives, and the census."""
 
 import hashlib
+import itertools
 import random
 from collections import Counter
 
@@ -9,7 +10,7 @@ import pytest
 
 from magicsudoku import catalog, nests
 from magicsudoku import enumeration as en
-from magicsudoku.boards import is_modular_magic, is_semi_magic
+from magicsudoku.boards import Board, is_modular_magic, is_semi_magic
 from magicsudoku.enumeration import (
     complete_standard_gnomon,
     enumerate_modular_magic,
@@ -265,6 +266,66 @@ def test_sm_census_expected_sizes(sm_census):
     assert sum(counts.values()) == 5971968
 
 
+# --- the scalar reduction, kept as the reference for the block-coordinate one ---
+
+# Digit-set bitmasks of the two families of mini-lines. In the standard
+# gnomon's top-left block the rows are {0,4,8},{5,6,1},{7,2,3} (in that
+# order) and the columns are {0,5,7},{4,6,2},{8,1,3}.
+_ROW_FAMILY = {0b100010001: 0, 0b001100010: 1, 0b010001100: 2}
+_COL_FAMILY_MASKS = frozenset((0b010100001, 0b001010100, 0b100001010))
+_POS_048 = {0: 0, 4: 1, 8: 2}
+_POS_723 = {7: 0, 2: 1, 3: 2}
+_POS_561 = {5: 0, 6: 1, 1: 2}
+_MASK_723 = 0b010001100
+_MASK_813 = 0b100001010
+_TRANSPOSE_IDX = tuple(9 * (i % 9) + i // 9 for i in range(81))
+
+
+def _sm_reduce(cells: bytes) -> tuple[bytes, list[int], list[int]]:
+    """Forced-step reduction to the standard gnomon.
+
+    Returns (base, rowperm, colperm) with the canonical board given by
+    canonical[9R+C] = base[9*rowperm[R]+colperm[C]]; base is the input
+    or its transpose. Every step is forced, so no tie-breaking arises.
+    """
+    m = (1 << cells[0]) | (1 << cells[1]) | (1 << cells[2])
+    if m not in _ROW_FAMILY:
+        if m not in _COL_FAMILY_MASKS:
+            raise IntegrityError("block rows outside both mini-line families")
+        cells = bytes(map(cells.__getitem__, _TRANSPOSE_IDX))
+    try:
+        rowperm = [0] * 9
+        colperm = [0] * 9
+        for r in range(3):
+            m = (1 << cells[9 * r]) | (1 << cells[9 * r + 1]) | (1 << cells[9 * r + 2])
+            rowperm[_ROW_FAMILY[m]] = r
+        base = 9 * rowperm[0]
+        for c in range(3):
+            colperm[_POS_048[cells[base + c]]] = c
+        m = (1 << cells[base + 3]) | (1 << cells[base + 4]) | (1 << cells[base + 5])
+        p1, p2 = (1, 2) if m == _MASK_723 else (2, 1)
+        for k in range(3):
+            colperm[3 + _POS_723[cells[base + 3 * p1 + k]]] = 3 * p1 + k
+            colperm[6 + _POS_561[cells[base + 3 * p2 + k]]] = 3 * p2 + k
+        cc0 = colperm[0]
+        m = (1 << cells[27 + cc0]) | (1 << cells[36 + cc0]) | (1 << cells[45 + cc0])
+        b1, b2 = (1, 2) if m == _MASK_813 else (2, 1)
+        for r in range(3 * b1, 3 * b1 + 3):
+            m = (1 << cells[9 * r]) | (1 << cells[9 * r + 1]) | (1 << cells[9 * r + 2])
+            rowperm[3 + _ROW_FAMILY[m]] = r
+        for r in range(3 * b2, 3 * b2 + 3):
+            m = (1 << cells[9 * r]) | (1 << cells[9 * r + 1]) | (1 << cells[9 * r + 2])
+            rowperm[6 + _ROW_FAMILY[m]] = r
+    except KeyError as exc:
+        raise IntegrityError("mini-line families inconsistent") from exc
+    return cells, rowperm, colperm
+
+
+def _sm_label(cells: bytes) -> tuple[int, int]:
+    base, rowperm, colperm = _sm_reduce(cells)
+    return base[9 * rowperm[6] + colperm[5]], base[9 * rowperm[5] + colperm[6]]
+
+
 def _index_rows_and_boards(idx):
     return idx, list(en._boards(en.semi_magic_blocks, [idx]))
 
@@ -273,7 +334,7 @@ def _index_rows_and_boards(idx):
 def test_batch_sm_label_equals_scalar(top_left):
     assert nests._block_tables()[2][top_left] == (top_left == 68)  # flip
     for idx, boards in map(_index_rows_and_boards, en._sm_join((top_left, 72))):
-        want = [9 * a + b for a, b in (nests._sm_label(board.cells) for board in boards)]
+        want = [9 * a + b for a, b in (_sm_label(board.cells) for board in boards)]
         assert nests._sm_label_codes(idx).tolist() == want
 
 
@@ -283,7 +344,7 @@ def test_batch_sm_label_rejects_what_the_scalar_rejects():
     # of block 2 along that row as {7,2,3}.
     idx, (board,) = _index_rows_and_boards(np.zeros((1, 9), dtype=np.uint8))
     with pytest.raises(IntegrityError):
-        nests._sm_label(board.cells)
+        _sm_label(board.cells)
     with pytest.raises(IntegrityError):
         nests._sm_label_codes(idx)
     # Arbitrary index rows: the batch label raises exactly where the
@@ -292,7 +353,7 @@ def test_batch_sm_label_rejects_what_the_scalar_rejects():
     for row in rows:
         idx, (board,) = _index_rows_and_boards(row[None])
         try:
-            a, b = nests._sm_label(board.cells)
+            a, b = _sm_label(board.cells)
             want = 9 * a + b
         except IntegrityError:
             want = None
@@ -301,3 +362,33 @@ def test_batch_sm_label_rejects_what_the_scalar_rejects():
         except IntegrityError:
             got = None
         assert got == want
+
+
+def test_canonicalize_sm_equals_the_reference_reduction():
+    sampled = []
+    for top_left in (17, 68):
+        boards = en._boards(en.semi_magic_blocks, en._sm_join((top_left, 72)))
+        sampled += itertools.islice(boards, 0, None, 50)
+    rng = random.Random(7)
+    drawn = [random_semi_magic(rng) for _ in range(2000)]
+    boards = sampled + drawn + [nests.representative(label) for label in nests.sm_labels()]
+    assert len(sampled) == 2 * 1659
+    for board in boards:
+        base, rowperm, colperm = _sm_reduce(board.cells)
+        canon = bytes(base[9 * rowperm[R] + colperm[C]] for R in range(9) for C in range(9))
+        label, got = nests.canonicalize_sm(board)
+        assert (label.first, label.second) == _sm_label(board.cells)
+        assert got.cells == canon
+
+
+@pytest.mark.parametrize(
+    "variant, partition", [("MM", (1, 81)), ("SM", (17, 72))], ids=["MM", "SM"]
+)
+def test_census_builds_no_board(variant, partition, monkeypatch):
+    # (1, 81) is the MM slice of boards starting 0, 1; (0, 81) is empty.
+    def built(*args):
+        raise AssertionError("census built a Board")
+
+    monkeypatch.setattr(Board, "_wrap", built)
+    result = nests.census(variant, partition)
+    assert result.total == (896 if variant == "MM" else 82_944)
