@@ -13,8 +13,11 @@ The join is level-wise over numpy arrays: it fills block positions in
 row-major order, extending every partial assembly by one position at a
 time, and yields (n, 9) uint8 chunks of catalog indices, one per
 admissible pair of blocks at positions 0 and 1. Chunks and their rows
-come in lexicographic order, so earlier positions vary slowest. Board
-objects are built only for visitors, the iterators and completions.
+come in lexicographic order, so earlier positions vary slowest. A block
+is fixed by its mini-row and mini-column digit sets, so band 2's last
+two blocks are looked up, not masked: the pillars above position 7 fix
+its column sets, and band 2 and pillar 2 fix both sets of position 8.
+Board objects are built only for visitors, the iterators and completions.
 
 Both enumerators are deterministic: semi-magic boards come in join
 order, modular-magic boards in lexicographic row-major order. An
@@ -122,17 +125,50 @@ def modular_magic_blocks() -> tuple[Block, ...]:
 # --- the block join ---
 
 
+def _line_sets(blocks: np.ndarray) -> list[np.ndarray]:
+    """The mini-row and the mini-column digit sets of (n, 3, 3) blocks as
+    27-bit codes: one 9-bit set per mini-line, mini-line k at bit 9k."""
+    bits = np.left_shift(1, blocks.astype(np.int64))
+    return [(bits.sum(axis=axis) << [0, 9, 18]).sum(axis=1) for axis in (2, 1)]
+
+
 @cache
 def _join_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The catalog as a (72, 9) uint8 array of flattened blocks, and
     (72, 72) matrices of which block pairs have disjoint mini-row sets
     and which have disjoint mini-column sets."""
     blocks = np.array(catalog_fn(), dtype=np.uint8)
-    bits = np.left_shift(1, blocks.astype(np.int64))
-    # One 9-bit digit set per mini-line, mini-line k at bit 9k.
-    rows = (bits.sum(axis=2) << [0, 9, 18]).sum(axis=1)
-    cols = (bits.sum(axis=1) << [0, 9, 18]).sum(axis=1)
+    rows, cols = _line_sets(blocks)
     return blocks.reshape(-1, 9), rows[:, None] & rows == 0, cols[:, None] & cols == 0
+
+
+@cache
+def _forced_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, ...]:
+    """Lookups for band 2's last blocks. A block is fixed by its mini-row
+    and mini-column triples (ordered digit sets): cell (i, j) is the one
+    digit in row set i and column set j. row_rest[a, b] and col_rest[a, b]
+    are the triple ids that complete a band or a pillar holding blocks a
+    and b, block_of[row id, col id] the block with both, and by_col[col id]
+    the ascending blocks with that column triple. One past the last id
+    and block n = 72 stand for none; row_fit is row_ok with a column n."""
+    blocks, row_ok, _ = _join_tables(catalog_fn)
+    n = len(blocks)
+
+    def ids(codes):
+        # Blocks that overlap in a mini-line leave over three digits there: no triple.
+        triples, id_of = np.unique(codes, return_inverse=True)
+        rest = ((1 << 27) - 1) ^ (codes[:, None] | codes)
+        at = np.minimum(np.searchsorted(triples, rest), len(triples) - 1)
+        return id_of, np.where(triples[at] == rest, at, len(triples))
+
+    (row_id, row_rest), (col_id, col_rest) = map(ids, _line_sets(blocks.reshape(-1, 3, 3)))
+    block_of = np.full((row_id.max() + 2, col_id.max() + 2), n, dtype=np.uint8)
+    block_of[row_id, col_id] = np.arange(n)
+    by_col = np.full((col_id.max() + 2, np.bincount(col_id).max()), n, dtype=np.uint8)
+    for c in range(col_id.max() + 1):
+        members = np.flatnonzero(col_id == c)
+        by_col[c, : len(members)] = members
+    return row_rest, col_rest, block_of, by_col, np.pad(row_ok, ((0, 0), (0, 1)))
 
 
 def _admissible(tables, allowed: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -152,13 +188,27 @@ def _admissible(tables, allowed: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _extend(tables, cand: np.ndarray, idx: np.ndarray, stop: int) -> np.ndarray:
+def _extend(catalog_fn: _Catalog, cand: np.ndarray, idx: np.ndarray, stop: int) -> np.ndarray:
     """Extend the (n, p) partial assemblies idx through block position
-    stop - 1, position q drawing from the mask cand[q]. Rows stay in
-    lexicographic order: np.nonzero lists a mask's rows in order and
-    each row's blocks in ascending order."""
+    stop - 1, position q drawing from the mask cand[q]. Position 7 draws
+    from the blocks with the column triple pillar 1 leaves, and position
+    8 is the one block with the triples band 2 and pillar 2 leave, if
+    any. Rows stay in lexicographic order: np.nonzero lists a mask's
+    rows in order and each row's blocks (or by_col's) in ascending order."""
+    tables = _join_tables(catalog_fn)
+    row_rest, col_rest, block_of, by_col, row_fit = _forced_tables(catalog_fn)
+    allowed = np.pad(cand, ((0, 0), (0, 1)))  # block n, none, is never allowed
     for p in range(idx.shape[1], stop):
-        rows, picks = np.nonzero(_admissible(tables, cand[p], idx))
+        if p == 7:
+            picks = by_col[col_rest[idx[:, 1], idx[:, 4]]]
+            rows, k = np.nonzero(allowed[p, picks] & row_fit[idx[:, 6, None], picks])
+            picks = picks[rows, k]
+        elif p == 8:
+            picks = block_of[row_rest[idx[:, 6], idx[:, 7]], col_rest[idx[:, 2], idx[:, 5]]]
+            rows = np.flatnonzero(allowed[p, picks])
+            picks = picks[rows]
+        else:
+            rows, picks = np.nonzero(_admissible(tables, cand[p], idx))
         idx = np.column_stack((idx[rows], picks.astype(np.uint8)))
     return idx
 
@@ -168,9 +218,8 @@ def _join(catalog_fn: _Catalog, cand: np.ndarray) -> Iterator[np.ndarray]:
     its catalog index in the mask cand[p], as (n, 9) uint8 chunks of
     catalog indices: one chunk per admissible pair of blocks at
     positions 0 and 1, in lexicographic order."""
-    tables = _join_tables(catalog_fn)
-    for head in _extend(tables, cand, np.zeros((1, 0), dtype=np.uint8), 2):
-        idx = _extend(tables, cand, head[None], 9)
+    for head in _extend(catalog_fn, cand, np.zeros((1, 0), dtype=np.uint8), 2):
+        idx = _extend(catalog_fn, cand, head[None], 9)
         if len(idx):
             yield idx
 
@@ -186,17 +235,21 @@ def _slice(keys: np.ndarray, partition: tuple[int, int] | None) -> np.ndarray:
     return cand
 
 
+def _cell_view(catalog_fn: _Catalog, idx: np.ndarray) -> np.ndarray:
+    """The row-major cells of an (n, 9) chunk of catalog indices, as an
+    (n, I, r, J, c) view of the gathered (n, I, J, r, c) blocks."""
+    return _join_tables(catalog_fn)[0][idx].reshape(-1, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4)
+
+
 def _cells(catalog_fn: _Catalog, idx: np.ndarray) -> np.ndarray:
     """The (n, 81) uint8 row-major cells of an (n, 9) chunk of catalog indices."""
-    # (board, I, J, r, c) -> (board, I, r, J, c): row-major cells.
-    blocks = _join_tables(catalog_fn)[0][idx].reshape(-1, 3, 3, 3, 3)
-    return blocks.transpose(0, 1, 3, 2, 4).reshape(-1, 81)
+    return _cell_view(catalog_fn, idx).reshape(-1, 81)
 
 
 def _boards(catalog_fn: _Catalog, chunks: Iterable[np.ndarray]) -> Iterator[Board]:
     """The boards of the index chunks, in order."""
     for idx in chunks:
-        data = _cells(catalog_fn, idx).tobytes()
+        data = _cell_view(catalog_fn, idx).tobytes()
         for k in range(0, len(data), 81):
             yield Board._wrap(data[k : k + 81])
 

@@ -320,6 +320,11 @@ def canonicalize_sm_by_scan(board: Board) -> tuple[NestLabel, Board]:
     physical symmetries, independent of the reduction it checks."""
     if not is_semi_magic(board):
         raise DomainError("board is not semi-magic")
+    return _sm_scanned(board)
+
+
+def _sm_scanned(board: Board) -> tuple[NestLabel, Board]:
+    """canonicalize_sm_by_scan of a board known to be semi-magic."""
     canon = _scan(_physical(h_gamma_generators), _SM_GNOMON_CELLS, board.cells)
     return NestLabel(SM, canon[_SM_A], canon[_SM_B]), Board._wrap(canon)
 
@@ -327,7 +332,7 @@ def canonicalize_sm_by_scan(board: Board) -> tuple[NestLabel, Board]:
 def crosscheck_sm(board: Board) -> tuple[NestLabel, Board]:
     """Constructive canonicalization, verified against the scan oracle."""
     label, canon = canonicalize_sm(board)
-    scan_label, scan_canon = canonicalize_sm_by_scan(board)
+    scan_label, scan_canon = _sm_scanned(board)  # checked semi-magic above
     if label != scan_label or canon != scan_canon:
         raise IntegrityError(
             f"constructive reduction gave {label}, scan oracle gave {scan_label}"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from magicsudoku import enumeration as en
-from magicsudoku import verification
+from magicsudoku import nests, verification
 from magicsudoku.boards import (
     blocks,
     format_board,
@@ -229,16 +229,81 @@ def test_fit_masks_hold_the_join_matrices():
         assert [[mask >> j & 1 for j in range(72)] for mask in masks] == ok.astype(int).tolist()
 
 
+def _level_sizes(catalog_fn, cand):
+    empty = np.zeros((1, 0), dtype=np.uint8)
+    return [len(en._extend(catalog_fn, cand, empty, depth)) for depth in range(1, 10)]
+
+
 def test_sm_join_level_sizes():
     # Every partial assembly of a given depth has as many completions as
-    # any other, which makes random_semi_magic exactly uniform; the last
-    # block is forced.
-    tables = en._join_tables(en.semi_magic_blocks)
+    # any other, which makes random_semi_magic exactly uniform. Every
+    # semi-magic assembly of eight blocks has its forced last block in
+    # the catalog; 4,608 modular-magic ones do not.
     for top_left in (0, 17, 71):
         cand = en._slice(np.arange(72), (top_left, 72))
-        empty = np.zeros((1, 0), dtype=np.uint8)
-        sizes = [len(en._extend(tables, cand, empty, depth)) for depth in range(1, 10)]
+        sizes = _level_sizes(en.semi_magic_blocks, cand)
         assert sizes == [1, 12, 72, 864, 3456, 6912, 41472, 82944, 82944]
+    sizes = _level_sizes(en.modular_magic_blocks, np.ones((9, 72), dtype=bool))
+    assert sizes == [72, 576, 2304, 18432, 20736, 11520, 46080, 36864, 32256]
+
+
+def _reference_join(catalog_fn, cand):
+    # The join with the 72-wide _admissible mask at every block
+    # position, the forced positions 7 and 8 included.
+    tables = en._join_tables(catalog_fn)
+
+    def extend(idx, stop):
+        for p in range(idx.shape[1], stop):
+            rows, picks = np.nonzero(en._admissible(tables, cand[p], idx))
+            idx = np.column_stack((idx[rows], picks.astype(np.uint8)))
+        return idx
+
+    for head in extend(np.zeros((1, 0), dtype=np.uint8), 2):
+        idx = extend(head[None], 9)
+        if len(idx):
+            yield idx
+
+
+def _preset(catalog_fn, assignments):
+    # The join masks of the blocks that agree with the preset cells.
+    cat = en._join_tables(catalog_fn)[0]
+    cand = np.ones((9, 72), dtype=bool)
+    for cell, digit in assignments.items():
+        r, c = divmod(cell, 9)
+        cand[3 * (r // 3) + c // 3] &= cat[:, 3 * (r % 3) + c % 3] == digit
+    return cand
+
+
+def _assert_joins_equal(catalog_fn, cand):
+    got = list(en._join(catalog_fn, cand))
+    want = list(_reference_join(catalog_fn, cand))
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    return sum(map(len, got))
+
+
+def test_forced_blocks_match_the_admissible_join(board_mm_72):
+    sm, mm = en.semi_magic_blocks, en.modular_magic_blocks
+    for top_left in (0, 17, 71):
+        assert _assert_joins_equal(sm, en._slice(np.arange(72), (top_left, 72))) == 82944
+    assert _assert_joins_equal(mm, np.ones((9, 72), dtype=bool)) == 32256
+    assert _assert_joins_equal(sm, _preset(sm, dict(en.standard_gnomon_cells()))) == 16
+    assert _assert_joins_equal(mm, _preset(mm, dict(nests._MM_TEMPLATE))) > 0
+    # Presets on one cell of block 7 (cell (7, 4)) and one of block 8
+    # (cell (8, 8)) filter the forced positions themselves.
+    for catalog_fn, board, cand in (
+        (sm, parse_board(CANON_SM_71), en._slice(np.arange(72), (17, 72))),
+        (mm, board_mm_72, np.ones((9, 72), dtype=bool)),
+    ):
+        full = sum(map(len, en._join(catalog_fn, cand)))
+        preset = _preset(catalog_fn, {67: board[67], 80: board[80]})
+        assert preset[:7].all() and not preset[7:].all()
+        for positions in ([7], [8], [7, 8]):
+            restricted = cand.copy()
+            restricted[positions] &= preset[positions]
+            assert 0 < _assert_joins_equal(catalog_fn, restricted) < full
+        cand[8] = False
+        assert list(en._join(catalog_fn, cand)) == []
 
 
 # Order pins: SHA-256 of the concatenated cells, computed once with the

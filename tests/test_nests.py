@@ -151,6 +151,21 @@ def test_sm_scan_agrees_with_constructive(board_sm_71):
         assert nests.crosscheck_sm(board) == fast
 
 
+def test_crosscheck_sm_checks_the_predicate_once(board_mm_72, board_sm_71, monkeypatch):
+    calls = []
+
+    def counted(board):
+        calls.append(board)
+        return is_semi_magic(board)
+
+    monkeypatch.setattr(nests, "is_semi_magic", counted)
+    assert nests.crosscheck_sm(board_sm_71) == nests.canonicalize_sm(board_sm_71)
+    assert calls == [board_sm_71] * 2
+    for fn in (nests.canonicalize_sm, nests.canonicalize_sm_by_scan, nests.crosscheck_sm):
+        with pytest.raises(DomainError):
+            fn(board_mm_72)
+
+
 def test_scan_needs_exactly_one_distinct_image(board_mm_72):
     group = catalog.PhysicalGroup([catalog.transpose()])  # order 2
     cells = board_mm_72.cells
