@@ -265,9 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_minimality_g9)
 
     p = sub.add_parser("verify", parents=[common], help="run published-value checks")
-    p.add_argument("--all", action="store_true", help="run every check (default)")
-    p.add_argument("--variant", choices=_VARIANT_CHOICES, default=None)
-    p.add_argument("--checks", default=None, help="comma-separated check names")
+    only = p.add_mutually_exclusive_group()  # a conflicting selection exits 2
+    only.add_argument("--all", action="store_true", help="run every check (default)")
+    only.add_argument("--variant", choices=_VARIANT_CHOICES, default=None)
+    only.add_argument("--checks", default=None, help="comma-separated check names")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -235,21 +235,12 @@ def _slice(keys: np.ndarray, partition: tuple[int, int] | None) -> np.ndarray:
     return cand
 
 
-def _cell_view(catalog_fn: _Catalog, idx: np.ndarray) -> np.ndarray:
-    """The row-major cells of an (n, 9) chunk of catalog indices, as an
-    (n, I, r, J, c) view of the gathered (n, I, J, r, c) blocks."""
-    return _join_tables(catalog_fn)[0][idx].reshape(-1, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4)
-
-
-def _cells(catalog_fn: _Catalog, idx: np.ndarray) -> np.ndarray:
-    """The (n, 81) uint8 row-major cells of an (n, 9) chunk of catalog indices."""
-    return _cell_view(catalog_fn, idx).reshape(-1, 81)
-
-
 def _boards(catalog_fn: _Catalog, chunks: Iterable[np.ndarray]) -> Iterator[Board]:
     """The boards of the index chunks, in order."""
+    cat = _join_tables(catalog_fn)[0]
     for idx in chunks:
-        data = _cell_view(catalog_fn, idx).tobytes()
+        # The gathered (n, I, J, r, c) blocks, read as (n, I, r, J, c): row-major cells.
+        data = cat[idx].reshape(-1, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4).tobytes()
         for k in range(0, len(data), 81):
             yield Board._wrap(data[k : k + 81])
 

@@ -14,17 +14,17 @@ is transpose^e after a row move a and a column move b from one line
 group R, and maps the board B to B'[a[r], b[c]], B' being B or its
 transpose. A pattern touching all nine columns forces b from (e, a), so
 the scan tries only the 2·|R| candidates (e, a), yet finds every element
-that holds the pattern. Over H_MM (96 candidates), with the mini-diagonal
-pattern, it is the modular-magic canonicalization. Over H_Γ (864), with
-the standard gnomon, it is the oracle that cross-validates the
-constructive semi-magic reduction.
+that holds the pattern. Over H_MM (96 candidates) with the mini-diagonal
+pattern, and over H_Γ (864) with the standard gnomon, it is the oracle
+for the labels.
 
-The constructive reduction works in block coordinates: per-block
-lookup tables give its forced steps for an (n, 9) chunk of catalog
-indices, and canonicalize_sm runs it on a board's blocks as one row.
-The census of either variant labels the join's chunks (modular-magic
-by one scan per row) and counts labels with np.bincount, building no
-Board.
+Each variant has one label function on (n, 9) chunks of catalog
+indices; the census counts its labels with np.bincount, building no
+Board, and canonicalize returns the representative of the label's nest.
+Physical symmetries keep a modular-magic board's multiset of block
+classes (center and off-diagonal pair), which a weight sum encodes. The
+semi-magic label follows the constructive reduction to the standard
+gnomon, whose forced steps come from per-block lookup tables.
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .boards import Board, is_modular_magic, is_semi_magic
-from .catalog import PhysicalGroup, h_gamma_generators, h_mm_generators
+from .boards import Board, is_modular_magic, is_semi_magic, off_diagonal_set
+from .catalog import PhysicalGroup, h_gamma_generators
 from .enumeration import (
-    _cells,
     _join_tables,
     _map_partitions,
     _mm_join,
@@ -201,21 +200,6 @@ def _mm_ties(images: np.ndarray) -> np.ndarray:
     )
 
 
-def _mm_reduce(cells: bytes) -> tuple[int, int, bytes]:
-    """Scan the physical group for the canonical image; returns (alpha,
-    gamma, canonical cells)."""
-    canon = _scan(_physical(h_mm_generators), _MM_TEMPLATE, cells, _mm_ties)
-    return canon[_MM_ALPHA], canon[_MM_GAMMA1], canon
-
-
-def canonicalize_mm(board: Board) -> tuple[NestLabel, Board]:
-    """Canonical form of a modular-magic board under the physical group."""
-    if not is_modular_magic(board):
-        raise DomainError("board is not modular-magic")
-    alpha, gamma, canon = _mm_reduce(board.cells)
-    return NestLabel(MM, alpha, gamma), Board._wrap(canon)
-
-
 # --- semi-magic constructive reduction, in block coordinates ---
 
 # Digit-set bitmasks of the two families of mini-lines. In the standard
@@ -224,7 +208,6 @@ def canonicalize_mm(board: Board) -> tuple[NestLabel, Board]:
 _ROW_FAMILY = {0b100010001: 0, 0b001100010: 1, 0b010001100: 2}
 _COL_FAMILY_MASKS = frozenset((0b010100001, 0b001010100, 0b100001010))
 _SM_GNOMON_CELLS = tuple(standard_gnomon_cells())
-_GNOMON_ROW0 = np.array([[0, 4, 8], [7, 2, 3], [5, 6, 1]])  # row 0 by pillar
 # Block positions of the transposed board: position 3I+J holds the
 # transpose of the block at 3J+I.
 _TRANSPOSE_POS = np.array([0, 3, 6, 1, 4, 7, 2, 5, 8])
@@ -294,27 +277,6 @@ def _sm_label_codes(idx: np.ndarray) -> np.ndarray:
     return 9 * first.astype(np.intp) + second
 
 
-def canonicalize_sm(board: Board) -> tuple[NestLabel, Board]:
-    """Canonical form of a semi-magic board under the physical group:
-    base[9*rowperm[R]+colperm[C]], from _sm_steps on its nine blocks."""
-    if not is_semi_magic(board):
-        raise DomainError("board is not semi-magic")
-    *_, row_of, col_of, _, codes = _block_tables()
-    blocks = np.frombuffer(board.cells, dtype=np.uint8).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3)
-    idx = np.searchsorted(codes, blocks.reshape(1, 9, 9) @ _BASE9)
-    base, p1, b1, _, _ = (step[0] for step in _sm_steps(idx))
-    # Rows by family in bands 0, b1, b2; columns by gnomon row 0 in pillars 0, p1, p2.
-    bands, pillars = np.array([[0, b1, 3 - b1], [0, p1, 3 - p1]])
-    rowperm = row_of[base[3 * bands]] + 3 * bands[:, None]
-    colperm = col_of[base[pillars, None], _GNOMON_ROW0] + 3 * pillars[:, None]
-    cells = _cells(semi_magic_blocks, base[None])[0]
-    canon = cells[9 * rowperm.reshape(9, 1) + colperm.ravel()].tobytes()
-    for pos, val in _SM_GNOMON_CELLS:
-        if canon[pos] != val:
-            raise IntegrityError("reduction missed the standard gnomon")
-    return NestLabel(SM, canon[_SM_A], canon[_SM_B]), Board._wrap(canon)
-
-
 def canonicalize_sm_by_scan(board: Board) -> tuple[NestLabel, Board]:
     """Reference canonicalization by the exhaustive scan of the 373,248
     physical symmetries, independent of the reduction it checks."""
@@ -341,8 +303,32 @@ def crosscheck_sm(board: Board) -> tuple[NestLabel, Board]:
 
 
 def canonicalize(variant: str, board: Board) -> tuple[NestLabel, Board]:
-    """Dispatch to the variant's canonicalization."""
-    return (canonicalize_mm if normalize_variant(variant) == MM else canonicalize_sm)(board)
+    """Canonical form of a board under the variant's physical group: the
+    label of its nine catalog blocks, and that nest's representative."""
+    v = normalize_variant(variant)
+    if not (is_modular_magic if v == MM else is_semi_magic)(board):
+        raise DomainError(f"board is not {'modular-magic' if v == MM else 'semi-magic'}")
+    catalog_fn, _, label_codes = _CENSUS[v]
+    code = int(label_codes(_block_indices(catalog_fn, board.cells))[0])
+    label = NestLabel(v, *divmod(code, 9))
+    return label, representative(label)
+
+
+def canonicalize_mm(board: Board) -> tuple[NestLabel, Board]:
+    """Canonical form of a modular-magic board under the physical group."""
+    return canonicalize(MM, board)
+
+
+def canonicalize_sm(board: Board) -> tuple[NestLabel, Board]:
+    """Canonical form of a semi-magic board under the physical group."""
+    return canonicalize(SM, board)
+
+
+def _block_indices(catalog_fn: Callable[[], tuple], cells: bytes) -> np.ndarray:
+    """The (1, 9) catalog indices of a board's blocks, by base-9 code."""
+    cat = _join_tables(catalog_fn)[0]
+    blocks = np.frombuffer(cells, dtype=np.uint8).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3)
+    return np.searchsorted(cat @ _BASE9, blocks.reshape(1, 9, 9) @ _BASE9)
 
 
 # --- representatives and label alphabets ---
@@ -397,14 +383,38 @@ def representative(label: NestLabel) -> Board:
 # --- censuses ---
 
 
+@cache
+def _mm_label_table() -> tuple[np.ndarray, np.ndarray]:
+    """Weights 4**class per modular-magic catalog block, its class being
+    its center and off-diagonal pair, and the int8 table from a board's
+    weight sum to 9 * alpha + gamma (-1 for none). Physical symmetries
+    only move, transpose or rotate blocks or swap their mini-diagonals,
+    so they keep the class multiset, which the sum encodes: each center
+    is in three blocks, so no count reaches 4."""
+    keys = [(blk[1][1], *sorted(off_diagonal_set(blk))) for blk in modular_magic_blocks()]
+    weight = 4 ** np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+    reps = _mm_representatives()
+    sums = [weight[_block_indices(modular_magic_blocks, b.cells)].sum() for b in reps.values()]
+    if len(set(sums)) != len(sums):
+        raise IntegrityError("modular-magic nest representatives share a class multiset")
+    table = np.full(4**9, -1, dtype=np.int8)
+    table[sums] = [9 * a + g for a, g in reps]
+    return weight, table
+
+
 def _mm_label_codes(idx: np.ndarray) -> np.ndarray:
     """9 * alpha + gamma for every board of an (n, 9) chunk of
-    modular-magic catalog indices, one _mm_reduce per row."""
-    cells = _cells(modular_magic_blocks, idx)
-    return np.array([9 * a + g for a, g, _ in map(_mm_reduce, map(bytes, cells))], dtype=np.intp)
+    modular-magic catalog indices, looked up by weight sum."""
+    weight, table = _mm_label_table()
+    codes = table.take(weight[idx].sum(axis=1), mode="clip")  # past the end: no nest
+    if (codes < 0).any():
+        raise IntegrityError("block classes match no modular-magic nest")
+    return codes
 
 
-_CENSUS = {MM: (_mm_join, _mm_label_codes), SM: (_sm_join, _sm_label_codes)}
+# Per variant: the block catalog, the join and the label function.
+_CENSUS = {MM: (modular_magic_blocks, _mm_join, _mm_label_codes),
+           SM: (semi_magic_blocks, _sm_join, _sm_label_codes)}
 
 
 def census(variant: str, partition: tuple[int, int] | None = None) -> Census:
@@ -415,7 +425,7 @@ def census(variant: str, partition: tuple[int, int] | None = None) -> Census:
     indices, with no Board built.
     """
     v = normalize_variant(variant)
-    join, label_codes = _CENSUS[v]
+    _, join, label_codes = _CENSUS[v]
     codes = np.zeros(81, dtype=int)
     for idx in join(partition):
         codes += np.bincount(label_codes(idx), minlength=81)
@@ -427,8 +437,7 @@ def _threaded_census(variant: str, threads: int) -> Census:
     """census(variant), computed in threads partition slices and merged;
     counts stay in label order."""
     v = normalize_variant(variant)
-    if v == SM:
-        _block_tables()  # build once, before any fork
+    _block_tables() if v == SM else _mm_label_table()  # build once, before any fork
     parts = _map_partitions(partial(census, v), threads)
     counts = sum((Counter(part.counts) for part in parts), Counter())
     return Census(v, dict(sorted(counts.items())), sum(part.total for part in parts))

@@ -410,9 +410,7 @@ def _check_orbit_sizes(ctx: VerifyContext, variant: str):
 
 
 def _check_keedwell_suite(ctx: VerifyContext):
-    boards = {
-        (b[9 * 6 + 5], b[9 * 5 + 6]): b for b in complete_standard_gnomon()
-    }
+    boards = {(l.first, l.second): nests.representative(l) for l in nests.sm_labels()}
     decomposable = sum(keedwell_decompose(b) is not None for b in boards.values())
 
     graph = nestgraph.build_nest_graph(SM, ["(12)(45)(78)"])

@@ -308,6 +308,37 @@ def test_verify_json_report(tmp_path, capsys):
     assert payload["checks"][0]["pass"] is True
 
 
+@pytest.mark.parametrize(
+    "selection",
+    [
+        ["--all", "--checks", "g9_certificate"],
+        ["--all", "--variant", "semi-magic"],
+        ["--variant", "semi-magic", "--checks", "g9_certificate"],
+    ],
+)
+def test_verify_selections_are_mutually_exclusive(selection, capsys, monkeypatch):
+    def checks_run(*_, **__):
+        raise AssertionError("ran checks before rejecting the selection")
+
+    monkeypatch.setattr(cli.verification, "run_checks", checks_run)
+    assert run(["verify", *selection]) == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_verify_all_selects_every_check(capsys, monkeypatch):
+    selected = []
+    run_checks = cli.verification.run_checks
+
+    def recorded(names, threads):
+        selected.append(names)
+        return run_checks(["g9_certificate"], threads=threads)
+
+    monkeypatch.setattr(cli.verification, "run_checks", recorded)
+    assert run(["verify", "--all", "--threads", "1"]) == 0
+    assert selected == [None]  # None: every registered check
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("checks", [",", ""])
 def test_verify_empty_check_selection_is_usage_error(checks, capsys, monkeypatch):
     def context_built(**_):

@@ -188,8 +188,53 @@ def test_scan_does_not_depend_on_pattern_order(mm_sample):
     group = catalog.PhysicalGroup(catalog.h_mm_generators())
     reversed_template = nests._MM_TEMPLATE[::-1]
     for board in mm_sample[::50]:
-        want = nests._mm_reduce(board.cells)[2]
+        want = nests._scan(group, nests._MM_TEMPLATE, board.cells, nests._mm_ties)
         assert nests._scan(group, reversed_template, board.cells, nests._mm_ties) == want
+
+
+def test_mm_label_codes_equal_the_scan_oracle():
+    # On every modular-magic board, the weight-sum label is the label of
+    # the one image the H_MM scan finds, and that image is the nest's
+    # representative.
+    group = catalog.PhysicalGroup(catalog.h_mm_generators())
+    reps = {9 * l.first + l.second: nests.representative(l).cells for l in nests.mm_labels()}
+    total = 0
+    for idx in en._mm_join():
+        boards = en._boards(en.modular_magic_blocks, [idx])
+        canon = [nests._scan(group, nests._MM_TEMPLATE, b.cells, nests._mm_ties) for b in boards]
+        want = [9 * c[nests._MM_ALPHA] + c[nests._MM_GAMMA1] for c in canon]
+        assert nests._mm_label_codes(idx).tolist() == want
+        assert [reps[code] for code in want] == canon
+        total += len(idx)
+    assert total == 32_256
+
+
+def test_h_mm_generators_keep_each_representatives_weight_sum():
+    weight, _ = nests._mm_label_table()
+
+    def weight_sum(board):
+        return int(weight[nests._block_indices(en.modular_magic_blocks, board.cells)].sum())
+
+    for label in nests.mm_labels():
+        rep = nests.representative(label)
+        for gen in catalog.h_mm_generators():
+            moved = act(gen.symmetry, rep)
+            assert is_modular_magic(moved)
+            assert weight_sum(moved) == weight_sum(rep)
+
+
+def test_mm_label_codes_reject_classes_of_no_nest():
+    # Nine copies of block 0: one class nine times, which no board holds.
+    with pytest.raises(IntegrityError):
+        nests._mm_label_codes(np.zeros((1, 9), dtype=np.uint8))
+
+
+def test_mm_label_table_rejects_colliding_classes(monkeypatch):
+    # With one off-diagonal pair for every block, a class is a center
+    # alone, and every board has three blocks of each center.
+    monkeypatch.setattr(nests, "off_diagonal_set", lambda blk: frozenset((1, 8)))
+    with pytest.raises(IntegrityError, match="share a class multiset"):
+        nests._mm_label_table.__wrapped__()
 
 
 def _scan_by_table(group, pattern, cells, ties=None):
