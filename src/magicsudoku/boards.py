@@ -5,9 +5,9 @@ Coordinates are 0-based and row-major throughout: rows and columns run
 k // 9 and column k % 9, and block (I, J) covers rows 3I..3I+2 and
 columns 3J..3J+2.
 
-The variant predicates slice the cells through fixed tables and build no
-Block: each mini-line of a block is a 3-byte slice tested against the
-variant's set of allowed lines, as in the block predicates.
+The board predicates gather a board's 27 units once; each must hold the
+nine digits. A variant predicate tests the mini-lines of the nine blocks
+and remembers the blocks that pass, at most the 72 of its catalog.
 
 Board I/O shares one nibble-packing kernel (_pack_rows/_unpack_rows) and
 one digit translate table (_TO_ASCII/_FROM_ASCII). pack, unpack,
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+from functools import cache, partial
 from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
@@ -140,34 +141,29 @@ def format_board(board: Board, pretty: bool = False) -> str:
     return "\n".join(flat[9 * r : 9 * r + 9] for r in range(9))
 
 
-def _mini_lines(base: int, width: int) -> tuple[slice, ...]:
-    """Slices of the mini-rows, mini-columns, main and anti mini-diagonal
-    of the block at cell ``base`` of a row-major grid ``width`` wide."""
-    return (
-        *(slice(base + width * r, base + width * r + 3) for r in range(3)),
-        *(slice(base + c, base + c + 2 * width + 1, width) for c in range(3)),
-        slice(base, base + 2 * width + 3, width + 1),
-        slice(base + 2, base + 2 * width + 1, width - 1),
-    )
-
-
-# The mini-lines of a flattened block and of each block of a board; the
-# rows and columns of a board, and the mini-rows of each block.
-_BLOCK_LINES = _mini_lines(0, 3)
-_BOARD_LINES = tuple(_mini_lines(27 * I + 3 * J, 9) for I in range(3) for J in range(3))
-_ROWS_COLS = [slice(9 * i, 9 * i + 9) for i in range(9)] + [slice(i, 81, 9) for i in range(9)]
-_BLOCK_ROWS = [lines[:3] for lines in _BOARD_LINES]
+# The mini-rows, mini-columns, main and anti mini-diagonal of a block
+# flattened in row-major order.
+_BLOCK_LINES = (*(slice(3 * r, 3 * r + 3) for r in range(3)),
+                *(slice(c, 9, 3) for c in range(3)), slice(0, 9, 4), slice(2, 7, 2))
 # The lines a block may hold: magic mod 9 (all 8 lines sum to 0 mod 9)
 # and semi-magic (the mini-rows and mini-columns sum to 12).
 _MM_LINES = frozenset(bytes(t) for t in itertools.permutations(range(9), 3) if sum(t) % 9 == 0)
 _SM_LINES = frozenset(bytes(t) for t in itertools.permutations(range(9), 3) if sum(t) == 12)
-_MM_BOARD_LINES = [s for lines in _BOARD_LINES for s in lines]
-_SM_BOARD_LINES = [s for lines in _BOARD_LINES for s in lines[:6]]
+# The cells of the rows, the columns and the blocks, nine each in
+# row-major order, from _GRID[I, r, J, c] = cell 27I + 9r + 3J + c.
+_GRID = np.arange(81).reshape(3, 3, 3, 3)
+_UNIT_CELLS = np.concatenate([_GRID, _GRID.transpose(2, 3, 0, 1), _GRID.transpose(0, 2, 1, 3)])
+_SORTED_UNITS = np.tile(np.arange(9, dtype=np.uint8), (27, 1))
+# The blocks seen to pass each variant's block test. Only passing blocks
+# enter, so each set holds at most the 72 blocks of its catalog.
+_MM_PASSED: set[bytes] = set()
+_SM_PASSED: set[bytes] = set()
 
 
 def block(board: Board, I: int, J: int) -> Block:
     """The 3x3 block at block coordinates (I, J)."""
-    return tuple(tuple(board.cells[s]) for s in _BLOCK_ROWS[3 * I + J])
+    base = 27 * I + 3 * J
+    return tuple(tuple(board.cells[base + 9 * r : base + 9 * r + 3]) for r in range(3))
 
 
 def blocks(board: Board) -> list[Block]:
@@ -175,12 +171,36 @@ def blocks(board: Board) -> list[Block]:
     return [block(board, I, J) for I in range(3) for J in range(3)]
 
 
+def _sudoku_blocks(cells: bytes) -> list[bytes] | None:
+    """The nine blocks of a board, each as 9 bytes in row-major order, or
+    None unless every row, column and block holds each digit once."""
+    units = np.frombuffer(cells, dtype=np.uint8)[_UNIT_CELLS].reshape(27, 9)
+    flat = units[18:].tobytes()
+    units.sort(axis=1)
+    if (units != _SORTED_UNITS).any():
+        return None
+    return [flat[k : k + 9] for k in range(0, 81, 9)]
+
+
+def _variant_blocks(cells: bytes, lines: tuple[slice, ...], allowed: frozenset[bytes],
+                    passed: set[bytes]) -> list[bytes] | None:
+    """_sudoku_blocks, or None unless the mini-lines ``lines`` of every
+    block are ``allowed`` lines; blocks that pass join ``passed``."""
+    found = _sudoku_blocks(cells)
+    if found is not None and not passed.issuperset(found):
+        if not all(blk[s] in allowed for blk in found for s in lines):
+            return None
+        passed.update(found)
+    return found
+
+
+# The nine blocks of a modular-magic board, else None.
+_mm_blocks = partial(_variant_blocks, lines=_BLOCK_LINES, allowed=_MM_LINES, passed=_MM_PASSED)
+
+
 def is_sudoku(board: Board) -> bool:
     """True iff every row, column, and block holds each digit exactly once."""
-    cells = board.cells
-    return all(map(_DIGITS.__eq__, map(set, map(cells.__getitem__, _ROWS_COLS)))) and all(
-        set(cells[a] + cells[b] + cells[c]) == _DIGITS for a, b, c in _BLOCK_ROWS
-    )
+    return _sudoku_blocks(board.cells) is not None
 
 
 def _block_bytes(blk: Block) -> bytes | None:
@@ -207,21 +227,20 @@ def is_semi_magic_block(blk: Block) -> bool:
 def is_modular_magic(board: Board) -> bool:
     """True iff the board is a Sudoku board and all blocks are magic
     mod 9: every mini-line of every block is a magic-mod-9 line."""
-    cells = board.cells
-    return is_sudoku(board) and all(cells[s] in _MM_LINES for s in _MM_BOARD_LINES)
+    return _mm_blocks(board.cells) is not None
 
 
 def is_semi_magic(board: Board) -> bool:
     """True iff the board is a Sudoku board and all blocks are semi-magic:
     every mini-row and mini-column of every block sums to 12."""
-    cells = board.cells
-    return is_sudoku(board) and all(cells[s] in _SM_LINES for s in _SM_BOARD_LINES)
+    return _variant_blocks(board.cells, _BLOCK_LINES[:6], _SM_LINES, _SM_PASSED) is not None
 
 
-def _off_diagonal(cells: bytes, lines: tuple[slice, ...]) -> frozenset[int]:
-    """off_diagonal_set of the magic-mod-9 block whose mini-lines are
-    the slices ``lines`` of ``cells``."""
-    main, anti = cells[lines[6]], cells[lines[7]]
+@cache
+def _off_diagonal(flat: bytes) -> frozenset[int]:
+    """off_diagonal_set of a magic-mod-9 block given as 9 bytes in
+    row-major order; cached, as only the 72 such blocks reach it."""
+    main, anti = flat[_BLOCK_LINES[6]], flat[_BLOCK_LINES[7]]
     main_in = set(main) <= _CENTER_SET
     if main_in == (set(anti) <= _CENTER_SET):
         raise StructureError("expected exactly one {0,3,6} mini-diagonal")
@@ -237,7 +256,7 @@ def off_diagonal_set(blk: Block) -> frozenset[int]:
     """
     if not is_magic_mod9_block(blk):
         raise StructureError("off_diagonal_set requires a magic mod-9 block")
-    return _off_diagonal(_block_bytes(blk), _BLOCK_LINES)
+    return _off_diagonal(_block_bytes(blk))
 
 
 # --- packing and file formats ---

@@ -36,7 +36,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .boards import Board, is_modular_magic, is_semi_magic, off_diagonal_set
+from .boards import Board, _sudoku_blocks, is_semi_magic, off_diagonal_set
 from .catalog import PhysicalGroup, h_gamma_generators
 from .enumeration import (
     _join_tables,
@@ -176,7 +176,7 @@ def _scan(
     rows, force, agree, agree_cols, codes = _scan_tables(group, pattern)
     arr = np.frombuffer(cells, dtype=np.uint8).reshape(9, 9)
     both = np.concatenate((arr, arr.T)).ravel()
-    column = np.zeros(162, dtype=np.intp)
+    column = np.zeros(162, dtype=np.uint8)
     column[_ROW_START + both] = _COLUMN
     if (both[_ROW_START + column] != _COLUMN).any():
         raise DomainError("board rows and columns must be permutations of the digits")
@@ -219,8 +219,7 @@ def _block_tables() -> tuple[np.ndarray, ...]:
     the transpose's index, row 0 outside the row family (transpose
     first) and in neither family, every mini-row in the row family, each
     mini-row's row family (3 if none), each row family's mini-row, each
-    digit's mini-column, which mini-columns are {8,1,3}, and the
-    ascending base-9 codes of the cells (the catalog is sorted)."""
+    digit's mini-column, and which mini-columns are {8,1,3}."""
     cat = _join_tables(semi_magic_blocks)[0]
     blocks = cat.reshape(-1, 3, 3)
     bits = np.left_shift(1, blocks.astype(np.intp))
@@ -235,7 +234,7 @@ def _block_tables() -> tuple[np.ndarray, ...]:
     whole = (family < 3).all(axis=1)
     row_of = np.argsort(family, axis=1)
     return (cat, partner.astype(np.uint8), flip, stray, whole, family, row_of,
-            np.argsort(cat) % 3, cols == 0b100001010, codes)
+            np.argsort(cat) % 3, cols == 0b100001010)
 
 
 def _sm_steps(idx: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -245,7 +244,7 @@ def _sm_steps(idx: np.ndarray) -> tuple[np.ndarray, ...]:
     rowperm[0]), b1 (the band whose pillar-0 column at colperm[0] is
     {8,1,3}) and the pillar-0 blocks of bands b1 and 3 - b1. Raises
     IntegrityError unless the mini-line families are consistent."""
-    _, partner, flip, stray, whole, family, row_of, col_of, is_813, _ = _block_tables()
+    _, partner, flip, stray, whole, family, row_of, col_of, is_813 = _block_tables()
     base = np.where(flip[idx[:, 0], None], partner[idx[:, _TRANSPOSE_POS]], idx)
     k = np.arange(len(base))
     # rowperm[0], and the families of blocks 1 and 2 along it.
@@ -264,7 +263,7 @@ def _sm_steps(idx: np.ndarray) -> tuple[np.ndarray, ...]:
 def _sm_label_codes(idx: np.ndarray) -> np.ndarray:
     """9 * first + second of the semi-magic label for every board of an
     (n, 9) chunk of catalog indices, gathered on top of _sm_steps."""
-    cat, *_, row_of, col_of, _, _ = _block_tables()
+    cat, *_, row_of, col_of, _ = _block_tables()
     base, p1, b1, blk1, blk2 = _sm_steps(idx)
     k = np.arange(len(base))
     # rowperm[6] and rowperm[5]: the {0,4,8} row of band b2 and the
@@ -304,12 +303,15 @@ def crosscheck_sm(board: Board) -> tuple[NestLabel, Board]:
 
 def canonicalize(variant: str, board: Board) -> tuple[NestLabel, Board]:
     """Canonical form of a board under the variant's physical group: the
-    label of its nine catalog blocks, and that nest's representative."""
+    label of its Sudoku blocks, which must all be blocks of the variant's
+    catalog, and that nest's representative."""
     v = normalize_variant(variant)
-    if not (is_modular_magic if v == MM else is_semi_magic)(board):
-        raise DomainError(f"board is not {'modular-magic' if v == MM else 'semi-magic'}")
     catalog_fn, _, label_codes = _CENSUS[v]
-    code = int(label_codes(_block_indices(catalog_fn, board.cells))[0])
+    index = _catalog_index(catalog_fn)
+    blocks = _sudoku_blocks(board.cells)
+    if blocks is None or not all(map(index.__contains__, blocks)):
+        raise DomainError(f"board is not {'modular-magic' if v == MM else 'semi-magic'}")
+    code = int(label_codes(np.array([[index[blk] for blk in blocks]]))[0])
     label = NestLabel(v, *divmod(code, 9))
     return label, representative(label)
 
@@ -324,11 +326,10 @@ def canonicalize_sm(board: Board) -> tuple[NestLabel, Board]:
     return canonicalize(SM, board)
 
 
-def _block_indices(catalog_fn: Callable[[], tuple], cells: bytes) -> np.ndarray:
-    """The (1, 9) catalog indices of a board's blocks, by base-9 code."""
-    cat = _join_tables(catalog_fn)[0]
-    blocks = np.frombuffer(cells, dtype=np.uint8).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3)
-    return np.searchsorted(cat @ _BASE9, blocks.reshape(1, 9, 9) @ _BASE9)
+@cache
+def _catalog_index(catalog_fn: Callable[[], tuple]) -> dict[bytes, int]:
+    """Each catalog block's nine bytes, in row-major order, to its index."""
+    return {blk.tobytes(): i for i, blk in enumerate(_join_tables(catalog_fn)[0])}
 
 
 # --- representatives and label alphabets ---
@@ -394,7 +395,8 @@ def _mm_label_table() -> tuple[np.ndarray, np.ndarray]:
     keys = [(blk[1][1], *sorted(off_diagonal_set(blk))) for blk in modular_magic_blocks()]
     weight = 4 ** np.unique(keys, axis=0, return_inverse=True)[1].ravel()
     reps = _mm_representatives()
-    sums = [weight[_block_indices(modular_magic_blocks, b.cells)].sum() for b in reps.values()]
+    index = _catalog_index(modular_magic_blocks)
+    sums = [sum(weight[index[blk]] for blk in _sudoku_blocks(b.cells)) for b in reps.values()]
     if len(set(sums)) != len(sums):
         raise IntegrityError("modular-magic nest representatives share a class multiset")
     table = np.full(4**9, -1, dtype=np.int8)

@@ -152,15 +152,21 @@ def test_sm_scan_agrees_with_constructive(board_sm_71):
 
 
 def test_crosscheck_sm_checks_the_predicate_once(board_mm_72, board_sm_71, monkeypatch):
+    # canonicalize's one read of the board's blocks is its domain check;
+    # the scan behind crosscheck_sm reads nothing more.
     calls = []
 
-    def counted(board):
-        calls.append(board)
-        return is_semi_magic(board)
+    def counted(fn):
+        def wrapper(arg):
+            calls.append(fn.__name__)
+            return fn(arg)
 
-    monkeypatch.setattr(nests, "is_semi_magic", counted)
+        return wrapper
+
+    monkeypatch.setattr(nests, "is_semi_magic", counted(is_semi_magic))
+    monkeypatch.setattr(nests, "_sudoku_blocks", counted(nests._sudoku_blocks))
     assert nests.crosscheck_sm(board_sm_71) == nests.canonicalize_sm(board_sm_71)
-    assert calls == [board_sm_71] * 2
+    assert calls == ["_sudoku_blocks"] * 2
     for fn in (nests.canonicalize_sm, nests.canonicalize_sm_by_scan, nests.crosscheck_sm):
         with pytest.raises(DomainError):
             fn(board_mm_72)
@@ -209,11 +215,48 @@ def test_mm_label_codes_equal_the_scan_oracle():
     assert total == 32_256
 
 
+def _block_indices(catalog_fn, cells):
+    """The (1, 9) catalog indices of a board's blocks, by base-9 code."""
+    cat = en._join_tables(catalog_fn)[0]
+    blocks = np.frombuffer(cells, dtype=np.uint8).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3)
+    return np.searchsorted(cat @ nests._BASE9, blocks.reshape(1, 9, 9) @ nests._BASE9)
+
+
+def _reference_canonicalize(variant, board):
+    """canonicalize as it was before the catalog-index lookup: the
+    variant predicate, then the block indices by base-9 code."""
+    if not (is_modular_magic if variant == "MM" else is_semi_magic)(board):
+        raise DomainError(f"board is not {'modular-magic' if variant == 'MM' else 'semi-magic'}")
+    catalog_fn, _, label_codes = nests._CENSUS[variant]
+    code = int(label_codes(_block_indices(catalog_fn, board.cells))[0])
+    label = nests.NestLabel(variant, *divmod(code, 9))
+    return label, nests.representative(label)
+
+
+def test_canonicalize_equals_the_block_indices_path(mm_sample):
+    rng = random.Random(2024)
+    cases = [("MM", board) for board in mm_sample]
+    cases += [("SM", random_semi_magic(rng)) for _ in range(2000)]
+    for variant, board in cases:
+        assert nests.canonicalize(variant, board) == _reference_canonicalize(variant, board)
+
+
+def test_canonicalize_keeps_its_domain_errors(board_mm_72, board_sm_71):
+    # A Sudoku board of the other variant, and one that is no Sudoku board.
+    zeros = Board(bytes(81))
+    for board in (board_sm_71, zeros):
+        with pytest.raises(DomainError, match="^board is not modular-magic$"):
+            nests.canonicalize("MM", board)
+    for board in (board_mm_72, zeros):
+        with pytest.raises(DomainError, match="^board is not semi-magic$"):
+            nests.canonicalize("SM", board)
+
+
 def test_h_mm_generators_keep_each_representatives_weight_sum():
     weight, _ = nests._mm_label_table()
 
     def weight_sum(board):
-        return int(weight[nests._block_indices(en.modular_magic_blocks, board.cells)].sum())
+        return int(weight[_block_indices(en.modular_magic_blocks, board.cells)].sum())
 
     for label in nests.mm_labels():
         rep = nests.representative(label)

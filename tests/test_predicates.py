@@ -1,11 +1,14 @@
-"""The cell-slice predicates against the block-tuple predicates they
+"""The block-pass predicates against the block-tuple predicates they
 replaced, kept here as the oracle."""
 
+import ast
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
-from magicsudoku import analysis as an
+from magicsudoku import analysis as an, boards
 from magicsudoku.boards import (
     Board,
     blocks,
@@ -186,3 +189,66 @@ def test_check_two_equal_matches_the_oracle(sample_boards):
     # The sample, its band swaps, transposes and digit shifts by 3.
     assert checked >= 4 * 347
 
+
+# --- the block pass: digit range, passing-block sets, independence ---
+
+
+def _shifted(board):
+    """The board with every digit raised by one: each row, column and
+    block holds 1..9, nine distinct values but not the digits 0..8."""
+    return Board._wrap(bytes(d + 1 for d in board.cells))
+
+
+@pytest.fixture(scope="module")
+def wrapped_boards(sample_boards):
+    base, _ = sample_boards
+    return [_shifted(board) for board in base[::25]]
+
+
+def test_board_predicates_reject_digit_nine(wrapped_boards):
+    assert max(wrapped_boards[0].cells) == 9
+    for board in wrapped_boards:
+        assert len(set(board.cells[:9])) == 9
+        assert not is_sudoku(board)
+        assert not is_modular_magic(board)
+        assert not is_semi_magic(board)
+
+
+def test_passing_block_sets_hold_only_catalog_blocks(sample_boards, wrapped_boards):
+    base, mutated = sample_boards
+    for board in base + mutated + wrapped_boards:
+        is_modular_magic(board)  # never raises on the corpus
+        is_semi_magic(board)
+    for passed, catalog in (
+        (boards._MM_PASSED, modular_magic_blocks()),
+        (boards._SM_PASSED, semi_magic_blocks()),
+    ):
+        assert 0 < len(passed) <= 72
+        assert passed <= {bytes(itertools.chain.from_iterable(blk)) for blk in catalog}
+
+
+# The predicate and the off-diagonal sweep stay independent of the join,
+# the nest labels and the group catalog that they check.
+_CHECKED_ELSEWHERE = {"enumeration", "nests", "catalog"}
+_ALLOWED_IMPORTS = {"boards": {"errors"}, "analysis": {"boards", "errors", "nestgraph"}}
+
+
+def _package_imports(module):
+    """The magicsudoku modules that a module's source imports, at any
+    depth of its syntax tree."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["magicsudoku" if node.level else "", node.module]))
+            names |= {f"{base}.{alias.name}" for alias in node.names}
+    return {name.split(".")[1] for name in names if name.startswith("magicsudoku.")}
+
+
+@pytest.mark.parametrize("module", [boards, an], ids=lambda m: m.__name__)
+def test_predicates_and_sweep_import_no_join(module):
+    imported = _package_imports(module)
+    name = module.__name__.rsplit(".", 1)[1]
+    assert not imported & _CHECKED_ELSEWHERE
+    assert imported <= _ALLOWED_IMPORTS[name]
