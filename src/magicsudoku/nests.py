@@ -18,13 +18,16 @@ that holds the pattern. Over H_MM (96 candidates) with the mini-diagonal
 pattern, and over H_Γ (864) with the standard gnomon, it is the oracle
 for the labels.
 
-Each variant has one label function on (n, 9) chunks of catalog
-indices; the census counts its labels with np.bincount, building no
-Board, and canonicalize returns the representative of the label's nest.
-Physical symmetries keep a modular-magic board's multiset of block
-classes (center and off-diagonal pair), which a weight sum encodes. The
-semi-magic label follows the constructive reduction to the standard
-gnomon, whose forced steps come from per-block lookup tables.
+Both variants label (n, 9) chunks of catalog indices the same way: a
+table lookup of a block code. The census counts the labels with
+np.bincount, building no Board, and canonicalize returns the
+representative of the label's nest. The modular-magic code is a board's
+multiset of block classes (center and off-diagonal pair), which physical
+symmetries keep: one code per nest. The semi-magic code is the
+mini-line family of block 0 and the cyclic step between neighbouring
+blocks of each band and pillar: eight codes per nest. One walk from the
+representatives under the physical generators builds each table, with
+no scan.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .boards import Board, _sudoku_blocks, is_semi_magic, off_diagonal_set
-from .catalog import PhysicalGroup, h_gamma_generators
+from .catalog import PhysicalGroup, h_gamma_generators, h_mm_generators
 from .enumeration import (
     _join_tables,
     _map_partitions,
@@ -50,6 +53,7 @@ from .enumeration import (
     standard_gnomon_cells,
 )
 from .errors import DomainError, IntegrityError
+from .perms import act
 
 __all__ = [
     "MM",
@@ -126,6 +130,7 @@ _MM_TEMPLATE = tuple(sorted((9 * (3 * I + t) + 3 * J + t, (3 * ((I + J) % 3) + 3
 # gamma at (3,8) and repeated at (6,5).
 _MM_ALPHA, _MM_BETA, _MM_GAMMA1, _MM_GAMMA2 = 2, 18, 35, 59
 _SM_A, _SM_B = 9 * 6 + 5, 9 * 5 + 6
+_SM_GNOMON_CELLS = tuple(standard_gnomon_cells())
 
 
 @cache
@@ -200,85 +205,9 @@ def _mm_ties(images: np.ndarray) -> np.ndarray:
     )
 
 
-# --- semi-magic constructive reduction, in block coordinates ---
-
-# Digit-set bitmasks of the two families of mini-lines. In the standard
-# gnomon's top-left block the rows are {0,4,8},{5,6,1},{7,2,3} (in that
-# order) and the columns are {0,5,7},{4,6,2},{8,1,3}.
-_ROW_FAMILY = {0b100010001: 0, 0b001100010: 1, 0b010001100: 2}
-_COL_FAMILY_MASKS = frozenset((0b010100001, 0b001010100, 0b100001010))
-_SM_GNOMON_CELLS = tuple(standard_gnomon_cells())
-# Block positions of the transposed board: position 3I+J holds the
-# transpose of the block at 3J+I.
-_TRANSPOSE_POS = np.array([0, 3, 6, 1, 4, 7, 2, 5, 8])
-
-
-@cache
-def _block_tables() -> tuple[np.ndarray, ...]:
-    """The reduction's lookups per semi-magic catalog index: the cells,
-    the transpose's index, row 0 outside the row family (transpose
-    first) and in neither family, every mini-row in the row family, each
-    mini-row's row family (3 if none), each row family's mini-row, each
-    digit's mini-column, and which mini-columns are {8,1,3}."""
-    cat = _join_tables(semi_magic_blocks)[0]
-    blocks = cat.reshape(-1, 3, 3)
-    bits = np.left_shift(1, blocks.astype(np.intp))
-    rows, cols = bits.sum(axis=2), bits.sum(axis=1)
-    lookup = np.full(512, 3)
-    lookup[list(_ROW_FAMILY)] = list(_ROW_FAMILY.values())
-    family = lookup[rows]
-    codes = cat @ _BASE9
-    partner = np.searchsorted(codes, blocks.transpose(0, 2, 1).reshape(-1, 9) @ _BASE9)
-    flip = family[:, 0] == 3
-    stray = flip & ~np.isin(rows[:, 0], list(_COL_FAMILY_MASKS))
-    whole = (family < 3).all(axis=1)
-    row_of = np.argsort(family, axis=1)
-    return (cat, partner.astype(np.uint8), flip, stray, whole, family, row_of,
-            np.argsort(cat) % 3, cols == 0b100001010)
-
-
-def _sm_steps(idx: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The forced steps of the reduction to the standard gnomon for an
-    (n, 9) chunk of semi-magic catalog indices: base (the block indices
-    of the board or its transpose), p1 (the pillar holding {7,2,3} along
-    rowperm[0]), b1 (the band whose pillar-0 column at colperm[0] is
-    {8,1,3}) and the pillar-0 blocks of bands b1 and 3 - b1. Raises
-    IntegrityError unless the mini-line families are consistent."""
-    _, partner, flip, stray, whole, family, row_of, col_of, is_813 = _block_tables()
-    base = np.where(flip[idx[:, 0], None], partner[idx[:, _TRANSPOSE_POS]], idx)
-    k = np.arange(len(base))
-    # rowperm[0], and the families of blocks 1 and 2 along it.
-    r0 = row_of[base[:, 0], 0]
-    f1, f2 = family[base[:, 1], r0], family[base[:, 2], r0]
-    p1 = np.where(f1 == 2, 1, 2)
-    b1 = np.where(is_813[base[:, 3], col_of[base[:, 0], 0]], 1, 2)
-    blk1, blk2 = base[k, 3 * b1], base[k, 9 - 3 * b1]
-    # f1 * f2 == 2 exactly when {f1, f2} = {1, 2}.
-    ok = ~stray[idx[:, 0]] & whole[base[:, 0]] & (f1 * f2 == 2) & whole[blk1] & whole[blk2]
-    if not ok.all():
-        raise IntegrityError("mini-line families inconsistent")
-    return base, p1, b1, blk1, blk2
-
-
-def _sm_label_codes(idx: np.ndarray) -> np.ndarray:
-    """9 * first + second of the semi-magic label for every board of an
-    (n, 9) chunk of catalog indices, gathered on top of _sm_steps."""
-    cat, *_, row_of, col_of, _ = _block_tables()
-    base, p1, b1, blk1, blk2 = _sm_steps(idx)
-    k = np.arange(len(base))
-    # rowperm[6] and rowperm[5]: the {0,4,8} row of band b2 and the
-    # {7,2,3} row of band b1. colperm[5] and colperm[6]: the columns of
-    # digits 3 and 5 along rowperm[0], in pillars p1 and p2.
-    r6, r5 = row_of[blk2, 0], row_of[blk1, 2]
-    c5, c6 = col_of[base[k, p1], 3], col_of[base[k, 3 - p1], 5]
-    first = cat[base[k, 9 - 3 * b1 + p1], 3 * r6 + c5]
-    second = cat[base[k, 3 * b1 + 3 - p1], 3 * r5 + c6]
-    return 9 * first.astype(np.intp) + second
-
-
 def canonicalize_sm_by_scan(board: Board) -> tuple[NestLabel, Board]:
     """Reference canonicalization by the exhaustive scan of the 373,248
-    physical symmetries, independent of the reduction it checks."""
+    physical symmetries, independent of the label table it checks."""
     if not is_semi_magic(board):
         raise DomainError("board is not semi-magic")
     return _sm_scanned(board)
@@ -291,12 +220,12 @@ def _sm_scanned(board: Board) -> tuple[NestLabel, Board]:
 
 
 def crosscheck_sm(board: Board) -> tuple[NestLabel, Board]:
-    """Constructive canonicalization, verified against the scan oracle."""
+    """canonicalize_sm, verified against the scan oracle."""
     label, canon = canonicalize_sm(board)
     scan_label, scan_canon = _sm_scanned(board)  # checked semi-magic above
     if label != scan_label or canon != scan_canon:
         raise IntegrityError(
-            f"constructive reduction gave {label}, scan oracle gave {scan_label}"
+            f"label table gave {label}, scan oracle gave {scan_label}"
         )
     return label, canon
 
@@ -306,12 +235,11 @@ def canonicalize(variant: str, board: Board) -> tuple[NestLabel, Board]:
     label of its Sudoku blocks, which must all be blocks of the variant's
     catalog, and that nest's representative."""
     v = normalize_variant(variant)
-    catalog_fn, _, label_codes = _CENSUS[v]
-    index = _catalog_index(catalog_fn)
+    index = _catalog_index(_CENSUS[v][0])
     blocks = _sudoku_blocks(board.cells)
     if blocks is None or not all(map(index.__contains__, blocks)):
         raise DomainError(f"board is not {'modular-magic' if v == MM else 'semi-magic'}")
-    code = int(label_codes(np.array([[index[blk] for blk in blocks]]))[0])
+    code = int(_label_codes(v, np.array([[index[blk] for blk in blocks]]))[0])
     label = NestLabel(v, *divmod(code, 9))
     return label, representative(label)
 
@@ -381,42 +309,106 @@ def representative(label: NestLabel) -> Board:
     return board
 
 
-# --- censuses ---
+# --- labels and censuses ---
 
 
 @cache
-def _mm_label_table() -> tuple[np.ndarray, np.ndarray]:
-    """Weights 4**class per modular-magic catalog block, its class being
-    its center and off-diagonal pair, and the int8 table from a board's
-    weight sum to 9 * alpha + gamma (-1 for none). Physical symmetries
-    only move, transpose or rotate blocks or swap their mini-diagonals,
-    so they keep the class multiset, which the sum encodes: each center
+def _mm_weights() -> np.ndarray:
+    """4**class per modular-magic catalog block, its class being its
+    center and off-diagonal pair. Physical symmetries only move,
+    transpose or rotate blocks or swap their mini-diagonals, so they keep
+    a board's class multiset, which the weight sum encodes: each center
     is in three blocks, so no count reaches 4."""
     keys = [(blk[1][1], *sorted(off_diagonal_set(blk))) for blk in modular_magic_blocks()]
-    weight = 4 ** np.unique(keys, axis=0, return_inverse=True)[1].ravel()
-    reps = _mm_representatives()
-    index = _catalog_index(modular_magic_blocks)
-    sums = [sum(weight[index[blk]] for blk in _sudoku_blocks(b.cells)) for b in reps.values()]
-    if len(set(sums)) != len(sums):
-        raise IntegrityError("modular-magic nest representatives share a class multiset")
-    table = np.full(4**9, -1, dtype=np.int8)
-    table[sums] = [9 * a + g for a, g in reps]
-    return weight, table
+    return 4 ** np.unique(keys, axis=0, return_inverse=True)[1].ravel()
 
 
-def _mm_label_codes(idx: np.ndarray) -> np.ndarray:
-    """9 * alpha + gamma for every board of an (n, 9) chunk of
-    modular-magic catalog indices, looked up by weight sum."""
-    weight, table = _mm_label_table()
-    codes = table.take(weight[idx].sum(axis=1), mode="clip")  # past the end: no nest
+def _mm_code(idx: np.ndarray) -> np.ndarray:
+    """The weight sum of every board of an (n, 9) chunk of modular-magic
+    catalog indices."""
+    return _mm_weights()[idx].sum(axis=1)
+
+
+# The two families of semi-magic mini-line digit sets, in order: the
+# standard gnomon's top-left mini-rows and its mini-columns. Every
+# semi-magic block has its mini-rows in one family and its mini-columns
+# in the other.
+_SM_FAMILIES = (((0, 4, 8), (5, 6, 1), (7, 2, 3)), ((0, 5, 7), (4, 6, 2), (8, 1, 3)))
+_POW3 = 3 ** np.arange(6)
+
+
+@cache
+def _sm_code_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per semi-magic catalog block, whether its mini-rows are in the
+    column family; per pair of blocks (a, b), the step (p[b] - p[a]) % 3,
+    p being the position of a block's first mini-row in its family; and
+    the same step on the first mini-columns."""
+    bits = np.left_shift(1, _join_tables(semi_magic_blocks)[0].reshape(-1, 3, 3).astype(np.intp))
+    family, position = np.zeros(512, dtype=np.intp), np.zeros(512, dtype=np.intp)
+    for f, lines in enumerate(_SM_FAMILIES):
+        for p, line in enumerate(lines):
+            mask = sum(1 << d for d in line)
+            family[mask], position[mask] = f, p
+    row0, col0 = bits[:, 0].sum(axis=1), bits[:, :, 0].sum(axis=1)
+
+    def step(p: np.ndarray) -> np.ndarray:
+        return (p[None, :] - p[:, None]) % 3
+
+    return family[row0], step(position[row0]), step(position[col0])
+
+
+def _sm_code(idx: np.ndarray) -> np.ndarray:
+    """729 t + sum of 3**I k_I + sum of 3**(3+J) m_J for every board of an
+    (n, 9) chunk of semi-magic catalog indices: t whether block 0's
+    mini-rows are in the column family, k_I the row step from block 3I
+    to 3I+1 and m_J the column step from block J to 3+J. On a board each
+    step is 1 or 2, the same along every row of the band or column of
+    the pillar."""
+    flip, row_step, col_step = _sm_code_tables()
+    rows = row_step[idx[:, 0::3], idx[:, 1::3]] @ _POW3[:3]
+    return 729 * flip[idx[:, 0]] + rows + col_step[idx[:, :3], idx[:, 3:6]] @ _POW3[3:]
+
+
+@cache
+def _label_table(variant: str) -> np.ndarray:
+    """The int8 table from the variant's block code to 9 * first + second
+    of the nest label: -1 for a code of no nest, and one -1 past the last
+    code for take(mode="clip") to read every larger code as no nest.
+    Walked from each nest's representative under the variant's physical
+    generators, with one witness board per code, until no new code
+    appears. Raises IntegrityError if two nests reach one code."""
+    catalog_fn, _, code_fn, generators = _CENSUS[variant]
+    index = _catalog_index(catalog_fn)
+    symmetries = [gen.symmetry for gen in generators()]
+    nest_of: dict[int, NestLabel] = {}
+    for label in labels(variant):
+        todo = [representative(label)]
+        while todo:
+            board = todo.pop()
+            code = int(code_fn(np.array([[index[blk] for blk in _sudoku_blocks(board.cells)]]))[0])
+            if code not in nest_of:
+                nest_of[code] = label
+                todo += [act(s, board) for s in symmetries]
+            elif nest_of[code] != label:
+                raise IntegrityError(f"nests {nest_of[code]} and {label} reach one block code")
+    table = np.full(max(nest_of) + 2, -1, dtype=np.int8)
+    table[list(nest_of)] = [9 * label.first + label.second for label in nest_of.values()]
+    return table
+
+
+def _label_codes(variant: str, idx: np.ndarray) -> np.ndarray:
+    """9 * first + second of the nest label of every board of an (n, 9)
+    chunk of the variant's catalog indices."""
+    codes = _label_table(variant).take(_CENSUS[variant][2](idx), mode="clip")
     if (codes < 0).any():
-        raise IntegrityError("block classes match no modular-magic nest")
+        raise IntegrityError(f"block codes match no {variant} nest")
     return codes
 
 
-# Per variant: the block catalog, the join and the label function.
-_CENSUS = {MM: (modular_magic_blocks, _mm_join, _mm_label_codes),
-           SM: (semi_magic_blocks, _sm_join, _sm_label_codes)}
+# Per variant: the block catalog, the join, the block code and the
+# physical generators.
+_CENSUS = {MM: (modular_magic_blocks, _mm_join, _mm_code, h_mm_generators),
+           SM: (semi_magic_blocks, _sm_join, _sm_code, h_gamma_generators)}
 
 
 def census(variant: str, partition: tuple[int, int] | None = None) -> Census:
@@ -427,10 +419,9 @@ def census(variant: str, partition: tuple[int, int] | None = None) -> Census:
     indices, with no Board built.
     """
     v = normalize_variant(variant)
-    _, join, label_codes = _CENSUS[v]
     codes = np.zeros(81, dtype=int)
-    for idx in join(partition):
-        codes += np.bincount(label_codes(idx), minlength=81)
+    for idx in _CENSUS[v][1](partition):
+        codes += np.bincount(_label_codes(v, idx), minlength=81)
     mapping = {NestLabel(v, *divmod(code, 9)): int(n) for code, n in enumerate(codes) if n}
     return Census(v, mapping, sum(mapping.values()))
 
@@ -439,7 +430,7 @@ def _threaded_census(variant: str, threads: int) -> Census:
     """census(variant), computed in threads partition slices and merged;
     counts stay in label order."""
     v = normalize_variant(variant)
-    _block_tables() if v == SM else _mm_label_table()  # build once, before any fork
+    _label_table(v)  # build once, before any fork
     parts = _map_partitions(partial(census, v), threads)
     counts = sum((Counter(part.counts) for part in parts), Counter())
     return Census(v, dict(sorted(counts.items())), sum(part.total for part in parts))

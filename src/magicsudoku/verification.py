@@ -175,7 +175,7 @@ class VerifyContext:
         return self._seconds[MM] + self._seconds["off_diagonal_sweep"]
 
     def sm_crosscheck(self) -> tuple[int, int]:
-        """(boards checked, mismatches) for the constructive vs
+        """(boards checked, mismatches) for the label-table vs
         scan-oracle comparison on random semi-magic boards, drawn here
         and compared in threads slices. A mismatch is a
         MagicSudokuError; any other exception propagates."""

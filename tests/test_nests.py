@@ -1,9 +1,11 @@
 """Nest labels, canonicalization, representatives, and the census."""
 
+import ast
 import hashlib
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,7 +211,7 @@ def test_mm_label_codes_equal_the_scan_oracle():
         boards = en._boards(en.modular_magic_blocks, [idx])
         canon = [nests._scan(group, nests._MM_TEMPLATE, b.cells, nests._mm_ties) for b in boards]
         want = [9 * c[nests._MM_ALPHA] + c[nests._MM_GAMMA1] for c in canon]
-        assert nests._mm_label_codes(idx).tolist() == want
+        assert nests._label_codes("MM", idx).tolist() == want
         assert [reps[code] for code in want] == canon
         total += len(idx)
     assert total == 32_256
@@ -227,8 +229,8 @@ def _reference_canonicalize(variant, board):
     variant predicate, then the block indices by base-9 code."""
     if not (is_modular_magic if variant == "MM" else is_semi_magic)(board):
         raise DomainError(f"board is not {'modular-magic' if variant == 'MM' else 'semi-magic'}")
-    catalog_fn, _, label_codes = nests._CENSUS[variant]
-    code = int(label_codes(_block_indices(catalog_fn, board.cells))[0])
+    catalog_fn = nests._CENSUS[variant][0]
+    code = int(nests._label_codes(variant, _block_indices(catalog_fn, board.cells))[0])
     label = nests.NestLabel(variant, *divmod(code, 9))
     return label, nests.representative(label)
 
@@ -253,7 +255,7 @@ def test_canonicalize_keeps_its_domain_errors(board_mm_72, board_sm_71):
 
 
 def test_h_mm_generators_keep_each_representatives_weight_sum():
-    weight, _ = nests._mm_label_table()
+    weight = nests._mm_weights()
 
     def weight_sum(board):
         return int(weight[_block_indices(en.modular_magic_blocks, board.cells)].sum())
@@ -266,18 +268,78 @@ def test_h_mm_generators_keep_each_representatives_weight_sum():
             assert weight_sum(moved) == weight_sum(rep)
 
 
-def test_mm_label_codes_reject_classes_of_no_nest():
-    # Nine copies of block 0: one class nine times, which no board holds.
-    with pytest.raises(IntegrityError):
-        nests._mm_label_codes(np.zeros((1, 9), dtype=np.uint8))
+@pytest.mark.parametrize("variant, per_nest", [("MM", 1), ("SM", 8)])
+def test_label_table_walks_every_code(variant, per_nest):
+    table = nests._label_table(variant)
+    assert table.dtype == np.int8 and table[-1] == -1
+    codes = Counter(table[table >= 0].tolist())
+    assert codes == {9 * label.first + label.second: per_nest for label in nests.labels(variant)}
 
 
-def test_mm_label_table_rejects_colliding_classes(monkeypatch):
+@pytest.mark.parametrize("variant", ["MM", "SM"])
+def test_label_codes_reject_codes_of_no_nest(variant):
+    # Nine copies of block 0: for MM one class nine times, which no board
+    # holds; for SM step 0 in every band and pillar, which no nest reaches.
+    with pytest.raises(IntegrityError, match=f"no {variant} nest"):
+        nests._label_codes(variant, np.zeros((1, 9), dtype=np.uint8))
+
+
+def _constant_code(variant, monkeypatch):
+    def constant(idx):
+        return np.zeros(len(idx), dtype=np.intp)
+
+    catalog_fn, join, _, generators = nests._CENSUS[variant]
+    monkeypatch.setitem(nests._CENSUS, variant, (catalog_fn, join, constant, generators))
+
+
+def _one_off_diagonal_pair(variant, monkeypatch):
     # With one off-diagonal pair for every block, a class is a center
     # alone, and every board has three blocks of each center.
     monkeypatch.setattr(nests, "off_diagonal_set", lambda blk: frozenset((1, 8)))
-    with pytest.raises(IntegrityError, match="share a class multiset"):
-        nests._mm_label_table.__wrapped__()
+    monkeypatch.setattr(nests, "_mm_weights", nests._mm_weights.__wrapped__)  # not the cache
+
+
+@pytest.mark.parametrize(
+    "variant, mutate",
+    [("MM", _constant_code), ("SM", _constant_code), ("MM", _one_off_diagonal_pair)],
+    ids=["MM-constant", "SM-constant", "MM-one-off-diagonal-pair"],
+)
+def test_label_table_rejects_nests_sharing_a_code(variant, mutate, monkeypatch):
+    mutate(variant, monkeypatch)
+    with pytest.raises(IntegrityError, match="reach one block code"):
+        nests._label_table.__wrapped__(variant)
+
+
+# The names of the scan oracle, which crosscheck_sm checks the labels
+# against, and the label functions, which must reach none of them.
+_SCAN_NAMES = {"_scan", "_scan_tables", "_sm_scanned", "h_gamma_group", "PhysicalGroup"}
+_LABEL_PATH = ("_label_table", "_label_codes", "_mm_code", "_sm_code", "_mm_weights",
+               "_sm_code_tables")
+
+
+def test_label_path_names_no_scan():
+    tree = ast.parse(Path(nests.__file__).read_text())
+    top = {}  # module-level name -> the def or assignment that binds it
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            top[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            top.update((n.id, node) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+    # Follow the label functions through every module-level name they use.
+    reached, todo = set(), list(_LABEL_PATH)
+    while todo:
+        name = todo.pop()
+        if name in top and name not in reached:
+            reached.add(name)
+            todo += names(top[name])
+    assert set(_LABEL_PATH) <= reached
+    assert not set().union(*map(names, map(top.get, reached))) & _SCAN_NAMES
 
 
 def _scan_by_table(group, pattern, cells, ties=None):
@@ -369,7 +431,7 @@ def test_sm_census_expected_sizes(sm_census):
     assert sum(counts.values()) == 5971968
 
 
-# --- the scalar reduction, kept as the reference for the block-coordinate one ---
+# --- the scalar reduction, kept as the reference for the table-lookup label ---
 
 # Digit-set bitmasks of the two families of mini-lines. In the standard
 # gnomon's top-left block the rows are {0,4,8},{5,6,1},{7,2,3} (in that
@@ -435,36 +497,10 @@ def _index_rows_and_boards(idx):
 
 @pytest.mark.parametrize("top_left", [17, 68])  # reduced directly; transposed first
 def test_batch_sm_label_equals_scalar(top_left):
-    assert nests._block_tables()[2][top_left] == (top_left == 68)  # flip
+    assert nests._sm_code_tables()[0][top_left] == (top_left == 68)  # flip
     for idx, boards in map(_index_rows_and_boards, en._sm_join((top_left, 72))):
         want = [9 * a + b for a, b in (_sm_label(board.cells) for board in boards)]
-        assert nests._sm_label_codes(idx).tolist() == want
-
-
-def test_batch_sm_label_rejects_what_the_scalar_rejects():
-    # Nine copies of block 0 put {0,4,8} in row rowperm[0] of blocks 1
-    # and 2, so the scalar _sm_reduce raises where it reads the digits
-    # of block 2 along that row as {7,2,3}.
-    idx, (board,) = _index_rows_and_boards(np.zeros((1, 9), dtype=np.uint8))
-    with pytest.raises(IntegrityError):
-        _sm_label(board.cells)
-    with pytest.raises(IntegrityError):
-        nests._sm_label_codes(idx)
-    # Arbitrary index rows: the batch label raises exactly where the
-    # scalar raises, and agrees with it elsewhere.
-    rows = np.random.default_rng(5).integers(0, 72, (2000, 9)).astype(np.uint8)
-    for row in rows:
-        idx, (board,) = _index_rows_and_boards(row[None])
-        try:
-            a, b = _sm_label(board.cells)
-            want = 9 * a + b
-        except IntegrityError:
-            want = None
-        try:
-            got = int(nests._sm_label_codes(idx)[0])
-        except IntegrityError:
-            got = None
-        assert got == want
+        assert nests._label_codes("SM", idx).tolist() == want
 
 
 def test_canonicalize_sm_equals_the_reference_reduction():
@@ -492,6 +528,7 @@ def test_census_builds_no_board(variant, partition, monkeypatch):
     def built(*args):
         raise AssertionError("census built a Board")
 
+    nests._label_table(variant)  # the table's walk builds Boards; the census must not
     monkeypatch.setattr(Board, "_wrap", built)
     result = nests.census(variant, partition)
     assert result.total == (896 if variant == "MM" else 82_944)
