@@ -14,9 +14,9 @@ row-major order, extending every partial assembly by one position at a
 time, and yields (n, 9) uint8 chunks of catalog indices, one per
 admissible pair of blocks at positions 0 and 1. Chunks and their rows
 come in lexicographic order, so earlier positions vary slowest. A block
-is fixed by its mini-row and mini-column digit sets, so band 2's last
-two blocks are looked up, not masked: the pillars above position 7 fix
-its column sets, and band 2 and pillar 2 fix both sets of position 8.
+is fixed by its mini-row and mini-column digit sets, so band 2's blocks
+are looked up, not masked: the pillars above positions 6 and 7 fix their
+column sets, and band 2 and pillar 2 fix both sets of position 8.
 Board objects are built only for visitors, the iterators and completions.
 
 Both enumerators are deterministic: semi-magic boards come in join
@@ -144,7 +144,7 @@ def _join_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 @cache
 def _forced_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, ...]:
-    """Lookups for band 2's last blocks. A block is fixed by its mini-row
+    """Lookups for band 2's blocks. A block is fixed by its mini-row
     and mini-column triples (ordered digit sets): cell (i, j) is the one
     digit in row set i and column set j. row_rest[a, b] and col_rest[a, b]
     are the triple ids that complete a band or a pillar holding blocks a
@@ -190,18 +190,19 @@ def _admissible(tables, allowed: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def _extend(catalog_fn: _Catalog, cand: np.ndarray, idx: np.ndarray, stop: int) -> np.ndarray:
     """Extend the (n, p) partial assemblies idx through block position
-    stop - 1, position q drawing from the mask cand[q]. Position 7 draws
-    from the blocks with the column triple pillar 1 leaves, and position
-    8 is the one block with the triples band 2 and pillar 2 leave, if
-    any. Rows stay in lexicographic order: np.nonzero lists a mask's
-    rows in order and each row's blocks (or by_col's) in ascending order."""
+    stop - 1, position q drawing from the mask cand[q]. Positions 6 and 7
+    draw from the blocks with the column triple their pillar leaves (7 also
+    fitting 6's rows), and 8 is the one block with the triples band 2 and
+    pillar 2 leave, if any. Rows stay in lexicographic order: np.nonzero
+    lists a mask's rows in order, each row's blocks (and by_col's) ascending."""
     tables = _join_tables(catalog_fn)
     row_rest, col_rest, block_of, by_col, row_fit = _forced_tables(catalog_fn)
     allowed = np.pad(cand, ((0, 0), (0, 1)))  # block n, none, is never allowed
     for p in range(idx.shape[1], stop):
-        if p == 7:
-            picks = by_col[col_rest[idx[:, 1], idx[:, 4]]]
-            rows, k = np.nonzero(allowed[p, picks] & row_fit[idx[:, 6, None], picks])
+        if p in (6, 7):
+            picks = by_col[col_rest[idx[:, p - 6], idx[:, p - 3]]]
+            fit = row_fit[idx[:, 6, None], picks] if p == 7 else True
+            rows, k = np.nonzero(allowed[p, picks] & fit)
             picks = picks[rows, k]
         elif p == 8:
             picks = block_of[row_rest[idx[:, 6], idx[:, 7]], col_rest[idx[:, 2], idx[:, 5]]]

@@ -18,10 +18,10 @@ that holds the pattern. Over H_MM (96 candidates) with the mini-diagonal
 pattern, and over H_Γ (864) with the standard gnomon, it is the oracle
 for the labels.
 
-Both variants label (n, 9) chunks of catalog indices the same way: a
-table lookup of a block code. The census counts the labels with
-np.bincount, building no Board, and canonicalize returns the
-representative of the label's nest. The modular-magic code is a board's
+Both variants label boards by a table lookup of a block code, whose one
+function reads the block columns of an (n, 9) join chunk, which the
+census counts, or one board's nine catalog blocks, which canonicalize
+checks by the join's own rule. The modular-magic code is a board's
 multiset of block classes (center and off-diagonal pair), which physical
 symmetries keep: one code per nest. The semi-magic code is the
 mini-line family of block 0 and the cyclic step between neighbouring
@@ -39,9 +39,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .boards import Board, _sudoku_blocks, is_semi_magic, off_diagonal_set
+from .boards import Board, is_semi_magic, off_diagonal_set
 from .catalog import PhysicalGroup, h_gamma_generators, h_mm_generators
 from .enumeration import (
+    _fit_masks,
     _join_tables,
     _map_partitions,
     _mm_join,
@@ -232,16 +233,10 @@ def crosscheck_sm(board: Board) -> tuple[NestLabel, Board]:
 
 def canonicalize(variant: str, board: Board) -> tuple[NestLabel, Board]:
     """Canonical form of a board under the variant's physical group: the
-    label of its Sudoku blocks, which must all be blocks of the variant's
-    catalog, and that nest's representative."""
+    census's label of its nine catalog blocks, and that nest's
+    representative. Raises DomainError unless the board is of the variant."""
     v = normalize_variant(variant)
-    index = _catalog_index(_CENSUS[v][0])
-    blocks = _sudoku_blocks(board.cells)
-    if blocks is None or not all(map(index.__contains__, blocks)):
-        raise DomainError(f"board is not {'modular-magic' if v == MM else 'semi-magic'}")
-    code = int(_label_codes(v, np.array([[index[blk] for blk in blocks]]))[0])
-    label = NestLabel(v, *divmod(code, 9))
-    return label, representative(label)
+    return _nests(v)[int(_label_codes(v, _board_blocks(v, board.cells)))]
 
 
 def canonicalize_mm(board: Board) -> tuple[NestLabel, Board]:
@@ -255,9 +250,30 @@ def canonicalize_sm(board: Board) -> tuple[NestLabel, Board]:
 
 
 @cache
-def _catalog_index(catalog_fn: Callable[[], tuple]) -> dict[bytes, int]:
-    """Each catalog block's nine bytes, in row-major order, to its index."""
-    return {blk.tobytes(): i for i, blk in enumerate(_join_tables(catalog_fn)[0])}
+def _catalog_index(variant: str) -> dict[bytes, int]:
+    """Each of the variant's catalog blocks, as nine row-major bytes, to its index."""
+    return {blk.tobytes(): i for i, blk in enumerate(_join_tables(_CENSUS[variant][0])[0])}
+
+
+# The cells of the nine blocks, each in row-major order; block positions
+# (p, q) that share a band, with their transposes (s, t), which share a pillar.
+_BLOCK_CELLS = np.arange(81).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).ravel()
+_FIT_PAIRS = [(3 * I + a, 3 * I + b, 3 * a + I, 3 * b + I)
+              for I in range(3) for a, b in ((0, 1), (0, 2), (1, 2))]
+
+
+def _board_blocks(variant: str, cells: bytes) -> list[int]:
+    """The catalog indices of a board's nine blocks. Raises DomainError
+    unless all are in the variant's catalog and every band pair and pillar
+    pair fits: by the join's rule, exactly then do they form a board."""
+    index = _catalog_index(variant)
+    rows, cols = _fit_masks(_CENSUS[variant][0])
+    flat = np.frombuffer(cells, dtype=np.uint8)[_BLOCK_CELLS].tobytes()
+    idx = [index.get(flat[k : k + 9], -1) for k in range(0, 81, 9)]
+    if -1 in idx or not all(rows[idx[p]] >> idx[q] & cols[idx[s]] >> idx[t] & 1
+                            for p, q, s, t in _FIT_PAIRS):
+        raise DomainError(f"board is not {'modular-magic' if variant == MM else 'semi-magic'}")
+    return idx
 
 
 # --- representatives and label alphabets ---
@@ -300,6 +316,12 @@ def labels(variant: str) -> tuple[NestLabel, ...]:
     return mm_labels() if normalize_variant(variant) == MM else sm_labels()
 
 
+@cache
+def _nests(variant: str) -> dict[int, tuple[NestLabel, Board]]:
+    """Each nest's 9 * first + second to its label and representative."""
+    return {9 * l.first + l.second: (l, representative(l)) for l in labels(variant)}
+
+
 def representative(label: NestLabel) -> Board:
     """The canonical board of the given nest."""
     table = _mm_representatives() if label.variant == MM else _sm_representatives()
@@ -323,10 +345,9 @@ def _mm_weights() -> np.ndarray:
     return 4 ** np.unique(keys, axis=0, return_inverse=True)[1].ravel()
 
 
-def _mm_code(idx: np.ndarray) -> np.ndarray:
-    """The weight sum of every board of an (n, 9) chunk of modular-magic
-    catalog indices."""
-    return _mm_weights()[idx].sum(axis=1)
+def _mm_code(columns):
+    """The weight sum of block columns of modular-magic catalog indices."""
+    return sum(map(_mm_weights().__getitem__, columns))
 
 
 # The two families of semi-magic mini-line digit sets, in order: the
@@ -334,7 +355,6 @@ def _mm_code(idx: np.ndarray) -> np.ndarray:
 # semi-magic block has its mini-rows in one family and its mini-columns
 # in the other.
 _SM_FAMILIES = (((0, 4, 8), (5, 6, 1), (7, 2, 3)), ((0, 5, 7), (4, 6, 2), (8, 1, 3)))
-_POW3 = 3 ** np.arange(6)
 
 
 @cache
@@ -357,16 +377,16 @@ def _sm_code_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return family[row0], step(position[row0]), step(position[col0])
 
 
-def _sm_code(idx: np.ndarray) -> np.ndarray:
-    """729 t + sum of 3**I k_I + sum of 3**(3+J) m_J for every board of an
-    (n, 9) chunk of semi-magic catalog indices: t whether block 0's
-    mini-rows are in the column family, k_I the row step from block 3I
-    to 3I+1 and m_J the column step from block J to 3+J. On a board each
-    step is 1 or 2, the same along every row of the band or column of
-    the pillar."""
+def _sm_code(c):
+    """729 t + sum of 3**I k_I + sum of 3**(3+J) m_J of block columns c of
+    semi-magic catalog indices: t whether block 0's mini-rows are in the
+    column family, k_I the row step from block 3I to 3I+1 and m_J the
+    column step from block J to 3+J. On a board each step is 1 or 2, the
+    same along every row of the band or column of the pillar."""
     flip, row_step, col_step = _sm_code_tables()
-    rows = row_step[idx[:, 0::3], idx[:, 1::3]] @ _POW3[:3]
-    return 729 * flip[idx[:, 0]] + rows + col_step[idx[:, :3], idx[:, 3:6]] @ _POW3[3:]
+    return (729 * flip[c[0]] + row_step[c[0], c[1]] + 3 * row_step[c[3], c[4]]
+            + 9 * row_step[c[6], c[7]] + 27 * col_step[c[0], c[3]]
+            + 81 * col_step[c[1], c[4]] + 243 * col_step[c[2], c[5]])
 
 
 @cache
@@ -377,15 +397,14 @@ def _label_table(variant: str) -> np.ndarray:
     Walked from each nest's representative under the variant's physical
     generators, with one witness board per code, until no new code
     appears. Raises IntegrityError if two nests reach one code."""
-    catalog_fn, _, code_fn, generators = _CENSUS[variant]
-    index = _catalog_index(catalog_fn)
+    code_fn, generators = _CENSUS[variant][2:]
     symmetries = [gen.symmetry for gen in generators()]
     nest_of: dict[int, NestLabel] = {}
     for label in labels(variant):
         todo = [representative(label)]
         while todo:
             board = todo.pop()
-            code = int(code_fn(np.array([[index[blk] for blk in _sudoku_blocks(board.cells)]]))[0])
+            code = int(code_fn(_board_blocks(variant, board.cells)))
             if code not in nest_of:
                 nest_of[code] = label
                 todo += [act(s, board) for s in symmetries]
@@ -396,11 +415,11 @@ def _label_table(variant: str) -> np.ndarray:
     return table
 
 
-def _label_codes(variant: str, idx: np.ndarray) -> np.ndarray:
-    """9 * first + second of the nest label of every board of an (n, 9)
-    chunk of the variant's catalog indices."""
-    codes = _label_table(variant).take(_CENSUS[variant][2](idx), mode="clip")
-    if (codes < 0).any():
+def _label_codes(variant: str, columns):
+    """9 * first + second of the nest labels of nine block columns of the
+    variant's catalog indices: nine ints for one board, or idx.T of a chunk."""
+    codes = _label_table(variant).take(_CENSUS[variant][2](columns), mode="clip")
+    if np.count_nonzero(codes < 0):
         raise IntegrityError(f"block codes match no {variant} nest")
     return codes
 
@@ -421,7 +440,7 @@ def census(variant: str, partition: tuple[int, int] | None = None) -> Census:
     v = normalize_variant(variant)
     codes = np.zeros(81, dtype=int)
     for idx in _CENSUS[v][1](partition):
-        codes += np.bincount(_label_codes(v, idx), minlength=81)
+        codes += np.bincount(_label_codes(v, idx.T), minlength=81)
     mapping = {NestLabel(v, *divmod(code, 9)): int(n) for code, n in enumerate(codes) if n}
     return Census(v, mapping, sum(mapping.values()))
 

@@ -159,16 +159,16 @@ def test_crosscheck_sm_checks_the_predicate_once(board_mm_72, board_sm_71, monke
     calls = []
 
     def counted(fn):
-        def wrapper(arg):
+        def wrapper(*args):
             calls.append(fn.__name__)
-            return fn(arg)
+            return fn(*args)
 
         return wrapper
 
     monkeypatch.setattr(nests, "is_semi_magic", counted(is_semi_magic))
-    monkeypatch.setattr(nests, "_sudoku_blocks", counted(nests._sudoku_blocks))
+    monkeypatch.setattr(nests, "_board_blocks", counted(nests._board_blocks))
     assert nests.crosscheck_sm(board_sm_71) == nests.canonicalize_sm(board_sm_71)
-    assert calls == ["_sudoku_blocks"] * 2
+    assert calls == ["_board_blocks"] * 2
     for fn in (nests.canonicalize_sm, nests.canonicalize_sm_by_scan, nests.crosscheck_sm):
         with pytest.raises(DomainError):
             fn(board_mm_72)
@@ -211,7 +211,7 @@ def test_mm_label_codes_equal_the_scan_oracle():
         boards = en._boards(en.modular_magic_blocks, [idx])
         canon = [nests._scan(group, nests._MM_TEMPLATE, b.cells, nests._mm_ties) for b in boards]
         want = [9 * c[nests._MM_ALPHA] + c[nests._MM_GAMMA1] for c in canon]
-        assert nests._label_codes("MM", idx).tolist() == want
+        assert nests._label_codes("MM", idx.T).tolist() == want
         assert [reps[code] for code in want] == canon
         total += len(idx)
     assert total == 32_256
@@ -230,7 +230,7 @@ def _reference_canonicalize(variant, board):
     if not (is_modular_magic if variant == "MM" else is_semi_magic)(board):
         raise DomainError(f"board is not {'modular-magic' if variant == 'MM' else 'semi-magic'}")
     catalog_fn = nests._CENSUS[variant][0]
-    code = int(nests._label_codes(variant, _block_indices(catalog_fn, board.cells))[0])
+    code = int(nests._label_codes(variant, _block_indices(catalog_fn, board.cells).T)[0])
     label = nests.NestLabel(variant, *divmod(code, 9))
     return label, nests.representative(label)
 
@@ -241,6 +241,54 @@ def test_canonicalize_equals_the_block_indices_path(mm_sample):
     cases += [("SM", random_semi_magic(rng)) for _ in range(2000)]
     for variant, board in cases:
         assert nests.canonicalize(variant, board) == _reference_canonicalize(variant, board)
+
+
+@pytest.mark.parametrize(
+    "variant, partitions", [("MM", [None]), ("SM", [(17, 72), (68, 72)])], ids=["MM", "SM"]
+)
+def test_canonicalize_equals_the_batch_labels(variant, partitions):
+    # Every modular-magic board, and every board of a semi-magic slice
+    # whose top-left block is read directly (17) and of one it is
+    # transposed in (68): one board through canonicalize gives the label
+    # the census gives its chunk.
+    catalog_fn, join = nests._CENSUS[variant][:2]
+    nest = {9 * l.first + l.second: (l, nests.representative(l)) for l in nests.labels(variant)}
+    total = 0
+    for partition in partitions:
+        for idx in join(partition):
+            want = [nest[code] for code in nests._label_codes(variant, idx.T).tolist()]
+            boards = en._boards(catalog_fn, [idx])
+            assert [nests.canonicalize(variant, board) for board in boards] == want
+            total += len(idx)
+    assert total == (32_256 if variant == "MM" else 2 * 82_944)
+
+
+@pytest.mark.parametrize("variant", ["MM", "SM"])
+def test_board_blocks_accepts_exactly_the_boards_of_the_variant(variant):
+    # Nine catalog blocks form a board of the variant exactly when their
+    # 9 band pairs and 9 pillar pairs fit. Seeded random 9-tuples of
+    # catalog indices, and real boards with each block swapped for every
+    # catalog block in turn, which breaks one pair at a time. (No nine
+    # modular-magic catalog blocks break exactly one pair, so only the
+    # semi-magic case tells a dropped pair.)
+    catalog_fn, join = nests._CENSUS[variant][:2]
+    predicate = is_modular_magic if variant == "MM" else is_semi_magic
+    rng = np.random.default_rng(15)
+    real = np.concatenate([next(join((w, 9)))[[0, -1]] for w in (1, 5)])
+    swapped = np.repeat(real, 9 * 72, axis=0).reshape(len(real), 9, 72, 9)
+    for p in range(9):
+        swapped[:, p, :, p] = np.arange(72)
+    tuples = np.concatenate([rng.integers(0, 72, (2000, 9)), swapped.reshape(-1, 9)])
+    accepted = 0
+    for row, board in zip(tuples.tolist(), en._boards(catalog_fn, [tuples.astype(np.uint8)])):
+        try:
+            got = nests._board_blocks(variant, board.cells)
+        except DomainError:
+            got = None
+        assert (got is not None) == predicate(board)
+        assert got in (None, row)
+        accepted += got is not None
+    assert accepted == len(real) * 9  # each real board, once per position
 
 
 def test_canonicalize_keeps_its_domain_errors(board_mm_72, board_sm_71):
@@ -281,12 +329,12 @@ def test_label_codes_reject_codes_of_no_nest(variant):
     # Nine copies of block 0: for MM one class nine times, which no board
     # holds; for SM step 0 in every band and pillar, which no nest reaches.
     with pytest.raises(IntegrityError, match=f"no {variant} nest"):
-        nests._label_codes(variant, np.zeros((1, 9), dtype=np.uint8))
+        nests._label_codes(variant, np.zeros((1, 9), dtype=np.uint8).T)
 
 
 def _constant_code(variant, monkeypatch):
-    def constant(idx):
-        return np.zeros(len(idx), dtype=np.intp)
+    def constant(columns):
+        return 0 * columns[0]
 
     catalog_fn, join, _, generators = nests._CENSUS[variant]
     monkeypatch.setitem(nests._CENSUS, variant, (catalog_fn, join, constant, generators))
@@ -314,7 +362,7 @@ def test_label_table_rejects_nests_sharing_a_code(variant, mutate, monkeypatch):
 # against, and the label functions, which must reach none of them.
 _SCAN_NAMES = {"_scan", "_scan_tables", "_sm_scanned", "h_gamma_group", "PhysicalGroup"}
 _LABEL_PATH = ("_label_table", "_label_codes", "_mm_code", "_sm_code", "_mm_weights",
-               "_sm_code_tables")
+               "_sm_code_tables", "_board_blocks")
 
 
 def test_label_path_names_no_scan():
@@ -500,7 +548,7 @@ def test_batch_sm_label_equals_scalar(top_left):
     assert nests._sm_code_tables()[0][top_left] == (top_left == 68)  # flip
     for idx, boards in map(_index_rows_and_boards, en._sm_join((top_left, 72))):
         want = [9 * a + b for a, b in (_sm_label(board.cells) for board in boards)]
-        assert nests._label_codes("SM", idx).tolist() == want
+        assert nests._label_codes("SM", idx.T).tolist() == want
 
 
 def test_canonicalize_sm_equals_the_reference_reduction():
