@@ -5,9 +5,13 @@ Coordinates are 0-based and row-major throughout: rows and columns run
 k // 9 and column k % 9, and block (I, J) covers rows 3I..3I+2 and
 columns 3J..3J+2.
 
-The board predicates gather a board's 27 units once; each must hold the
-nine digits. A variant predicate tests the mini-lines of the nine blocks
-and remembers the blocks that pass, at most the 72 of its catalog.
+is_sudoku gathers a board's 27 units once; each must hold the nine
+digits. A variant predicate looks the board's three bands up in a memo
+of the bands of boards that passed: if all three are there, only the
+columns are left, one XOR of the bands' column codes. Any other board
+takes the full check: the units, then the mini-lines of each block not
+seen to pass before. If it passes, its bands enter the memo. The same
+reader gives check_two_equal and nests.canonicalize the nine blocks.
 
 Board I/O shares one nibble-packing kernel (_pack_rows/_unpack_rows) and
 one digit translate table (_TO_ASCII/_FROM_ASCII). pack, unpack,
@@ -23,7 +27,7 @@ from __future__ import annotations
 import itertools
 import struct
 from functools import cache, partial
-from typing import BinaryIO, Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -154,10 +158,18 @@ _SM_LINES = frozenset(bytes(t) for t in itertools.permutations(range(9), 3) if s
 _GRID = np.arange(81).reshape(3, 3, 3, 3)
 _UNIT_CELLS = np.concatenate([_GRID, _GRID.transpose(2, 3, 0, 1), _GRID.transpose(0, 2, 1, 3)])
 _SORTED_UNITS = np.tile(np.arange(9, dtype=np.uint8), (27, 1))
-# The blocks seen to pass each variant's block test. Only passing blocks
-# enter, so each set holds at most the 72 blocks of its catalog.
-_MM_PASSED: set[bytes] = set()
-_SM_PASSED: set[bytes] = set()
+# The bands of the boards that passed each variant's full check, each
+# as 27 row-major bytes, to its three blocks and its column code: bit
+# 9k + d set when column k of the band holds digit d. Only valid bands
+# enter, at most the 2,304 modular-magic and 5,184 semi-magic ones.
+# Three of them fill every column exactly when their codes XOR to all ones.
+_Memo = dict[bytes, tuple[tuple[bytes, ...], int]]
+_MM_PASSED: _Memo = {}
+_SM_PASSED: _Memo = {}
+# Sudoku-board blocks seen to pass each variant's lines test (at most its
+# 72 catalog blocks) to their column codes: bit 9c + d, d in mini-column c.
+_MM_BLOCKS: dict[bytes, int] = {}
+_SM_BLOCKS: dict[bytes, int] = {}
 
 
 def block(board: Board, I: int, J: int) -> Block:
@@ -182,20 +194,33 @@ def _sudoku_blocks(cells: bytes) -> list[bytes] | None:
     return [flat[k : k + 9] for k in range(0, 81, 9)]
 
 
-def _variant_blocks(cells: bytes, lines: tuple[slice, ...], allowed: frozenset[bytes],
-                    passed: set[bytes]) -> list[bytes] | None:
+def _variant_blocks(lines: tuple[slice, ...], allowed: frozenset[bytes], passed: _Memo,
+                    codes: dict[bytes, int], cells: bytes) -> Sequence[bytes] | None:
     """_sudoku_blocks, or None unless the mini-lines ``lines`` of every
-    block are ``allowed`` lines; blocks that pass join ``passed``."""
+    block are ``allowed`` lines. Only the columns of a board with three
+    bands in ``passed`` are checked; any other board that passes enters
+    its bands, and the blocks not in ``codes`` take the lines test."""
+    bands = cells[:27], cells[27:54], cells[54:]
+    top, mid, low = map(passed.get, bands)
+    if top and mid and low:
+        return top[0] + mid[0] + low[0] if top[1] ^ mid[1] ^ low[1] == (1 << 81) - 1 else None
     found = _sudoku_blocks(cells)
-    if found is not None and not passed.issuperset(found):
-        if not all(blk[s] in allowed for blk in found for s in lines):
-            return None
-        passed.update(found)
+    if found is None:
+        return None
+    for blk in found:
+        if blk not in codes:
+            if not all(blk[s] in allowed for s in lines):
+                return None
+            codes[blk] = sum(1 << 9 * (k % 3) + d for k, d in enumerate(blk))
+    for i in range(3):
+        a, b, c = band = tuple(found[3 * i : 3 * i + 3])
+        passed[bands[i]] = band, codes[a] | codes[b] << 27 | codes[c] << 54
     return found
 
 
-# The nine blocks of a modular-magic board, else None.
-_mm_blocks = partial(_variant_blocks, lines=_BLOCK_LINES, allowed=_MM_LINES, passed=_MM_PASSED)
+# The nine blocks of a modular-magic or a semi-magic board, else None.
+_mm_blocks = partial(_variant_blocks, _BLOCK_LINES, _MM_LINES, _MM_PASSED, _MM_BLOCKS)
+_sm_blocks = partial(_variant_blocks, _BLOCK_LINES[:6], _SM_LINES, _SM_PASSED, _SM_BLOCKS)
 
 
 def is_sudoku(board: Board) -> bool:
@@ -233,7 +258,7 @@ def is_modular_magic(board: Board) -> bool:
 def is_semi_magic(board: Board) -> bool:
     """True iff the board is a Sudoku board and all blocks are semi-magic:
     every mini-row and mini-column of every block sums to 12."""
-    return _variant_blocks(board.cells, _BLOCK_LINES[:6], _SM_LINES, _SM_PASSED) is not None
+    return _sm_blocks(board.cells) is not None
 
 
 @cache

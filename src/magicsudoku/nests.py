@@ -21,7 +21,8 @@ for the labels.
 Both variants label boards by a table lookup of a block code, whose one
 function reads the block columns of an (n, 9) join chunk, which the
 census counts, or one board's nine catalog blocks, which canonicalize
-checks by the join's own rule. The modular-magic code is a board's
+reads through the variant predicate's own reader and looks up in one
+map from code to nest. The modular-magic code is a board's
 multiset of block classes (center and off-diagonal pair), which physical
 symmetries keep: one code per nest. The semi-magic code is the
 mini-line family of block 0 and the cyclic step between neighbouring
@@ -39,10 +40,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .boards import Board, is_semi_magic, off_diagonal_set
+from .boards import Board, _mm_blocks, _sm_blocks, is_semi_magic, off_diagonal_set
 from .catalog import PhysicalGroup, h_gamma_generators, h_mm_generators
 from .enumeration import (
-    _fit_masks,
     _join_tables,
     _map_partitions,
     _mm_join,
@@ -236,7 +236,10 @@ def canonicalize(variant: str, board: Board) -> tuple[NestLabel, Board]:
     census's label of its nine catalog blocks, and that nest's
     representative. Raises DomainError unless the board is of the variant."""
     v = normalize_variant(variant)
-    return _nests(v)[int(_label_codes(v, _board_blocks(v, board.cells)))]
+    nest = _nests(v).get(int(_CENSUS[v][2](_board_blocks(v, board.cells))))
+    if nest is None:
+        raise IntegrityError(f"block codes match no {v} nest")
+    return nest
 
 
 def canonicalize_mm(board: Board) -> tuple[NestLabel, Board]:
@@ -255,25 +258,13 @@ def _catalog_index(variant: str) -> dict[bytes, int]:
     return {blk.tobytes(): i for i, blk in enumerate(_join_tables(_CENSUS[variant][0])[0])}
 
 
-# The cells of the nine blocks, each in row-major order; block positions
-# (p, q) that share a band, with their transposes (s, t), which share a pillar.
-_BLOCK_CELLS = np.arange(81).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).ravel()
-_FIT_PAIRS = [(3 * I + a, 3 * I + b, 3 * a + I, 3 * b + I)
-              for I in range(3) for a, b in ((0, 1), (0, 2), (1, 2))]
-
-
 def _board_blocks(variant: str, cells: bytes) -> list[int]:
     """The catalog indices of a board's nine blocks. Raises DomainError
-    unless all are in the variant's catalog and every band pair and pillar
-    pair fits: by the join's rule, exactly then do they form a board."""
-    index = _catalog_index(variant)
-    rows, cols = _fit_masks(_CENSUS[variant][0])
-    flat = np.frombuffer(cells, dtype=np.uint8)[_BLOCK_CELLS].tobytes()
-    idx = [index.get(flat[k : k + 9], -1) for k in range(0, 81, 9)]
-    if -1 in idx or not all(rows[idx[p]] >> idx[q] & cols[idx[s]] >> idx[t] & 1
-                            for p, q, s, t in _FIT_PAIRS):
+    unless the board is of the variant."""
+    found = (_mm_blocks if variant == MM else _sm_blocks)(cells)
+    if found is None:
         raise DomainError(f"board is not {'modular-magic' if variant == MM else 'semi-magic'}")
-    return idx
+    return list(map(_catalog_index(variant).__getitem__, found))
 
 
 # --- representatives and label alphabets ---
@@ -314,12 +305,6 @@ def sm_labels() -> tuple[NestLabel, ...]:
 
 def labels(variant: str) -> tuple[NestLabel, ...]:
     return mm_labels() if normalize_variant(variant) == MM else sm_labels()
-
-
-@cache
-def _nests(variant: str) -> dict[int, tuple[NestLabel, Board]]:
-    """Each nest's 9 * first + second to its label and representative."""
-    return {9 * l.first + l.second: (l, representative(l)) for l in labels(variant)}
 
 
 def representative(label: NestLabel) -> Board:
@@ -413,6 +398,14 @@ def _label_table(variant: str) -> np.ndarray:
     table = np.full(max(nest_of) + 2, -1, dtype=np.int8)
     table[list(nest_of)] = [9 * label.first + label.second for label in nest_of.values()]
     return table
+
+
+@cache
+def _nests(variant: str) -> dict[int, tuple[NestLabel, Board]]:
+    """Each block code of the variant's label table to its nest's label and representative."""
+    nest = {9 * l.first + l.second: (l, representative(l)) for l in labels(variant)}
+    table = _label_table(variant)
+    return {int(code): nest[table[code]] for code in np.flatnonzero(table >= 0)}
 
 
 def _label_codes(variant: str, columns):

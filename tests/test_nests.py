@@ -21,6 +21,8 @@ from magicsudoku.enumeration import (
 from magicsudoku.errors import DomainError, IntegrityError
 from magicsudoku.perms import act
 
+from oracles import oracle_is_modular_magic, oracle_is_semi_magic
+
 
 def test_normalize_variant():
     for alias in ("MM", "mm", "modular-magic", "modular_magic", "Modular-Magic"):
@@ -265,14 +267,11 @@ def test_canonicalize_equals_the_batch_labels(variant, partitions):
 
 @pytest.mark.parametrize("variant", ["MM", "SM"])
 def test_board_blocks_accepts_exactly_the_boards_of_the_variant(variant):
-    # Nine catalog blocks form a board of the variant exactly when their
-    # 9 band pairs and 9 pillar pairs fit. Seeded random 9-tuples of
-    # catalog indices, and real boards with each block swapped for every
-    # catalog block in turn, which breaks one pair at a time. (No nine
-    # modular-magic catalog blocks break exactly one pair, so only the
-    # semi-magic case tells a dropped pair.)
+    # Against the oracle predicate: seeded random 9-tuples of catalog
+    # indices, and real boards with each block swapped for every catalog
+    # block in turn, which breaks one band or pillar at a time.
     catalog_fn, join = nests._CENSUS[variant][:2]
-    predicate = is_modular_magic if variant == "MM" else is_semi_magic
+    predicate = oracle_is_modular_magic if variant == "MM" else oracle_is_semi_magic
     rng = np.random.default_rng(15)
     real = np.concatenate([next(join((w, 9)))[[0, -1]] for w in (1, 5)])
     swapped = np.repeat(real, 9 * 72, axis=0).reshape(len(real), 9, 72, 9)
@@ -325,11 +324,18 @@ def test_label_table_walks_every_code(variant, per_nest):
 
 
 @pytest.mark.parametrize("variant", ["MM", "SM"])
-def test_label_codes_reject_codes_of_no_nest(variant):
+def test_label_codes_reject_codes_of_no_nest(variant, monkeypatch):
     # Nine copies of block 0: for MM one class nine times, which no board
     # holds; for SM step 0 in every band and pillar, which no nest reaches.
     with pytest.raises(IntegrityError, match=f"no {variant} nest"):
         nests._label_codes(variant, np.zeros((1, 9), dtype=np.uint8).T)
+    # canonicalize looks the code up in its own map: code 0, the code of
+    # those nine blocks, fails there with the same error.
+    board = nests.representative(nests.labels(variant)[0])
+    nests._nests(variant)  # built with the true code function
+    _constant_code(variant, monkeypatch)
+    with pytest.raises(IntegrityError, match=f"^block codes match no {variant} nest$"):
+        nests.canonicalize(variant, board)
 
 
 def _constant_code(variant, monkeypatch):

@@ -1,14 +1,15 @@
 """The block-pass predicates against the block-tuple predicates they
-replaced, kept here as the oracle."""
+replaced, kept in oracles.py as the oracle."""
 
 import ast
 import itertools
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from magicsudoku import analysis as an, boards
+from magicsudoku import analysis as an, boards, nests
 from magicsudoku.boards import (
     Board,
     blocks,
@@ -19,74 +20,24 @@ from magicsudoku.boards import (
     is_sudoku,
     off_diagonal_set,
 )
-from magicsudoku.enumeration import modular_magic_blocks, random_semi_magic, semi_magic_blocks
-from magicsudoku.errors import DomainError, StructureError
+from magicsudoku.enumeration import (
+    _join_tables,
+    iter_modular_magic,
+    modular_magic_blocks,
+    random_semi_magic,
+    semi_magic_blocks,
+)
+from magicsudoku.errors import DomainError
 
-# --- the oracle: one Block tuple per block, one Python sum per line ---
-
-_DIGITS = frozenset(range(9))
-_CENTER_SET = frozenset((0, 3, 6))
-
-
-def oracle_is_sudoku(board):
-    cells = board.cells
-    units = [cells[9 * i : 9 * i + 9] for i in range(9)] + [cells[i::9] for i in range(9)]
-    units += [sum(blk, ()) for blk in blocks(board)]
-    return all(set(unit) == _DIGITS for unit in units)
-
-
-def oracle_block_lines(blk):
-    (a, b, c), (d, e, f), (g, h, i) = blk
-    return [
-        (a, b, c), (d, e, f), (g, h, i),
-        (a, d, g), (b, e, h), (c, f, i),
-        (a, e, i), (c, e, g),
-    ]
-
-
-def oracle_is_magic_mod9_block(blk):
-    flat = [d for row in blk for d in row]
-    if set(flat) != _DIGITS:
-        return False
-    return all(sum(line) % 9 == 0 for line in oracle_block_lines(blk))
-
-
-def oracle_is_semi_magic_block(blk):
-    flat = [d for row in blk for d in row]
-    if set(flat) != _DIGITS:
-        return False
-    return all(sum(line) == 12 for line in oracle_block_lines(blk)[:6])
-
-
-def oracle_is_modular_magic(board):
-    return oracle_is_sudoku(board) and all(map(oracle_is_magic_mod9_block, blocks(board)))
-
-
-def oracle_is_semi_magic(board):
-    return oracle_is_sudoku(board) and all(map(oracle_is_semi_magic_block, blocks(board)))
-
-
-def oracle_off_diagonal_set(blk):
-    if not oracle_is_magic_mod9_block(blk):
-        raise StructureError("off_diagonal_set requires a magic mod-9 block")
-    main = (blk[0][0], blk[1][1], blk[2][2])
-    anti = (blk[0][2], blk[1][1], blk[2][0])
-    main_in = set(main) <= _CENTER_SET
-    anti_in = set(anti) <= _CENTER_SET
-    if main_in == anti_in:
-        raise StructureError("expected exactly one {0,3,6} mini-diagonal")
-    corners = anti if main_in else main
-    return frozenset((corners[0], corners[2]))
-
-
-def oracle_check_two_equal(board):
-    if not oracle_is_modular_magic(board):
-        raise DomainError("board is not modular-magic")
-    by_center = {0: [], 3: [], 6: []}
-    for blk in blocks(board):
-        by_center[blk[1][1]].append(oracle_off_diagonal_set(blk))
-    return all(len(sets) == 3 and len(set(sets)) <= 2 for sets in by_center.values())
-
+from oracles import (
+    oracle_check_two_equal,
+    oracle_is_magic_mod9_block,
+    oracle_is_modular_magic,
+    oracle_is_semi_magic,
+    oracle_is_semi_magic_block,
+    oracle_is_sudoku,
+    oracle_off_diagonal_set,
+)
 
 # --- boards: valid ones and seeded mutations of them ---
 
@@ -214,17 +165,107 @@ def test_board_predicates_reject_digit_nine(wrapped_boards):
         assert not is_semi_magic(board)
 
 
+def _band_count(catalog_fn):
+    """The bands of the variant: ordered triples of its catalog blocks
+    with pairwise disjoint mini-row sets, counted from the join's row_ok."""
+    row_ok = _join_tables(catalog_fn)[1].astype(int)
+    return int(np.einsum("ab,ac,bc->", row_ok, row_ok, row_ok))
+
+
+def _bands(board):
+    return [board.cells[27 * i : 27 * i + 27] for i in range(3)]
+
+
 def test_passing_block_sets_hold_only_catalog_blocks(sample_boards, wrapped_boards):
+    # The memos map bands of boards that passed to the catalog blocks cut
+    # from them and their column codes; every modular-magic board enters
+    # its bands, which are then all the bands the catalog makes.
     base, mutated = sample_boards
     for board in base + mutated + wrapped_boards:
         is_modular_magic(board)  # never raises on the corpus
         is_semi_magic(board)
-    for passed, catalog in (
-        (boards._MM_PASSED, modular_magic_blocks()),
-        (boards._SM_PASSED, semi_magic_blocks()),
+    for passed, codes, catalog_fn in (
+        (boards._MM_PASSED, boards._MM_BLOCKS, modular_magic_blocks),
+        (boards._SM_PASSED, boards._SM_BLOCKS, semi_magic_blocks),
     ):
-        assert 0 < len(passed) <= 72
-        assert passed <= {bytes(itertools.chain.from_iterable(blk)) for blk in catalog}
+        catalog = {bytes(itertools.chain.from_iterable(blk)) for blk in catalog_fn()}
+        assert 0 < len(codes) <= 72 and set(codes) <= catalog
+        for blk, code in codes.items():
+            assert code == sum(1 << 9 * (k % 3) + d for k, d in enumerate(blk))
+        assert 0 < len(passed) <= _band_count(catalog_fn)
+        for band, (cut, code) in passed.items():
+            assert len(band) == 27
+            assert cut == tuple(bytes(band[9 * r + 3 * j + c] for r in range(3) for c in range(3))
+                                for j in range(3))
+            assert set(cut) <= catalog
+            assert code == sum(1 << 9 * (k % 9) + d for k, d in enumerate(band))
+    assert all(map(is_modular_magic, iter_modular_magic()))
+    assert len(boards._MM_PASSED) == _band_count(modular_magic_blocks)
+
+
+@pytest.fixture(scope="module")
+def variant_sources(mm_sample):
+    rng = random.Random(16)
+    return {"MM": list(mm_sample[:40]), "SM": [random_semi_magic(rng) for _ in range(40)]}
+
+
+@pytest.mark.parametrize("variant", ["MM", "SM"])
+def test_passed_bands_whose_pillars_clash_make_no_board(variant, variant_sources):
+    # Bands (A0, A0, A2) of one board, and A's band 2 swapped for another
+    # board's: every band is in the memo, so only the column codes tell.
+    predicate, oracle, passed, name = {
+        "MM": (is_modular_magic, oracle_is_modular_magic, boards._MM_PASSED, "modular-magic"),
+        "SM": (is_semi_magic, oracle_is_semi_magic, boards._SM_PASSED, "semi-magic"),
+    }[variant]
+    sources = variant_sources[variant]
+    assert all(map(predicate, sources))
+    (a0, a1, a2), *others = map(_bands, sources)
+    clashes = [Board(a0 + a0 + a2)] + [Board(a0 + a1 + b[2]) for b in others if b[2] != a2]
+    clashes = [board for board in clashes if not oracle(board)]
+    assert len(clashes) > 30
+    for board in clashes:
+        assert all(band in passed for band in _bands(board))
+        assert not predicate(board)
+        with pytest.raises(DomainError, match=f"^board is not {name}$"):
+            nests.canonicalize(variant, board)
+        with pytest.raises(DomainError, match="^board is not modular-magic$"):
+            an.check_two_equal(board)
+
+
+_ANSWERS = (is_sudoku, is_modular_magic, is_semi_magic, an.check_two_equal,
+            nests.canonicalize_mm, nests.canonicalize_sm)
+
+
+def _answers(board):
+    """What each of _ANSWERS gives for the board: its value, or its
+    DomainError's message."""
+    out = []
+    for fn in _ANSWERS:
+        try:
+            out.append(fn(board))
+        except DomainError as exc:
+            out.append(f"DomainError: {exc}")
+    return out
+
+
+def test_answers_do_not_depend_on_the_memos(sample_boards, wrapped_boards):
+    # Cold: the band and block memos cleared before every board. Then one
+    # pass that fills them in corpus order, and one with every passing
+    # band in them.
+    base, mutated = sample_boards
+    corpus = base + mutated + wrapped_boards
+    cold = []
+    for board in corpus:
+        for memo in (boards._MM_PASSED, boards._SM_PASSED, boards._MM_BLOCKS, boards._SM_BLOCKS):
+            memo.clear()
+        cold.append(_answers(board))
+    filling = [_answers(board) for board in corpus]
+    warm = [_answers(board) for board in corpus]
+    assert cold == filling == warm
+    # Each function gives two answers at least: True and False, or a
+    # value and an error.
+    for column in zip(*cold):
+        assert len({a if isinstance(a, (bool, str)) else "value" for a in column}) >= 2
 
 
 # The predicate and the off-diagonal sweep stay independent of the join,
