@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
-from .boards import Block, Board, is_magic_mod9_block, is_semi_magic_block
+from .boards import _BLOCK_LINES, _MM_LINES, _SM_LINES, Block, Board
 from .errors import DomainError, IntegrityError
 
 __all__ = [
@@ -80,14 +80,16 @@ def standard_gnomon_cells() -> list[tuple[int, int]]:
 # --- block catalogs ---
 
 
-def _block_catalog(predicate: Callable[[Block], bool]) -> tuple[Block, ...]:
-    """All blocks satisfying ``predicate``, sorted by flattened entries.
+def _block_catalog(lines: tuple[slice, ...], allowed: frozenset[bytes]) -> tuple[Block, ...]:
+    """All blocks whose mini-lines ``lines`` (of the nine row-major
+    bytes) are ``allowed`` lines, the board reader's own test, sorted by
+    flattened entries.
 
-    Only blocks whose mini-rows and mini-columns share one sum s mod 9
-    are tested, which both block predicates imply (s = 12 and s = 0).
-    The nine digits sum to 36, so 3s = 0 mod 9. The row sum forces the
-    last digit of the second row, and the column sums force the third
-    row, which must hold the three digits left.
+    Only blocks of nine distinct digits whose mini-rows and mini-columns
+    share one sum s mod 9 are tested, which both variants imply (s = 12
+    and s = 0). The nine digits sum to 36, so 3s = 0 mod 9. The row sum
+    forces the last digit of the second row, and the column sums force
+    the third row, which must hold the three digits left.
     """
     found = []
     digits = frozenset(range(9))
@@ -102,8 +104,10 @@ def _block_catalog(predicate: Callable[[Block], bool]) -> tuple[Block, ...]:
                 continue
             r1 = (a, b, c)
             r2 = tuple((s - x - y) % 9 for x, y in zip(r0, r1))
-            if set(r2) == rest - set(r1) and predicate(blk := (r0, r1, r2)):
-                found.append(blk)
+            if set(r2) == rest - set(r1):
+                flat = bytes(r0 + r1 + r2)
+                if all(flat[s] in allowed for s in lines):
+                    found.append((r0, r1, r2))
     return tuple(sorted(found))
 
 
@@ -111,7 +115,7 @@ def _block_catalog(predicate: Callable[[Block], bool]) -> tuple[Block, ...]:
 def semi_magic_blocks() -> tuple[Block, ...]:
     """All 72 blocks with distinct digits and every mini-row and
     mini-column summing to 12, sorted by their flattened entries."""
-    return _block_catalog(is_semi_magic_block)
+    return _block_catalog(_BLOCK_LINES[:6], _SM_LINES)
 
 
 @cache
@@ -119,7 +123,7 @@ def modular_magic_blocks() -> tuple[Block, ...]:
     """All 72 blocks with distinct digits and every mini-row,
     mini-column, and mini-diagonal summing to 0 mod 9, sorted by their
     flattened entries."""
-    return _block_catalog(is_magic_mod9_block)
+    return _block_catalog(_BLOCK_LINES, _MM_LINES)
 
 
 # --- the block join ---
@@ -353,33 +357,26 @@ def iter_semi_magic() -> Iterator[Board]:
     return _boards(semi_magic_blocks, _sm_join())
 
 
-@cache
-def _fit_masks(catalog_fn: _Catalog) -> tuple[list[int], list[int]]:
-    """The rows of _join_tables' row_ok and col_ok matrices as Python-int
-    bitmasks: bit j of mask i is set iff block j fits next to block i."""
-    _, *matrices = _join_tables(catalog_fn)
-    bits = np.packbits(matrices, axis=2, bitorder="little")
-    return tuple([int.from_bytes(row.tobytes(), "little") for row in m] for m in bits)
-
-
 def random_semi_magic(rng) -> Board:
     """A uniformly random semi-magic board, via randomized block assembly.
 
     Each block position takes rng.choice over the ascending catalog
-    indices that fit, read off the bits of _fit_masks. At every depth
-    all partial assemblies have equally many completions, so the board
-    is exactly uniform. A dead end, which the catalog never produces,
-    raises IntegrityError.
+    indices that fit: the nonzero entries of the join's row_ok rows of
+    the earlier blocks in its band ANDed with the col_ok rows of those
+    in its pillar. At every depth all partial assemblies have equally
+    many completions, so the board is exactly uniform. A dead end, which
+    the catalog never produces, raises IntegrityError.
     """
-    rows, cols = _fit_masks(semi_magic_blocks)
+    _, row_ok, col_ok = _join_tables(semi_magic_blocks)
+    anywhere = np.ones(len(row_ok), dtype=bool)
     picks: list[int] = []
     for p in range(9):
-        mask = (1 << len(rows)) - 1
+        fit = anywhere
         for q in range(p - p % 3, p):
-            mask &= rows[picks[q]]
+            fit = fit & row_ok[picks[q]]
         for q in range(p % 3, p, 3):
-            mask &= cols[picks[q]]
-        choices = [j for j, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+            fit = fit & col_ok[picks[q]]
+        choices = fit.nonzero()[0].tolist()
         if not choices:
             raise IntegrityError("a partial semi-magic assembly has no completion")
         picks.append(rng.choice(choices))

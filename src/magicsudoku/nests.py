@@ -43,7 +43,9 @@ import numpy as np
 from .boards import Board, _mm_blocks, _sm_blocks, is_semi_magic, off_diagonal_set
 from .catalog import PhysicalGroup, h_gamma_generators, h_mm_generators
 from .enumeration import (
+    STANDARD_GNOMON_BLOCKS,
     _join_tables,
+    _line_sets,
     _map_partitions,
     _mm_join,
     _sm_join,
@@ -335,11 +337,11 @@ def _mm_code(columns):
     return sum(map(_mm_weights().__getitem__, columns))
 
 
-# The two families of semi-magic mini-line digit sets, in order: the
-# standard gnomon's top-left mini-rows and its mini-columns. Every
-# semi-magic block has its mini-rows in one family and its mini-columns
-# in the other.
-_SM_FAMILIES = (((0, 4, 8), (5, 6, 1), (7, 2, 3)), ((0, 5, 7), (4, 6, 2), (8, 1, 3)))
+# The block whose mini-rows, in order, are the first family of
+# semi-magic mini-line digit sets and whose mini-columns are the second:
+# the standard gnomon's top-left block. Every semi-magic block has its
+# mini-rows in one family and its mini-columns in the other.
+_SM_FAMILIES = STANDARD_GNOMON_BLOCKS[(0, 0)]
 
 
 @cache
@@ -347,14 +349,14 @@ def _sm_code_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per semi-magic catalog block, whether its mini-rows are in the
     column family; per pair of blocks (a, b), the step (p[b] - p[a]) % 3,
     p being the position of a block's first mini-row in its family; and
-    the same step on the first mini-columns."""
-    bits = np.left_shift(1, _join_tables(semi_magic_blocks)[0].reshape(-1, 3, 3).astype(np.intp))
+    the same step on the first mini-columns. A mini-line's digit set is
+    its 9 bits in _line_sets."""
     family, position = np.zeros(512, dtype=np.intp), np.zeros(512, dtype=np.intp)
-    for f, lines in enumerate(_SM_FAMILIES):
-        for p, line in enumerate(lines):
-            mask = sum(1 << d for d in line)
-            family[mask], position[mask] = f, p
-    row0, col0 = bits[:, 0].sum(axis=1), bits[:, :, 0].sum(axis=1)
+    # Row f, column k: mini-line k of the family block's rows (f = 0) or columns (f = 1).
+    lines = np.array(_line_sets(np.array([_SM_FAMILIES]))) >> 9 * np.arange(3) & 511
+    family[lines], position[lines] = np.arange(2)[:, None], np.arange(3)
+    blocks = _join_tables(semi_magic_blocks)[0].reshape(-1, 3, 3)
+    row0, col0 = (sets & 511 for sets in _line_sets(blocks))
 
     def step(p: np.ndarray) -> np.ndarray:
         return (p[None, :] - p[:, None]) % 3

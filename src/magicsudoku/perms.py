@@ -188,20 +188,11 @@ class PermGroup:
         are cheaper to query through the image matrices)."""
         return tuple(self)
 
-    def _key_set(self) -> frozenset[bytes]:
+    def __contains__(self, s: Symmetry) -> bool:
         if self._keys is None:
             buf = self._rows.tobytes()
             self._keys = frozenset(buf[i : i + 90] for i in range(0, len(buf), 90))
-        return self._keys
-
-    def __contains__(self, s: Symmetry) -> bool:
-        return s.key() in self._key_set()
-
-    def same_elements(self, other: "PermGroup") -> bool:
-        """True iff both groups contain exactly the same symmetries."""
-        if self.order != other.order:
-            return False
-        return self._key_set() == other._key_set()
+        return s.key() in self._keys
 
 
 def _sort_rows(rows: np.ndarray) -> np.ndarray:

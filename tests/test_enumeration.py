@@ -222,11 +222,19 @@ def test_random_semi_magic_pinned_draws():
     )
 
 
-def test_fit_masks_hold_the_join_matrices():
-    _, row_ok, col_ok = en._join_tables(en.semi_magic_blocks)
-    rows, cols = en._fit_masks(en.semi_magic_blocks)
-    for masks, ok in ((rows, row_ok), (cols, col_ok)):
-        assert [[mask >> j & 1 for j in range(72)] for mask in masks] == ok.astype(int).tolist()
+def test_random_draws_fit_the_join():
+    # Every drawn block must be one the join admits next to the blocks
+    # drawn before it in its band and pillar.
+    tables = en._join_tables(en.semi_magic_blocks)
+    index = {blk.tobytes(): i for i, blk in enumerate(tables[0])}
+    allowed = np.ones(len(index), dtype=bool)
+    rng = random.Random(23)
+    for _ in range(50):
+        board = en.random_semi_magic(rng)
+        picks = [index[bytes(itertools.chain(*blk))] for blk in blocks(board)]
+        idx = np.array([picks], dtype=np.uint8)
+        for p in range(9):
+            assert en._admissible(tables, allowed, idx[:, :p])[0, picks[p]]
 
 
 def _level_sizes(catalog_fn, cand):
