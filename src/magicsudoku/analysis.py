@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boards import Board, _mm_blocks, _off_diagonal
+from .boards import Board, _mm_classes, _variant_blocks, modular_magic_blocks
 from .errors import DomainError
 from .nestgraph import orbit_sizes
 
@@ -37,15 +37,17 @@ G9_ORDER = 1_218_998_108_160
 
 def check_two_equal(board: Board) -> bool:
     """For each center entry in {0,3,6}: do at least two of the three
-    blocks with that center share their off-diagonal set? Reads each
-    block's center and mini-diagonals from the block's own nine bytes."""
-    blocks = _mm_blocks(board.cells)
+    blocks with that center share their off-diagonal set? Reads the
+    classes (center and off-diagonal pair) of the board's nine catalog
+    blocks from the catalog's class table."""
+    blocks = _variant_blocks(modular_magic_blocks, board.cells)
     if blocks is None:
         raise DomainError("board is not modular-magic")
-    by_center: dict[int, list[frozenset[int]]] = {0: [], 3: [], 6: []}
-    for blk in blocks:
-        by_center[blk[4]].append(_off_diagonal(blk))
-    return all(len(sets) == 3 and len(set(sets)) <= 2 for sets in by_center.values())
+    classes = _mm_classes()
+    by_center: dict[int, list[tuple[int, int, int]]] = {0: [], 3: [], 6: []}
+    for i in blocks:
+        by_center[classes[i][0]].append(classes[i])
+    return all(len(group) == 3 and len(set(group)) <= 2 for group in by_center.values())
 
 
 @dataclass(frozen=True)

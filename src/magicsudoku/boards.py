@@ -6,12 +6,14 @@ k // 9 and column k % 9, and block (I, J) covers rows 3I..3I+2 and
 columns 3J..3J+2.
 
 is_sudoku gathers a board's 27 units once; each must hold the nine
-digits. A variant predicate looks the board's three bands up in a memo
-of the bands of boards that passed: if all three are there, only the
-columns are left, one XOR of the bands' column codes. Any other board
-takes the full check: the units, then the mini-lines of each block not
-seen to pass before. If it passes, its bands enter the memo. The same
-reader gives check_two_equal and nests.canonicalize the nine blocks.
+digits. Each variant's 72-block catalog is built here, and from it, in
+full and once, its band table: every three catalog blocks with pairwise
+disjoint mini-row sets, as the 27 bytes of the band they make, to their
+catalog indices and the band's column code. A variant predicate is
+three lookups in that table and one XOR of the column codes, which is
+all ones exactly when every column holds each digit once. The same
+reader gives check_two_equal and nests.canonicalize the nine catalog
+indices, and check_two_equal reads their classes from one table.
 
 Board I/O shares one nibble-packing kernel (_pack_rows/_unpack_rows) and
 one digit translate table (_TO_ASCII/_FROM_ASCII). pack, unpack,
@@ -26,8 +28,8 @@ from __future__ import annotations
 
 import itertools
 import struct
-from functools import cache, partial
-from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
+from functools import cache
+from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -56,6 +58,8 @@ __all__ = [
 
 #: A block is 3 rows of 3 digits.
 Block = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
+#: A block catalog builder, such as semi_magic_blocks.
+_Catalog = Callable[[], tuple[Block, ...]]
 
 _DIGITS = frozenset(range(9))
 # Cell value d <-> the ASCII digit "0" + d, for text in and out.
@@ -158,18 +162,6 @@ _SM_LINES = frozenset(bytes(t) for t in itertools.permutations(range(9), 3) if s
 _GRID = np.arange(81).reshape(3, 3, 3, 3)
 _UNIT_CELLS = np.concatenate([_GRID, _GRID.transpose(2, 3, 0, 1), _GRID.transpose(0, 2, 1, 3)])
 _SORTED_UNITS = np.tile(np.arange(9, dtype=np.uint8), (27, 1))
-# The bands of the boards that passed each variant's full check, each
-# as 27 row-major bytes, to its three blocks and its column code: bit
-# 9k + d set when column k of the band holds digit d. Only valid bands
-# enter, at most the 2,304 modular-magic and 5,184 semi-magic ones.
-# Three of them fill every column exactly when their codes XOR to all ones.
-_Memo = dict[bytes, tuple[tuple[bytes, ...], int]]
-_MM_PASSED: _Memo = {}
-_SM_PASSED: _Memo = {}
-# Sudoku-board blocks seen to pass each variant's lines test (at most its
-# 72 catalog blocks) to their column codes: bit 9c + d, d in mini-column c.
-_MM_BLOCKS: dict[bytes, int] = {}
-_SM_BLOCKS: dict[bytes, int] = {}
 
 
 def block(board: Board, I: int, J: int) -> Block:
@@ -183,49 +175,11 @@ def blocks(board: Board) -> list[Block]:
     return [block(board, I, J) for I in range(3) for J in range(3)]
 
 
-def _sudoku_blocks(cells: bytes) -> list[bytes] | None:
-    """The nine blocks of a board, each as 9 bytes in row-major order, or
-    None unless every row, column and block holds each digit once."""
-    units = np.frombuffer(cells, dtype=np.uint8)[_UNIT_CELLS].reshape(27, 9)
-    flat = units[18:].tobytes()
-    units.sort(axis=1)
-    if (units != _SORTED_UNITS).any():
-        return None
-    return [flat[k : k + 9] for k in range(0, 81, 9)]
-
-
-def _variant_blocks(lines: tuple[slice, ...], allowed: frozenset[bytes], passed: _Memo,
-                    codes: dict[bytes, int], cells: bytes) -> Sequence[bytes] | None:
-    """_sudoku_blocks, or None unless the mini-lines ``lines`` of every
-    block are ``allowed`` lines. Only the columns of a board with three
-    bands in ``passed`` are checked; any other board that passes enters
-    its bands, and the blocks not in ``codes`` take the lines test."""
-    bands = cells[:27], cells[27:54], cells[54:]
-    top, mid, low = map(passed.get, bands)
-    if top and mid and low:
-        return top[0] + mid[0] + low[0] if top[1] ^ mid[1] ^ low[1] == (1 << 81) - 1 else None
-    found = _sudoku_blocks(cells)
-    if found is None:
-        return None
-    for blk in found:
-        if blk not in codes:
-            if not all(blk[s] in allowed for s in lines):
-                return None
-            codes[blk] = sum(1 << 9 * (k % 3) + d for k, d in enumerate(blk))
-    for i in range(3):
-        a, b, c = band = tuple(found[3 * i : 3 * i + 3])
-        passed[bands[i]] = band, codes[a] | codes[b] << 27 | codes[c] << 54
-    return found
-
-
-# The nine blocks of a modular-magic or a semi-magic board, else None.
-_mm_blocks = partial(_variant_blocks, _BLOCK_LINES, _MM_LINES, _MM_PASSED, _MM_BLOCKS)
-_sm_blocks = partial(_variant_blocks, _BLOCK_LINES[:6], _SM_LINES, _SM_PASSED, _SM_BLOCKS)
-
-
 def is_sudoku(board: Board) -> bool:
     """True iff every row, column, and block holds each digit exactly once."""
-    return _sudoku_blocks(board.cells) is not None
+    units = np.frombuffer(board.cells, dtype=np.uint8)[_UNIT_CELLS].reshape(27, 9)
+    units.sort(axis=1)
+    return bool((units == _SORTED_UNITS).all())
 
 
 def _block_bytes(blk: Block) -> bytes | None:
@@ -249,28 +203,102 @@ def is_semi_magic_block(blk: Block) -> bool:
     return flat is not None and all(flat[s] in _SM_LINES for s in _BLOCK_LINES[:6])
 
 
+# --- block catalogs and band tables ---
+
+
+def _block_catalog(lines: tuple[slice, ...], allowed: frozenset[bytes]) -> tuple[Block, ...]:
+    """All blocks whose mini-lines ``lines`` (of the nine row-major
+    bytes) are ``allowed`` lines, the board reader's own test, sorted by
+    flattened entries.
+
+    Only blocks of nine distinct digits whose mini-rows and mini-columns
+    share one sum s mod 9 are tested, which both variants imply (s = 12
+    and s = 0). The nine digits sum to 36, so 3s = 0 mod 9. The row sum
+    forces the last digit of the second row, and the column sums force
+    the third row, which must hold the three digits left.
+    """
+    found = []
+    digits = frozenset(range(9))
+    for r0 in itertools.permutations(range(9), 3):
+        s = sum(r0) % 9
+        if s % 3:
+            continue
+        rest = digits - set(r0)
+        for a, b in itertools.permutations(sorted(rest), 2):
+            c = (s - a - b) % 9
+            if c not in rest or c in (a, b):
+                continue
+            r1 = (a, b, c)
+            r2 = tuple((s - x - y) % 9 for x, y in zip(r0, r1))
+            if set(r2) == rest - set(r1):
+                flat = bytes(r0 + r1 + r2)
+                if all(flat[s] in allowed for s in lines):
+                    found.append((r0, r1, r2))
+    return tuple(sorted(found))
+
+
+@cache
+def semi_magic_blocks() -> tuple[Block, ...]:
+    """All 72 blocks with distinct digits and every mini-row and
+    mini-column summing to 12, sorted by their flattened entries."""
+    return _block_catalog(_BLOCK_LINES[:6], _SM_LINES)
+
+
+@cache
+def modular_magic_blocks() -> tuple[Block, ...]:
+    """All 72 blocks with distinct digits and every mini-row,
+    mini-column, and mini-diagonal summing to 0 mod 9, sorted by their
+    flattened entries."""
+    return _block_catalog(_BLOCK_LINES, _MM_LINES)
+
+
+def _line_sets(blocks: np.ndarray) -> list[np.ndarray]:
+    """The mini-row and the mini-column digit sets of (n, 3, 3) blocks as
+    27-bit codes: one 9-bit set per mini-line, mini-line k at bit 9k."""
+    bits = np.left_shift(1, blocks.astype(np.int64))
+    return [(bits.sum(axis=axis) << [0, 9, 18]).sum(axis=1) for axis in (2, 1)]
+
+
+@cache
+def _bands(catalog_fn: _Catalog) -> dict[bytes, tuple[tuple[int, ...], int]]:
+    """Every band of the catalog's variant, as 27 row-major bytes, to
+    its three catalog indices and its column code: bit 9k + d set when
+    column k of the band holds digit d. A band is three catalog blocks
+    with pairwise disjoint mini-row sets: 2,304 modular-magic and 5,184
+    semi-magic ones."""
+    blocks = np.array(catalog_fn(), dtype=np.uint8)
+    rows, cols = _line_sets(blocks)
+    fit = rows[:, None] & rows == 0
+    triples = np.argwhere(fit[:, :, None] & fit[:, None, :] & fit[None, :, :])
+    # The gathered (n, block, r, c) cells, read as (n, r, block, c): row-major bands.
+    data = blocks[triples].transpose(0, 2, 1, 3).tobytes()
+    codes = cols.tolist()  # a block's mini-column c at bit 9c: column 3j + c at band slot j
+    return {data[27 * k : 27 * k + 27]: ((a, b, c), codes[a] | codes[b] << 27 | codes[c] << 54)
+            for k, (a, b, c) in enumerate(triples.tolist())}
+
+
+def _variant_blocks(catalog_fn: _Catalog, cells: bytes) -> tuple[int, ...] | None:
+    """The catalog indices of a board's nine blocks, or None unless the
+    board is of the catalog's variant: its three bands are bands of the
+    catalog, and their column codes XOR to all ones, which holds exactly
+    when every column holds each digit once."""
+    bands = _bands(catalog_fn)
+    top, mid, low = bands.get(cells[:27]), bands.get(cells[27:54]), bands.get(cells[54:])
+    if top and mid and low and top[1] ^ mid[1] ^ low[1] == (1 << 81) - 1:
+        return top[0] + mid[0] + low[0]
+    return None
+
+
 def is_modular_magic(board: Board) -> bool:
     """True iff the board is a Sudoku board and all blocks are magic
     mod 9: every mini-line of every block is a magic-mod-9 line."""
-    return _mm_blocks(board.cells) is not None
+    return _variant_blocks(modular_magic_blocks, board.cells) is not None
 
 
 def is_semi_magic(board: Board) -> bool:
     """True iff the board is a Sudoku board and all blocks are semi-magic:
     every mini-row and mini-column of every block sums to 12."""
-    return _sm_blocks(board.cells) is not None
-
-
-@cache
-def _off_diagonal(flat: bytes) -> frozenset[int]:
-    """off_diagonal_set of a magic-mod-9 block given as 9 bytes in
-    row-major order; cached, as only the 72 such blocks reach it."""
-    main, anti = flat[_BLOCK_LINES[6]], flat[_BLOCK_LINES[7]]
-    main_in = set(main) <= _CENTER_SET
-    if main_in == (set(anti) <= _CENTER_SET):
-        raise StructureError("expected exactly one {0,3,6} mini-diagonal")
-    corners = anti if main_in else main
-    return frozenset((corners[0], corners[2]))
+    return _variant_blocks(semi_magic_blocks, board.cells) is not None
 
 
 def off_diagonal_set(blk: Block) -> frozenset[int]:
@@ -281,7 +309,20 @@ def off_diagonal_set(blk: Block) -> frozenset[int]:
     """
     if not is_magic_mod9_block(blk):
         raise StructureError("off_diagonal_set requires a magic mod-9 block")
-    return _off_diagonal(_block_bytes(blk))
+    flat = _block_bytes(blk)
+    main, anti = flat[_BLOCK_LINES[6]], flat[_BLOCK_LINES[7]]
+    main_in = set(main) <= _CENTER_SET
+    if main_in == (set(anti) <= _CENTER_SET):
+        raise StructureError("expected exactly one {0,3,6} mini-diagonal")
+    corners = anti if main_in else main
+    return frozenset((corners[0], corners[2]))
+
+
+@cache
+def _mm_classes() -> tuple[tuple[int, int, int], ...]:
+    """The class of each modular-magic catalog block, by catalog index:
+    its center, then its off-diagonal pair in ascending order."""
+    return tuple((blk[1][1], *sorted(off_diagonal_set(blk))) for blk in modular_magic_blocks())
 
 
 # --- packing and file formats ---

@@ -1,11 +1,12 @@
-"""Exhaustive enumerators for blocks, boards, and gnomon completions.
+"""Exhaustive enumerators for boards and gnomon completions.
 
-Each variant has a catalog of 72 blocks: semi-magic blocks (mini-rows
-and mini-columns sum to 12) and magic-mod-9 blocks (mini-rows,
-mini-columns, and mini-diagonals sum to 0 mod 9). Nine catalog blocks
-form a board exactly when blocks sharing a band have disjoint mini-row
-digit sets and blocks sharing a pillar have disjoint mini-column digit
-sets, so one join over block indices enumerates either variant.
+Each variant has a catalog of 72 blocks, built in boards and exported
+here: semi-magic blocks (mini-rows and mini-columns sum to 12) and
+magic-mod-9 blocks (mini-rows, mini-columns, and mini-diagonals sum to
+0 mod 9). Nine catalog blocks form a board exactly when blocks sharing
+a band have disjoint mini-row digit sets and blocks sharing a pillar
+have disjoint mini-column digit sets, so one join over block indices
+enumerates either variant.
 Partitions and preset cells (such as the 45 cells of the standard
 gnomon) become per-position candidate masks of that join.
 
@@ -28,14 +29,13 @@ are disjoint and their union is the full enumeration.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 from functools import cache
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
-from .boards import _BLOCK_LINES, _MM_LINES, _SM_LINES, Block, Board
+from .boards import Block, Board, _Catalog, _line_sets, modular_magic_blocks, semi_magic_blocks
 from .errors import DomainError, IntegrityError
 
 __all__ = [
@@ -53,8 +53,6 @@ __all__ = [
 
 Visitor = Callable[[Board], None]
 _T = TypeVar("_T")
-#: A block catalog builder, such as semi_magic_blocks.
-_Catalog = Callable[[], tuple[Block, ...]]
 
 #: Blocks of the standard gnomon (first band and first pillar), keyed by
 #: block coordinates.
@@ -77,63 +75,7 @@ def standard_gnomon_cells() -> list[tuple[int, int]]:
     )
 
 
-# --- block catalogs ---
-
-
-def _block_catalog(lines: tuple[slice, ...], allowed: frozenset[bytes]) -> tuple[Block, ...]:
-    """All blocks whose mini-lines ``lines`` (of the nine row-major
-    bytes) are ``allowed`` lines, the board reader's own test, sorted by
-    flattened entries.
-
-    Only blocks of nine distinct digits whose mini-rows and mini-columns
-    share one sum s mod 9 are tested, which both variants imply (s = 12
-    and s = 0). The nine digits sum to 36, so 3s = 0 mod 9. The row sum
-    forces the last digit of the second row, and the column sums force
-    the third row, which must hold the three digits left.
-    """
-    found = []
-    digits = frozenset(range(9))
-    for r0 in itertools.permutations(range(9), 3):
-        s = sum(r0) % 9
-        if s % 3:
-            continue
-        rest = digits - set(r0)
-        for a, b in itertools.permutations(sorted(rest), 2):
-            c = (s - a - b) % 9
-            if c not in rest or c in (a, b):
-                continue
-            r1 = (a, b, c)
-            r2 = tuple((s - x - y) % 9 for x, y in zip(r0, r1))
-            if set(r2) == rest - set(r1):
-                flat = bytes(r0 + r1 + r2)
-                if all(flat[s] in allowed for s in lines):
-                    found.append((r0, r1, r2))
-    return tuple(sorted(found))
-
-
-@cache
-def semi_magic_blocks() -> tuple[Block, ...]:
-    """All 72 blocks with distinct digits and every mini-row and
-    mini-column summing to 12, sorted by their flattened entries."""
-    return _block_catalog(_BLOCK_LINES[:6], _SM_LINES)
-
-
-@cache
-def modular_magic_blocks() -> tuple[Block, ...]:
-    """All 72 blocks with distinct digits and every mini-row,
-    mini-column, and mini-diagonal summing to 0 mod 9, sorted by their
-    flattened entries."""
-    return _block_catalog(_BLOCK_LINES, _MM_LINES)
-
-
 # --- the block join ---
-
-
-def _line_sets(blocks: np.ndarray) -> list[np.ndarray]:
-    """The mini-row and the mini-column digit sets of (n, 3, 3) blocks as
-    27-bit codes: one 9-bit set per mini-line, mini-line k at bit 9k."""
-    bits = np.left_shift(1, blocks.astype(np.int64))
-    return [(bits.sum(axis=axis) << [0, 9, 18]).sum(axis=1) for axis in (2, 1)]
 
 
 @cache

@@ -20,11 +20,12 @@ for the labels.
 
 Both variants label boards by a table lookup of a block code, whose one
 function reads the block columns of an (n, 9) join chunk, which the
-census counts, or one board's nine catalog blocks, which canonicalize
-reads through the variant predicate's own reader and looks up in one
-map from code to nest. The modular-magic code is a board's
-multiset of block classes (center and off-diagonal pair), which physical
-symmetries keep: one code per nest. The semi-magic code is the
+census counts, or one board's nine catalog indices, which canonicalize
+reads through the variant predicate's own reader (three lookups in the
+band table boards builds up front) and looks up in one map from code to
+nest. The modular-magic code is a board's multiset of block classes
+(center and off-diagonal pair, from boards' class table), which
+physical symmetries keep: one code per nest. The semi-magic code is the
 mini-line family of block 0 and the cyclic step between neighbouring
 blocks of each band and pillar: eight codes per nest. One walk from the
 representatives under the physical generators builds each table, with
@@ -40,12 +41,11 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .boards import Board, _mm_blocks, _sm_blocks, is_semi_magic, off_diagonal_set
+from .boards import Board, _line_sets, _mm_classes, _variant_blocks, is_semi_magic
 from .catalog import PhysicalGroup, h_gamma_generators, h_mm_generators
 from .enumeration import (
     STANDARD_GNOMON_BLOCKS,
     _join_tables,
-    _line_sets,
     _map_partitions,
     _mm_join,
     _sm_join,
@@ -254,19 +254,13 @@ def canonicalize_sm(board: Board) -> tuple[NestLabel, Board]:
     return canonicalize(SM, board)
 
 
-@cache
-def _catalog_index(variant: str) -> dict[bytes, int]:
-    """Each of the variant's catalog blocks, as nine row-major bytes, to its index."""
-    return {blk.tobytes(): i for i, blk in enumerate(_join_tables(_CENSUS[variant][0])[0])}
-
-
-def _board_blocks(variant: str, cells: bytes) -> list[int]:
+def _board_blocks(variant: str, cells: bytes) -> tuple[int, ...]:
     """The catalog indices of a board's nine blocks. Raises DomainError
     unless the board is of the variant."""
-    found = (_mm_blocks if variant == MM else _sm_blocks)(cells)
+    found = _variant_blocks(_CENSUS[variant][0], cells)
     if found is None:
         raise DomainError(f"board is not {'modular-magic' if variant == MM else 'semi-magic'}")
-    return list(map(_catalog_index(variant).__getitem__, found))
+    return found
 
 
 # --- representatives and label alphabets ---
@@ -328,8 +322,7 @@ def _mm_weights() -> np.ndarray:
     transpose or rotate blocks or swap their mini-diagonals, so they keep
     a board's class multiset, which the weight sum encodes: each center
     is in three blocks, so no count reaches 4."""
-    keys = [(blk[1][1], *sorted(off_diagonal_set(blk))) for blk in modular_magic_blocks()]
-    return 4 ** np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+    return 4 ** np.unique(_mm_classes(), axis=0, return_inverse=True)[1].ravel()
 
 
 def _mm_code(columns):

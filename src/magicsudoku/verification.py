@@ -213,7 +213,8 @@ class _Variant:
 _VARIANTS = {
     MM: _Variant(
         count=32_256, within_s=60,
-        orbit_sizes=(4608, 27_648), full_order=lambda: catalog.g_mm_group().order,
+        orbit_sizes=(4608, 27_648),
+        full_order=lambda: catalog.h_mm_group().order * catalog.s_mm_elements().order,
         seed_offset=1, group=catalog.h_mm_group, generators=catalog.h_mm_generators,
         relabelings=catalog.s_mm_elements,
         draw=lambda ctx, rng: rng.choice(ctx.mm_sample_boards()),

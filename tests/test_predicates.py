@@ -176,31 +176,21 @@ def _bands(board):
     return [board.cells[27 * i : 27 * i + 27] for i in range(3)]
 
 
-def test_passing_block_sets_hold_only_catalog_blocks(sample_boards, wrapped_boards):
-    # The memos map bands of boards that passed to the catalog blocks cut
-    # from them and their column codes; every modular-magic board enters
-    # its bands, which are then all the bands the catalog makes.
-    base, mutated = sample_boards
-    for board in base + mutated + wrapped_boards:
-        is_modular_magic(board)  # never raises on the corpus
-        is_semi_magic(board)
-    for passed, codes, catalog_fn in (
-        (boards._MM_PASSED, boards._MM_BLOCKS, modular_magic_blocks),
-        (boards._SM_PASSED, boards._SM_BLOCKS, semi_magic_blocks),
-    ):
-        catalog = {bytes(itertools.chain.from_iterable(blk)) for blk in catalog_fn()}
-        assert 0 < len(codes) <= 72 and set(codes) <= catalog
-        for blk, code in codes.items():
-            assert code == sum(1 << 9 * (k % 3) + d for k, d in enumerate(blk))
-        assert 0 < len(passed) <= _band_count(catalog_fn)
-        for band, (cut, code) in passed.items():
+def test_band_tables_hold_every_band_of_the_catalog():
+    # Each variant's table maps every band its catalog makes, as 27
+    # row-major bytes, to the catalog indices of the three blocks cut
+    # from it and to its column code.
+    for catalog_fn in (modular_magic_blocks, semi_magic_blocks):
+        table = boards._bands(catalog_fn)
+        catalog = [bytes(itertools.chain.from_iterable(blk)) for blk in catalog_fn()]
+        assert len(table) == _band_count(catalog_fn)
+        for band, (indices, code) in table.items():
             assert len(band) == 27
-            assert cut == tuple(bytes(band[9 * r + 3 * j + c] for r in range(3) for c in range(3))
-                                for j in range(3))
-            assert set(cut) <= catalog
+            assert [catalog[i] for i in indices] == [
+                bytes(band[9 * r + 3 * j + c] for r in range(3) for c in range(3))
+                for j in range(3)
+            ]
             assert code == sum(1 << 9 * (k % 9) + d for k, d in enumerate(band))
-    assert all(map(is_modular_magic, iter_modular_magic()))
-    assert len(boards._MM_PASSED) == _band_count(modular_magic_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -212,11 +202,12 @@ def variant_sources(mm_sample):
 @pytest.mark.parametrize("variant", ["MM", "SM"])
 def test_passed_bands_whose_pillars_clash_make_no_board(variant, variant_sources):
     # Bands (A0, A0, A2) of one board, and A's band 2 swapped for another
-    # board's: every band is in the memo, so only the column codes tell.
-    predicate, oracle, passed, name = {
-        "MM": (is_modular_magic, oracle_is_modular_magic, boards._MM_PASSED, "modular-magic"),
-        "SM": (is_semi_magic, oracle_is_semi_magic, boards._SM_PASSED, "semi-magic"),
+    # board's: every band is in the table, so only the column codes tell.
+    predicate, oracle, catalog_fn, name = {
+        "MM": (is_modular_magic, oracle_is_modular_magic, modular_magic_blocks, "modular-magic"),
+        "SM": (is_semi_magic, oracle_is_semi_magic, semi_magic_blocks, "semi-magic"),
     }[variant]
+    table = boards._bands(catalog_fn)
     sources = variant_sources[variant]
     assert all(map(predicate, sources))
     (a0, a1, a2), *others = map(_bands, sources)
@@ -224,7 +215,7 @@ def test_passed_bands_whose_pillars_clash_make_no_board(variant, variant_sources
     clashes = [board for board in clashes if not oracle(board)]
     assert len(clashes) > 30
     for board in clashes:
-        assert all(band in passed for band in _bands(board))
+        assert all(band in table for band in _bands(board))
         assert not predicate(board)
         with pytest.raises(DomainError, match=f"^board is not {name}$"):
             nests.canonicalize(variant, board)
@@ -249,19 +240,15 @@ def _answers(board):
 
 
 def test_answers_do_not_depend_on_the_memos(sample_boards, wrapped_boards):
-    # Cold: the band and block memos cleared before every board. Then one
-    # pass that fills them in corpus order, and one with every passing
-    # band in them.
+    # Cold: the cached band and class tables cleared, so the first board
+    # builds them. Then one pass with them warm.
     base, mutated = sample_boards
     corpus = base + mutated + wrapped_boards
-    cold = []
-    for board in corpus:
-        for memo in (boards._MM_PASSED, boards._SM_PASSED, boards._MM_BLOCKS, boards._SM_BLOCKS):
-            memo.clear()
-        cold.append(_answers(board))
-    filling = [_answers(board) for board in corpus]
+    boards._bands.cache_clear()
+    boards._mm_classes.cache_clear()
+    cold = [_answers(board) for board in corpus]
     warm = [_answers(board) for board in corpus]
-    assert cold == filling == warm
+    assert cold == warm
     # Each function gives two answers at least: True and False, or a
     # value and an error.
     for column in zip(*cold):

@@ -82,6 +82,15 @@ def test_mm_sample_does_not_depend_on_threads(mm_sample):
     assert VerifyContext(threads=2).mm_sample_boards() == mm_sample
 
 
+def test_mm_census_and_sweep_do_not_depend_on_threads(ctx):
+    # Two forked workers run the census and the sweep on the tables
+    # already built in this process.
+    two = VerifyContext(threads=2)
+    assert list(two.census("MM").counts.items()) == list(ctx.census("MM").counts.items())
+    assert two.census("MM") == ctx.census("MM")
+    assert two.off_diagonal_sweep() == ctx.off_diagonal_sweep()
+
+
 def _raise(exc):
     def crosscheck(board):
         raise exc
