@@ -235,9 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[common], help="enumerate all boards")
     p.add_argument("--variant", choices=_VARIANT_CHOICES, required=True)
-    p.add_argument("--out", metavar="FILE", default=None)
+    sink = p.add_mutually_exclusive_group()  # counting writes no file: exits 2
+    sink.add_argument("--out", metavar="FILE", default=None)
+    sink.add_argument("--count-only", action="store_true")
     p.add_argument("--format", choices=("text", "binary"), default="text")
-    p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("census", parents=[common], help="count boards per nest")

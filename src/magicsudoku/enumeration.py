@@ -10,14 +10,13 @@ enumerates either variant.
 Partitions and preset cells (such as the 45 cells of the standard
 gnomon) become per-position candidate masks of that join.
 
-The join is level-wise over numpy arrays: it fills block positions in
-row-major order, extending every partial assembly by one position at a
-time, and yields (n, 9) uint8 chunks of catalog indices, one per
-admissible pair of blocks at positions 0 and 1. Chunks and their rows
-come in lexicographic order, so earlier positions vary slowest. A block
-is fixed by its mini-row and mini-column digit sets, so band 2's blocks
-are looked up, not masked: the pillars above positions 6 and 7 fix their
-column sets, and band 2 and pillar 2 fix both sets of position 8.
+The join is a join of bands, each three catalog blocks with pairwise
+disjoint mini-row sets: bands 0 and 1 have disjoint mini-column sets in
+every pillar, and band 2 is any band with the column triples they leave,
+found by a sorted-key lookup. It yields (n, 9) uint8 chunks of catalog
+indices, one per admissible pair of blocks at positions 0 and 1. Chunks
+and their rows come in lexicographic order, so earlier positions vary
+slowest.
 Board objects are built only for visitors, the iterators and completions.
 
 Both enumerators are deterministic: semi-magic boards come in join
@@ -89,86 +88,62 @@ def _join_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 @cache
-def _forced_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, ...]:
-    """Lookups for band 2's blocks. A block is fixed by its mini-row
-    and mini-column triples (ordered digit sets): cell (i, j) is the one
-    digit in row set i and column set j. row_rest[a, b] and col_rest[a, b]
-    are the triple ids that complete a band or a pillar holding blocks a
-    and b, block_of[row id, col id] the block with both, and by_col[col id]
-    the ascending blocks with that column triple. One past the last id
-    and block n = 72 stand for none; row_fit is row_ok with a column n."""
+def _band_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, ...]:
+    """The catalog's bands and the lookup of band 2. A band is three
+    blocks with pairwise disjoint mini-row sets, an (n, 3) uint8 row of
+    catalog indices; bands lists them in lexicographic order. A band's
+    key is the base-m number of its blocks' mini-column triple ids (the
+    ordered column digit sets, m - 1 of them), and by_key holds the bands
+    stably sorted by key, beside the sorted keys. rest[a, b] is the id of
+    the triple that completes a pillar holding blocks a and b; m - 1, a
+    triple no block has, stands for none."""
     blocks, row_ok, _ = _join_tables(catalog_fn)
-    n = len(blocks)
-
-    def ids(codes):
-        # Blocks that overlap in a mini-line leave over three digits there: no triple.
-        triples, id_of = np.unique(codes, return_inverse=True)
-        rest = ((1 << 27) - 1) ^ (codes[:, None] | codes)
-        at = np.minimum(np.searchsorted(triples, rest), len(triples) - 1)
-        return id_of, np.where(triples[at] == rest, at, len(triples))
-
-    (row_id, row_rest), (col_id, col_rest) = map(ids, _line_sets(blocks.reshape(-1, 3, 3)))
-    block_of = np.full((row_id.max() + 2, col_id.max() + 2), n, dtype=np.uint8)
-    block_of[row_id, col_id] = np.arange(n)
-    by_col = np.full((col_id.max() + 2, np.bincount(col_id).max()), n, dtype=np.uint8)
-    for c in range(col_id.max() + 1):
-        members = np.flatnonzero(col_id == c)
-        by_col[c, : len(members)] = members
-    return row_rest, col_rest, block_of, by_col, np.pad(row_ok, ((0, 0), (0, 1)))
-
-
-def _admissible(tables, allowed: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """(n, 72) mask of the allowed catalog blocks that may sit at block
-    position p = idx.shape[1] (row-major block order) next to the
-    blocks idx[k, :p] of each partial assembly k: mini-row sets disjoint
-    from the earlier blocks of its band, mini-column sets disjoint from
-    the earlier blocks of its pillar."""
-    _, row_ok, col_ok = tables
-    p = idx.shape[1]
-    # Only position 0 has no earlier block in its band or pillar.
-    mask = np.broadcast_to(allowed, (len(idx), len(allowed))) if p == 0 else allowed
-    for q in range(p - p % 3, p):
-        mask = mask & row_ok[idx[:, q]]
-    for q in range(p % 3, p, 3):
-        mask = mask & col_ok[idx[:, q]]
-    return mask
-
-
-def _extend(catalog_fn: _Catalog, cand: np.ndarray, idx: np.ndarray, stop: int) -> np.ndarray:
-    """Extend the (n, p) partial assemblies idx through block position
-    stop - 1, position q drawing from the mask cand[q]. Positions 6 and 7
-    draw from the blocks with the column triple their pillar leaves (7 also
-    fitting 6's rows), and 8 is the one block with the triples band 2 and
-    pillar 2 leave, if any. Rows stay in lexicographic order: np.nonzero
-    lists a mask's rows in order, each row's blocks (and by_col's) ascending."""
-    tables = _join_tables(catalog_fn)
-    row_rest, col_rest, block_of, by_col, row_fit = _forced_tables(catalog_fn)
-    allowed = np.pad(cand, ((0, 0), (0, 1)))  # block n, none, is never allowed
-    for p in range(idx.shape[1], stop):
-        if p in (6, 7):
-            picks = by_col[col_rest[idx[:, p - 6], idx[:, p - 3]]]
-            fit = row_fit[idx[:, 6, None], picks] if p == 7 else True
-            rows, k = np.nonzero(allowed[p, picks] & fit)
-            picks = picks[rows, k]
-        elif p == 8:
-            picks = block_of[row_rest[idx[:, 6], idx[:, 7]], col_rest[idx[:, 2], idx[:, 5]]]
-            rows = np.flatnonzero(allowed[p, picks])
-            picks = picks[rows]
-        else:
-            rows, picks = np.nonzero(_admissible(tables, cand[p], idx))
-        idx = np.column_stack((idx[rows], picks.astype(np.uint8)))
-    return idx
+    bands = np.argwhere(row_ok[:, :, None] & row_ok[:, None, :] & row_ok[None]).astype(np.uint8)
+    codes = _line_sets(blocks.reshape(-1, 3, 3))[1]
+    triples, col_id = np.unique(codes, return_inverse=True)
+    # Blocks that overlap in a mini-column leave over three digits there: no triple.
+    left = ((1 << 27) - 1) ^ (codes[:, None] | codes)
+    at = np.minimum(np.searchsorted(triples, left), len(triples) - 1)
+    rest = np.where(triples[at] == left, at, len(triples))
+    m = len(triples) + 1
+    keys = col_id[bands] @ [m * m, m, 1]
+    order = np.argsort(keys, kind="stable")
+    return bands, bands[order], keys[order], rest, m
 
 
 def _join(catalog_fn: _Catalog, cand: np.ndarray) -> Iterator[np.ndarray]:
     """Every board built from the catalog whose block at position p has
     its catalog index in the mask cand[p], as (n, 9) uint8 chunks of
     catalog indices: one chunk per admissible pair of blocks at
-    positions 0 and 1, in lexicographic order."""
-    for head in _extend(catalog_fn, cand, np.zeros((1, 0), dtype=np.uint8), 2):
-        idx = _extend(catalog_fn, cand, head[None], 9)
-        if len(idx):
-            yield idx
+    positions 0 and 1, in lexicographic order.
+
+    A board is three bands whose blocks have disjoint mini-column sets
+    in each pillar. Each band-0 row of a chunk pairs with the band-1 rows
+    that fit it in all three pillars, and each pair with the bands that
+    have the column triples it leaves: one sorted-key range. Rows stay in
+    lexicographic order, as np.nonzero lists pairs in order and the
+    stable sort keeps a key's bands in order."""
+    bands, by_key, keys, rest, m = _band_tables(catalog_fn)
+    col_ok = _join_tables(catalog_fn)[2]
+
+    def allowed(rows, r):
+        return cand[np.arange(3 * r, 3 * r + 3), rows].all(axis=1)
+
+    top, mid, ok = bands[allowed(bands, 0)], bands[allowed(bands, 1)], allowed(by_key, 2)
+    low, low_keys = by_key[ok], keys[ok]
+    starts = np.unique(top[:, :2], axis=0, return_index=True)[1].tolist()
+    for start, stop in zip(starts, starts[1:] + [len(top)]):
+        head = top[start:stop]
+        (b0, b1), b2 = head[0, :2], head[:, 2]
+        fit = mid[col_ok[b0, mid[:, 0]] & col_ok[b1, mid[:, 1]]]
+        i, j = np.nonzero(col_ok[b2[:, None], fit[:, 2]])
+        want = (rest[b0, fit[j, 0]] * m + rest[b1, fit[j, 1]]) * m + rest[b2[i], fit[j, 2]]
+        lo = np.searchsorted(low_keys, want)
+        n = np.searchsorted(low_keys, want, "right") - lo
+        pair = np.repeat(np.arange(len(n)), n)
+        if len(pair):
+            at = np.arange(len(pair)) + np.repeat(lo - np.cumsum(n) + n, n)
+            yield np.column_stack((head[i[pair]], fit[j[pair]], low[at]))
 
 
 def _slice(keys: np.ndarray, partition: tuple[int, int] | None) -> np.ndarray:

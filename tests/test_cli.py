@@ -83,6 +83,18 @@ def test_enumerate_quiet_requires_out(capsys, monkeypatch):
     assert "usage error" in captured.err
 
 
+def test_enumerate_count_only_conflicts_with_out(capsys, monkeypatch, tmp_path):
+    def enumerator_called(*_, **__):
+        raise AssertionError("enumerated boards before rejecting the flags")
+
+    monkeypatch.setattr(cli, "_map_partitions", enumerator_called)
+    out = tmp_path / "boards.txt"
+    argv = ["enumerate", "--variant", "modular-magic", "--count-only", "--out", str(out)]
+    assert run(argv) == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_enumerate_to_file_writes_the_json_count(tmp_path, capsys):
     out, report = tmp_path / "boards.mssb", tmp_path / "count.json"
     argv = ["enumerate", "--variant", "modular-magic", "--format", "binary"]

@@ -1,8 +1,10 @@
 """Exhaustive enumeration, partitioning, completion, and sampling."""
 
+import ast
 import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,23 +225,56 @@ def test_random_semi_magic_pinned_draws():
 
 
 def test_random_draws_fit_the_join():
-    # Every drawn block must be one the join admits next to the blocks
-    # drawn before it in its band and pillar.
-    tables = en._join_tables(en.semi_magic_blocks)
-    index = {blk.tobytes(): i for i, blk in enumerate(tables[0])}
-    allowed = np.ones(len(index), dtype=bool)
+    # Every drawn board is a row of the join's slice of its top-left block.
+    cat = en._join_tables(en.semi_magic_blocks)[0]
+    index = {blk.tobytes(): i for i, blk in enumerate(cat)}
     rng = random.Random(23)
     for _ in range(50):
         board = en.random_semi_magic(rng)
         picks = [index[bytes(itertools.chain(*blk))] for blk in blocks(board)]
-        idx = np.array([picks], dtype=np.uint8)
-        for p in range(9):
-            assert en._admissible(tables, allowed, idx[:, :p])[0, picks[p]]
+        cand = en._slice(np.arange(72), (picks[0], 72))
+        rows = np.concatenate(list(en._join(en.semi_magic_blocks, cand)))
+        assert (rows == picks).all(axis=1).any()
 
 
-def _level_sizes(catalog_fn, cand):
-    empty = np.zeros((1, 0), dtype=np.uint8)
-    return [len(en._extend(catalog_fn, cand, empty, depth)) for depth in range(1, 10)]
+def _admissible(tables, allowed, idx):
+    # (n, 72) mask of the allowed catalog blocks that may sit at block
+    # position p = idx.shape[1] (row-major block order) next to the
+    # blocks idx[k, :p] of each partial assembly k: mini-row sets
+    # disjoint from the earlier blocks of its band, mini-column sets
+    # disjoint from the earlier blocks of its pillar.
+    _, row_ok, col_ok = tables
+    p = idx.shape[1]
+    # Only position 0 has no earlier block in its band or pillar.
+    mask = np.broadcast_to(allowed, (len(idx), len(allowed))) if p == 0 else allowed
+    for q in range(p - p % 3, p):
+        mask = mask & row_ok[idx[:, q]]
+    for q in range(p % 3, p, 3):
+        mask = mask & col_ok[idx[:, q]]
+    return mask
+
+
+def _extend(catalog_fn, cand, idx, stop):
+    # The reference join's step: extend the partial assemblies idx one
+    # block position at a time through position stop - 1, each with the
+    # 72-wide _admissible mask.
+    tables = en._join_tables(catalog_fn)
+    for p in range(idx.shape[1], stop):
+        rows, picks = np.nonzero(_admissible(tables, cand[p], idx))
+        idx = np.column_stack((idx[rows], picks.astype(np.uint8)))
+    return idx
+
+
+def _reference_join(catalog_fn, cand):
+    # The join position by position, one chunk per admissible pair of
+    # blocks at positions 0 and 1.
+    for head in _extend(catalog_fn, cand, np.zeros((1, 0), dtype=np.uint8), 2):
+        idx = _extend(catalog_fn, cand, head[None], 9)
+        if len(idx):
+            yield idx
+
+
+_SM_LEVELS = [1, 12, 72, 864, 3456, 6912, 41472, 82944, 82944]
 
 
 def test_sm_join_level_sizes():
@@ -247,29 +282,21 @@ def test_sm_join_level_sizes():
     # any other, which makes random_semi_magic exactly uniform. Every
     # semi-magic assembly of eight blocks has its forced last block in
     # the catalog; 4,608 modular-magic ones do not.
+    empty = np.zeros((1, 0), dtype=np.uint8)
     for top_left in (0, 17, 71):
         cand = en._slice(np.arange(72), (top_left, 72))
-        sizes = _level_sizes(en.semi_magic_blocks, cand)
-        assert sizes == [1, 12, 72, 864, 3456, 6912, 41472, 82944, 82944]
-    sizes = _level_sizes(en.modular_magic_blocks, np.ones((9, 72), dtype=bool))
+        sizes = [len(_extend(en.semi_magic_blocks, cand, empty, d)) for d in range(1, 10)]
+        assert sizes == _SM_LEVELS
+        # The band join's rows show the same levels, each prefix of a
+        # depth with equally many completions.
+        rows = np.concatenate(list(en._join(en.semi_magic_blocks, cand)))
+        for depth, size in enumerate(_SM_LEVELS, 1):
+            _, counts = np.unique(rows[:, :depth], axis=0, return_counts=True)
+            assert len(counts) == size
+            assert (counts == len(rows) // size).all()
+    cand = np.ones((9, 72), dtype=bool)
+    sizes = [len(_extend(en.modular_magic_blocks, cand, empty, d)) for d in range(1, 10)]
     assert sizes == [72, 576, 2304, 18432, 20736, 11520, 46080, 36864, 32256]
-
-
-def _reference_join(catalog_fn, cand):
-    # The join with the 72-wide _admissible mask at every block
-    # position, the forced positions 7 and 8 included.
-    tables = en._join_tables(catalog_fn)
-
-    def extend(idx, stop):
-        for p in range(idx.shape[1], stop):
-            rows, picks = np.nonzero(en._admissible(tables, cand[p], idx))
-            idx = np.column_stack((idx[rows], picks.astype(np.uint8)))
-        return idx
-
-    for head in extend(np.zeros((1, 0), dtype=np.uint8), 2):
-        idx = extend(head[None], 9)
-        if len(idx):
-            yield idx
 
 
 def _preset(catalog_fn, assignments):
@@ -290,7 +317,7 @@ def _assert_joins_equal(catalog_fn, cand):
     return sum(map(len, got))
 
 
-def test_forced_blocks_match_the_admissible_join(board_mm_72):
+def test_band_join_matches_the_reference_join(board_mm_72):
     sm, mm = en.semi_magic_blocks, en.modular_magic_blocks
     for top_left in (0, 17, 71):
         assert _assert_joins_equal(sm, en._slice(np.arange(72), (top_left, 72))) == 82944
@@ -298,7 +325,7 @@ def test_forced_blocks_match_the_admissible_join(board_mm_72):
     assert _assert_joins_equal(sm, _preset(sm, dict(en.standard_gnomon_cells()))) == 16
     assert _assert_joins_equal(mm, _preset(mm, dict(nests._MM_TEMPLATE))) > 0
     # Presets on one cell of block 7 (cell (7, 4)) and one of block 8
-    # (cell (8, 8)) filter the forced positions themselves.
+    # (cell (8, 8)) filter band 2 alone.
     for catalog_fn, board, cand in (
         (sm, parse_board(CANON_SM_71), en._slice(np.arange(72), (17, 72))),
         (mm, board_mm_72, np.ones((9, 72), dtype=bool)),
@@ -312,6 +339,31 @@ def test_forced_blocks_match_the_admissible_join(board_mm_72):
             assert 0 < _assert_joins_equal(catalog_fn, restricted) < full
         cand[8] = False
         assert list(en._join(catalog_fn, cand)) == []
+    # Seeded random masks; semi-magic ones keep a few top-left blocks,
+    # so that each join stays small.
+    rng = np.random.default_rng(19)
+    for catalog_fn in (sm, mm):
+        nonempty = 0
+        for _ in range(50):
+            cand = rng.random((9, 72)) < rng.choice([0.5, 0.8, 0.95, 1.0], size=(9, 1))
+            if catalog_fn is sm:
+                cand[0] &= rng.random(72) < 0.05
+            nonempty += _assert_joins_equal(catalog_fn, cand) > 0
+        assert nonempty > 40
+
+
+def test_join_reads_no_predicate_table():
+    # The predicates' band table is the second derivation that checks
+    # the enumerated boards, so the join builds its own bands.
+    names = set()
+    for node in ast.walk(ast.parse(Path(en.__file__).read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not names & {"_bands", "_variant_blocks"}
 
 
 # Order pins: SHA-256 of the concatenated cells, computed once with the
