@@ -6,10 +6,10 @@ triple transpositions); digit-permutation builders cover the relabeling
 moves. Each builder returns a NamedGenerator whose token round-trips
 through parse_generator.
 
-The physical groups are built from their generator lists as the product
-they are, transpose x row moves x column moves (PhysicalGroup), and the
-full modular-magic group as physical x relabeling; breadth-first closure
-builds only the line groups and the relabeling groups.
+The physical groups are built once per generator list as the product
+they are, transpose x row moves x column moves (PhysicalGroup), and are
+materialized only for callers that compare or draw rows; breadth-first
+closure builds only the line groups and the relabeling groups.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -388,36 +388,42 @@ class PhysicalGroup:
 
 
 @cache
+def _physical_group(generators_fn: Callable[[], list[NamedGenerator]]) -> PhysicalGroup:
+    """The factored group of a generator list, built once per list."""
+    return PhysicalGroup(generators_fn())
+
+
+@cache
 def h_mm_group() -> PermGroup:
     """The modular-magic physical group (order 4608 = 2·48²)."""
-    return PhysicalGroup(h_mm_generators()).materialize()
+    return _physical_group(h_mm_generators).materialize()
 
 
 @cache
 def h_gamma_group() -> PermGroup:
     """The gnomon-preserving physical group (order 72^3 = 2·432²)."""
-    return PhysicalGroup(h_gamma_generators()).materialize()
+    return _physical_group(h_gamma_generators).materialize()
 
 
 @cache
 def g_mm_group() -> PermGroup:
     """The full modular-magic group (order 165,888): the direct product
     of H_MM, which moves only cells, and S_MM, which moves only digits
-    (its formula check pins every element as a pure relabeling)."""
+    (its formula check pins every element as a pure relabeling). Rows of
+    sorted H_MM cells beside sorted S_MM digits are already sorted."""
     h, s = h_mm_group(), s_mm_elements()
     if not h.is_cell_only:
         raise IntegrityError("modular-magic physical group relabels digits")
     rows = np.empty((h.order * s.order, 90), dtype=np.uint8)
     rows[:, :81] = np.repeat(h.cell_images, s.order, axis=0)
     rows[:, 81:] = np.tile(s.digit_images, (h.order, 1))
-    return PermGroup(h.generators + s.generators, _sort_rows(rows))
+    return PermGroup(h.generators + s.generators, rows)
 
 
-@cache
 def h9_group() -> PhysicalGroup:
     """The full physical group (order 3,359,232 = 2·1296²), never
     materialized."""
-    return PhysicalGroup(h9_generators())
+    return _physical_group(h9_generators)
 
 
 @cache

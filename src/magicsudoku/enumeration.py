@@ -29,6 +29,7 @@ are disjoint and their union is the full enumeration.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from functools import cache
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
@@ -169,10 +170,10 @@ def _boards(catalog_fn: _Catalog, chunks: Iterable[np.ndarray]) -> Iterator[Boar
 
 def _map_partitions(fn: Callable[[tuple[int, int] | None], _T], threads: int) -> list[_T]:
     """fn(partition) for every slice of a threads-way partition, in slice
-    order, each slice in its own process; one thread runs fn(None) here."""
+    order, on at most os.cpu_count() processes; one thread runs fn(None) here."""
     if threads == 1:
         return [fn(None)]
-    with multiprocessing.Pool(threads) as pool:
+    with multiprocessing.Pool(min(threads, os.cpu_count() or 1)) as pool:
         return pool.map(fn, [(w, threads) for w in range(threads)])
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import catalog
-from .boards import is_modular_magic, is_semi_magic
 from .catalog import NamedGenerator, parse_generator
 from .errors import DomainError
 from .nests import (
@@ -97,18 +96,17 @@ def build_nest_graph(
         if phys_generators is None
         else _as_generators(phys_generators)
     )
-    predicate = is_modular_magic if v == MM else is_semi_magic
     verts = labels(v)
     edges = []
     for label in verts:
         board = representative(label)
         for gen in rel + phys:
-            image = act(gen.symmetry, board)
-            if not predicate(image):
+            try:
+                target, _ = canonicalize(v, act(gen.symmetry, board))
+            except DomainError as exc:
                 raise DomainError(
                     f"generator {gen.name} does not preserve the {v} predicate"
-                )
-            target, _ = canonicalize(v, image)
+                ) from exc
             edges.append((label, target, gen.name))
     return NestGraph(v, verts, tuple(edges))
 
@@ -212,7 +210,8 @@ def minimality(
     """
     v = normalize_variant(variant)
     if phys_group is None:
-        phys_group = catalog.h_mm_group() if v == MM else catalog.h9_group()
+        gens = catalog.h_mm_generators if v == MM else catalog.h9_generators
+        phys_group = catalog._physical_group(gens)
     phys_order = phys_group if isinstance(phys_group, int) else phys_group.order
     rel = _as_generators(rel_generators)
     rel_order = closure([g.symmetry for g in rel]).order

@@ -42,15 +42,14 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .boards import Board, _line_sets, _mm_classes, _variant_blocks, is_semi_magic
-from .catalog import PhysicalGroup, h_gamma_generators, h_mm_generators
+from .catalog import PhysicalGroup, _physical_group, h_gamma_generators, h_mm_generators
 from .enumeration import (
     STANDARD_GNOMON_BLOCKS,
+    _complete,
     _join_tables,
     _map_partitions,
     _mm_join,
     _sm_join,
-    complete_modular_magic,
-    complete_standard_gnomon,
     modular_magic_blocks,
     semi_magic_blocks,
     standard_gnomon_cells,
@@ -136,11 +135,6 @@ _SM_A, _SM_B = 9 * 6 + 5, 9 * 5 + 6
 _SM_GNOMON_CELLS = tuple(standard_gnomon_cells())
 
 
-@cache
-def _physical(generators: Callable[[], list]) -> PhysicalGroup:
-    return PhysicalGroup(generators())
-
-
 # Entry 81e + 9r + k of a flattened (board, transpose) pair is row r of
 # the board (e = 0) or its transpose (e = 1) at column k.
 _ROW_START, _COLUMN = np.arange(162) // 9 * 9, np.arange(162) % 9
@@ -218,7 +212,7 @@ def canonicalize_sm_by_scan(board: Board) -> tuple[NestLabel, Board]:
 
 def _sm_scanned(board: Board) -> tuple[NestLabel, Board]:
     """canonicalize_sm_by_scan of a board known to be semi-magic."""
-    canon = _scan(_physical(h_gamma_generators), _SM_GNOMON_CELLS, board.cells)
+    canon = _scan(_physical_group(h_gamma_generators), _SM_GNOMON_CELLS, board.cells)
     return NestLabel(SM, canon[_SM_A], canon[_SM_B]), Board._wrap(canon)
 
 
@@ -266,47 +260,46 @@ def _board_blocks(variant: str, cells: bytes) -> tuple[int, ...]:
 # --- representatives and label alphabets ---
 
 
+# Per variant: the block catalog, the canonical (cell, digit) pattern, the
+# two label cells, the tie-break among the pattern's boards, the nest count.
+_CANONICAL = {MM: (modular_magic_blocks, _MM_TEMPLATE, (_MM_ALPHA, _MM_GAMMA1), _mm_ties, 9),
+              SM: (semi_magic_blocks, _SM_GNOMON_CELLS, (_SM_A, _SM_B), None, 16)}
+
+
 @cache
-def _mm_representatives() -> dict[tuple[int, int], Board]:
-    """The boards holding the canonical pattern that pass the label
-    tie-break: one per nest, nine with distinct labels."""
-    boards = complete_modular_magic(dict(_MM_TEMPLATE))
-    cells = np.frombuffer(b"".join(b.cells for b in boards), dtype=np.uint8)
-    kept = [b for b, ok in zip(boards, _mm_ties(cells.reshape(-1, 81))) if ok]
-    reps = {(b[_MM_ALPHA], b[_MM_GAMMA1]): b for b in kept}
-    if len(kept) != 9 or len(reps) != 9:
+def _representatives(variant: str) -> dict[NestLabel, Board]:
+    """Each nest's label and canonical board, in label order: the boards
+    completing the variant's pattern that pass its tie-break, one per nest."""
+    catalog_fn, pattern, (first, second), ties, count = _CANONICAL[variant]
+    boards = _complete(catalog_fn, dict(pattern))
+    if ties is not None:
+        cells = np.frombuffer(b"".join(b.cells for b in boards), dtype=np.uint8)
+        boards = [b for b, ok in zip(boards, ties(cells.reshape(-1, 81))) if ok]
+    reps = {NestLabel(variant, b[first], b[second]): b for b in boards}
+    if len(boards) != count or len(reps) != count:
         raise IntegrityError(
-            f"{len(kept)} canonical modular-magic boards with {len(reps)} labels, expected 9"
+            f"{len(boards)} canonical {variant} boards with {len(reps)} labels, expected {count}"
         )
-    return reps
-
-
-@cache
-def _sm_representatives() -> dict[tuple[int, int], Board]:
-    reps = {(b[_SM_A], b[_SM_B]): b for b in complete_standard_gnomon()}
-    if len(reps) != 16:
-        raise IntegrityError(f"{len(reps)} semi-magic nest labels, expected 16")
-    return reps
+    return dict(sorted(reps.items()))
 
 
 def mm_labels() -> tuple[NestLabel, ...]:
     """The nine modular-magic nest labels, sorted."""
-    return tuple(NestLabel(MM, a, g) for a, g in sorted(_mm_representatives()))
+    return labels(MM)
 
 
 def sm_labels() -> tuple[NestLabel, ...]:
     """The sixteen semi-magic nest labels, sorted."""
-    return tuple(NestLabel(SM, a, b) for a, b in sorted(_sm_representatives()))
+    return labels(SM)
 
 
 def labels(variant: str) -> tuple[NestLabel, ...]:
-    return mm_labels() if normalize_variant(variant) == MM else sm_labels()
+    return tuple(_representatives(normalize_variant(variant)))
 
 
 def representative(label: NestLabel) -> Board:
     """The canonical board of the given nest."""
-    table = _mm_representatives() if label.variant == MM else _sm_representatives()
-    board = table.get((label.first, label.second))
+    board = _representatives(label.variant).get(label)
     if board is None:
         raise DomainError(f"no {label.variant} nest {label}")
     return board
@@ -398,7 +391,7 @@ def _label_table(variant: str) -> np.ndarray:
 @cache
 def _nests(variant: str) -> dict[int, tuple[NestLabel, Board]]:
     """Each block code of the variant's label table to its nest's label and representative."""
-    nest = {9 * l.first + l.second: (l, representative(l)) for l in labels(variant)}
+    nest = {9 * l.first + l.second: (l, b) for l, b in _representatives(variant).items()}
     table = _label_table(variant)
     return {int(code): nest[table[code]] for code in np.flatnonzero(table >= 0)}
 

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import itertools
+import os
 import random
 from pathlib import Path
 
@@ -123,6 +124,29 @@ def test_mm_prefix_respects_partition_branch():
     )
     for board in in_slice:
         assert (9 * board[0] + board[1]) % 4 == 1
+
+
+def test_map_partitions_caps_processes_at_the_cpu_count(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    # Installed before the call, so no process starts.
+    monkeypatch.setattr(en.multiprocessing, "Pool", InProcessPool)
+    got = en._map_partitions(str, 10_000)
+    assert started and started[0] <= (os.cpu_count() or 1)
+    assert got == [str((w, 10_000)) for w in range(10_000)]
 
 
 def test_partition_validation():
@@ -388,3 +412,12 @@ def test_standard_gnomon_completions_pinned():
     assert _digest(en.complete_standard_gnomon()) == (
         "91b1743454d13fcc556118706524d3161674621bcbc5918d54c48a3832024a65"
     )
+
+
+@pytest.mark.parametrize("variant, digest", [
+    ("MM", "edd651c93eca168ee20c76900db2b262d589749ef7646643f7f44742fc85c958"),
+    ("SM", "91b1743454d13fcc556118706524d3161674621bcbc5918d54c48a3832024a65"),
+], ids=["MM", "SM"])
+def test_representatives_pinned(variant, digest):
+    # The nest representatives in label order, boards and order both pinned.
+    assert _digest(map(nests.representative, nests.labels(variant))) == digest

@@ -1,6 +1,7 @@
 """Generator-labeled nest graphs, components, DOT output, minimality."""
 
 import math
+import re
 
 import pytest
 
@@ -95,10 +96,10 @@ def test_dot_empty_graph():
 
 
 def test_rejects_predicate_breaking_generators():
-    with pytest.raises(DomainError):
-        ng.build_nest_graph("MM", ["(012345678)"])
-    with pytest.raises(DomainError):
-        ng.build_nest_graph("SM", ["(01)"])
+    for variant, token in (("MM", "(012345678)"), ("SM", "(01)")):
+        want = f"generator {token} does not preserve the {variant} predicate"
+        with pytest.raises(DomainError, match=re.escape(want)):
+            ng.build_nest_graph(variant, [token])
     with pytest.raises(DomainError):
         ng.build_nest_graph("MM", ["no_such_generator"])
 

@@ -1,6 +1,10 @@
 """The verify check registry and the shared VerifyContext results."""
 
+import os
+import subprocess
+import sys
 from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -131,3 +135,20 @@ def test_timed_count_times_a_fresh_build():
     expected, actual = verification._check_timed_count(VerifyContext(), build, 3)
     assert expected == actual == {"count": 3, "within_1s": True}
     assert len(builds) == 2
+
+
+def test_group_orders_builds_no_h_gamma_table():
+    # A fresh process, so that no other test has filled the cache. The
+    # orders come from the factored groups; only rows need a table.
+    code = (
+        "from magicsudoku import catalog, verification\n"
+        "assert verification.run_checks(['group_orders']).overall\n"
+        "print(catalog.h_gamma_group.cache_info().currsize)\n"
+    )
+    src = str(Path(verification.__file__).resolve().parents[1])
+    paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = [sys.executable, "-c", code]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
