@@ -64,6 +64,15 @@ def _resolve_threads(args: argparse.Namespace) -> int:
     return _default_threads()
 
 
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Refuse, before any work, an output file that cannot be created:
+    a directory, or a path whose parent directory is missing."""
+    for option in ("json", "out", "dot", "report"):
+        path = getattr(args, option, None)
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise DomainError(f"cannot write --{option} {path}")
+
+
 def _emit_json(args: argparse.Namespace, payload: object) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if args.json:
@@ -284,6 +293,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return 0 if code in (0, None) else int(code)
     try:
+        _check_output_paths(args)
         return args.func(args)
     except (DomainError, BoardFormatError, DigitError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import catalog
 from .catalog import NamedGenerator, parse_generator
@@ -28,7 +28,7 @@ from .nests import (
     normalize_variant,
     representative,
 )
-from .perms import act, closure
+from .perms import PermGroup, act, closure
 
 __all__ = [
     "NestGraph",
@@ -73,13 +73,33 @@ def _as_generators(gens: Iterable[NamedGenerator | str]) -> tuple[NamedGenerator
     return tuple(out)
 
 
+class _Groups(NamedTuple):
+    """A variant's symmetry groups: its full physical group H, the
+    physical generators that extend the nest-defining group to H, its
+    relabeling group S, and the relabelings of the orbit-size graph."""
+
+    physical: Callable[[], list[NamedGenerator]]
+    nest_extension: tuple[NamedGenerator, ...]
+    relabelings: Callable[[], PermGroup]
+    orbit_relabelings: Callable[[], Sequence[NamedGenerator]]
+
+
+_GROUPS = {
+    MM: _Groups(catalog.h_mm_generators, (), catalog.s_mm_elements, catalog.s_mm_generators),
+    SM: _Groups(
+        catalog.h9_generators,
+        (catalog.swap_bands(0, 1), catalog.swap_pillars(0, 1)),
+        catalog.s_sm_group,
+        lambda: [catalog.relabeling(s.digit) for s in catalog.s_sm_group() if not s.is_identity],
+    ),
+}
+
+
 def default_physical_generators(variant: str) -> tuple[NamedGenerator, ...]:
     """Physical generators that extend the nest-defining group to the
     variant's full physical group: none for modular-magic, the leading
     band and pillar swaps for semi-magic."""
-    if normalize_variant(variant) == MM:
-        return ()
-    return (catalog.swap_bands(0, 1), catalog.swap_pillars(0, 1))
+    return _GROUPS[normalize_variant(variant)].nest_extension
 
 
 def build_nest_graph(
@@ -159,15 +179,6 @@ def completeness(
     return len(weak_components(graph)) == EXPECTED_ORBITS[v]
 
 
-def _full_relabeling_generators(variant: str) -> tuple[NamedGenerator, ...]:
-    if variant == MM:
-        return catalog.s_mm_generators()
-    group = catalog.s_sm_group()
-    return tuple(
-        catalog.relabeling(s.digit) for s in group if not s.is_identity
-    )
-
-
 def orbit_sizes(
     variant: str,
     rel_generators: Iterable[NamedGenerator | str] | None = None,
@@ -181,7 +192,7 @@ def orbit_sizes(
     """
     v = normalize_variant(variant)
     rel = (
-        _full_relabeling_generators(v)
+        _GROUPS[v].orbit_relabelings()
         if rel_generators is None
         else _as_generators(rel_generators)
     )
@@ -210,8 +221,7 @@ def minimality(
     """
     v = normalize_variant(variant)
     if phys_group is None:
-        gens = catalog.h_mm_generators if v == MM else catalog.h9_generators
-        phys_group = catalog._physical_group(gens)
+        phys_group = catalog._physical_group(_GROUPS[v].physical)
     phys_order = phys_group if isinstance(phys_group, int) else phys_group.order
     rel = _as_generators(rel_generators)
     rel_order = closure([g.symmetry for g in rel]).order

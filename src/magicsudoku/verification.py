@@ -4,13 +4,13 @@ minimality certificates, decomposition suites, and property samples.
 
 Checks are registered by name; each returns an (expected, actual) pair
 of JSON-ready values and passes exactly when they are equal. Checks
-that differ between the variants only in data share one function and
-a per-variant table. Expensive passes are shared through a
-VerifyContext: each variant's census (nests.census over the 32,256
-modular-magic or the 5,971,968 semi-magic boards) feeds that variant's
-count, census, minimality and orbit-size checks, and one off-diagonal
-sweep over the modular-magic boards re-checks each board and feeds the
-off-diagonal check.
+that differ between the variants only in data share one function, and
+each registered entry passes its pinned values as arguments. Expensive
+passes are shared through a VerifyContext: each variant's census
+(nests.census over the 32,256 modular-magic or the 5,971,968
+semi-magic boards) feeds that variant's count, census, minimality and
+orbit-size checks, and one off-diagonal sweep over the modular-magic
+boards re-checks each board and feeds the off-diagonal check.
 """
 
 from __future__ import annotations
@@ -195,51 +195,13 @@ class VerifyContext:
         )
 
 
-# The factored modular-magic physical group: the checks read only its order.
-_h_mm = partial(catalog._physical_group, catalog.h_mm_generators)
-
-
-@dataclass(frozen=True)
-class _Variant:
-    """What the twin MM/SM checks differ in."""
-
-    count: int
-    within_s: int  # time bound of the enumeration check
-    orbit_sizes: tuple[int, ...]
-    full_order: Callable[[], int]
-    seed_offset: int  # of the property check's RNG
-    group: Callable[[], PermGroup]
-    generators: Callable[[], list[catalog.NamedGenerator]]
-    relabelings: Callable[[], PermGroup]
-    draw: Callable[[VerifyContext, random.Random], Board]
-
-
-_VARIANTS = {
-    MM: _Variant(
-        count=32_256, within_s=60,
-        orbit_sizes=(4608, 27_648),
-        full_order=lambda: _h_mm().order * catalog.s_mm_elements().order,
-        seed_offset=1, group=catalog.h_mm_group, generators=catalog.h_mm_generators,
-        relabelings=catalog.s_mm_elements,
-        draw=lambda ctx, rng: rng.choice(ctx.mm_sample_boards()),
-    ),
-    SM: _Variant(
-        count=5_971_968, within_s=600,
-        orbit_sizes=(373_248, 2_239_488, 3_359_232), full_order=catalog.g_sm_order,
-        seed_offset=2, group=catalog.h_gamma_group, generators=catalog.h_gamma_generators,
-        relabelings=catalog.s_sm_group,
-        draw=lambda ctx, rng: random_semi_magic(rng),
-    ),
-}
-
-
 # --- individual checks ---
 
 
 def _check_group_orders(ctx: VerifyContext):
     t0 = time.perf_counter()
     actual = {
-        "h_mm": _h_mm().order,
+        "h_mm": catalog._physical_group(catalog.h_mm_generators).order,
         "s_mm": catalog.s_mm_elements().order,
         "g_mm": catalog.g_mm_group().order,
         "h_gamma": catalog._physical_group(catalog.h_gamma_generators).order,
@@ -261,13 +223,12 @@ def _check_group_orders(ctx: VerifyContext):
     return expected, actual
 
 
-def _check_enumeration(ctx: VerifyContext, variant: str):
-    spec = _VARIANTS[variant]
-    within = f"within_{spec.within_s}s"
-    expected = {"count": spec.count, within: True}
+def _check_enumeration(ctx: VerifyContext, variant: str, count: int, within_s: int):
+    within = f"within_{within_s}s"
+    expected = {"count": count, within: True}
     actual = {
         "count": ctx.census(variant).total,
-        within: ctx.enumeration_seconds(variant) < spec.within_s,
+        within: ctx.enumeration_seconds(variant) < within_s,
     }
     return expected, actual
 
@@ -354,8 +315,8 @@ def _check_sm_nest_graphs(ctx: VerifyContext):
 
 def _check_mm_minimality(ctx: VerifyContext):
     census = ctx.census(MM)
-    small = nestgraph.minimality(MM, _h_mm(), ["rho", "mu(4,0)"], census)
-    full = nestgraph.minimality(MM, _h_mm(), catalog.s_mm_generators(), census)
+    small = nestgraph.minimality(MM, rel_generators=["rho", "mu(4,0)"], nest_census=census)
+    full = nestgraph.minimality(MM, rel_generators=catalog.s_mm_generators(), nest_census=census)
     actual = {
         "group_order": small.group_order,
         "largest_orbit": small.largest_orbit,
@@ -379,7 +340,7 @@ def _check_mm_minimality(ctx: VerifyContext):
 
 def _check_sm_minimality(ctx: VerifyContext):
     report = nestgraph.minimality(
-        SM, catalog.h9_group(), ["(12)(45)(78)"], ctx.census(SM)
+        SM, rel_generators=["(12)(45)(78)"], nest_census=ctx.census(SM)
     )
     actual = {
         "group_order": report.group_order,
@@ -398,15 +359,15 @@ def _check_sm_minimality(ctx: VerifyContext):
     return expected, actual
 
 
-def _check_orbit_sizes(ctx: VerifyContext, variant: str):
-    spec = _VARIANTS[variant]
-    sizes = nestgraph.orbit_sizes(variant, nest_census=ctx.census(variant))
-    full = spec.full_order()
+def _check_orbit_sizes(ctx: VerifyContext, variant: str, sizes: tuple[int, ...]):
+    found = nestgraph.orbit_sizes(variant, nest_census=ctx.census(variant))
+    groups = nestgraph._GROUPS[variant]
+    full = catalog._physical_group(groups.physical).order * groups.relabelings().order
     actual = {
-        "sizes": list(sizes),
-        "divide_full_group": all(full % s == 0 for s in sizes),
+        "sizes": list(found),
+        "divide_full_group": all(full % s == 0 for s in found),
     }
-    expected = {"sizes": list(spec.orbit_sizes), "divide_full_group": True}
+    expected = {"sizes": list(sizes), "divide_full_group": True}
     return expected, actual
 
 
@@ -491,11 +452,16 @@ def _check_g9_certificate(ctx: VerifyContext):
     return expected, actual
 
 
-def _check_properties(ctx: VerifyContext, variant: str):
-    spec = _VARIANTS[variant]
-    rng = random.Random(ctx.seed + spec.seed_offset)
-    group = spec.group()
-    relabelings = spec.relabelings()
+def _check_properties(
+    ctx: VerifyContext,
+    variant: str,
+    seed_offset: int,
+    materialize: Callable[[], PermGroup],
+    draw: Callable[[VerifyContext, random.Random], Board],
+):
+    rng = random.Random(ctx.seed + seed_offset)
+    group = materialize()
+    relabelings = nestgraph._GROUPS[variant].relabelings()
 
     def draw_symmetry(r):
         kind = r.randrange(3)
@@ -506,7 +472,7 @@ def _check_properties(ctx: VerifyContext, variant: str):
     axiom_failures = 0
     invariance_failures = 0
     for _ in range(1000):
-        board = spec.draw(ctx, rng)
+        board = draw(ctx, rng)
         s1 = draw_symmetry(rng)
         s2 = draw_symmetry(rng)
         if act(identity(), board) != board:
@@ -520,9 +486,9 @@ def _check_properties(ctx: VerifyContext, variant: str):
             invariance_failures += 1
 
     # The breadth-first closure is the oracle for the factored group.
-    shuffled = list(spec.generators())
+    shuffled = list(group.generators)
     rng.shuffle(shuffled)
-    regrown = closure([g.symmetry for g in shuffled])
+    regrown = closure(shuffled)
     deterministic = regrown.order == group.order and np.array_equal(
         regrown._rows, group._rows
     )
@@ -544,9 +510,9 @@ def _check_properties(ctx: VerifyContext, variant: str):
 
 CHECKS: dict[str, Callable[[VerifyContext], tuple[object, object]]] = {
     "group_orders": _check_group_orders,
-    "mm_enumeration": partial(_check_enumeration, variant=MM),
+    "mm_enumeration": partial(_check_enumeration, variant=MM, count=32_256, within_s=60),
     "sm_blocks": partial(_check_timed_count, build=semi_magic_blocks, count=72),
-    "sm_enumeration": partial(_check_enumeration, variant=SM),
+    "sm_enumeration": partial(_check_enumeration, variant=SM, count=5_971_968, within_s=600),
     "gnomon_completions": partial(_check_timed_count, build=complete_standard_gnomon, count=16),
     "mm_census": _check_mm_census,
     "sm_census": _check_sm_census,
@@ -555,13 +521,21 @@ CHECKS: dict[str, Callable[[VerifyContext], tuple[object, object]]] = {
     "sm_nest_graphs": _check_sm_nest_graphs,
     "mm_minimality": _check_mm_minimality,
     "sm_minimality": _check_sm_minimality,
-    "mm_orbit_sizes": partial(_check_orbit_sizes, variant=MM),
-    "sm_orbit_sizes": partial(_check_orbit_sizes, variant=SM),
+    "mm_orbit_sizes": partial(_check_orbit_sizes, variant=MM, sizes=(4608, 27_648)),
+    "sm_orbit_sizes": partial(
+        _check_orbit_sizes, variant=SM, sizes=(373_248, 2_239_488, 3_359_232)
+    ),
     "keedwell_suite": _check_keedwell_suite,
     "off_diagonal_sweep": _check_off_diagonal_sweep,
     "g9_certificate": _check_g9_certificate,
-    "mm_properties": partial(_check_properties, variant=MM),
-    "sm_properties": partial(_check_properties, variant=SM),
+    "mm_properties": partial(
+        _check_properties, variant=MM, seed_offset=1, materialize=catalog.h_mm_group,
+        draw=lambda ctx, rng: rng.choice(ctx.mm_sample_boards()),
+    ),
+    "sm_properties": partial(
+        _check_properties, variant=SM, seed_offset=2, materialize=catalog.h_gamma_group,
+        draw=lambda ctx, rng: random_semi_magic(rng),
+    ),
 }
 
 #: Acceptance criterion number -> check names covering it.

@@ -370,3 +370,29 @@ def test_threads_env_below_one_is_usage_error(value, capsys, monkeypatch):
     monkeypatch.setattr(cli.verification, "run_checks", checks_run)
     assert run(["verify", "--checks", "g9_certificate"]) == 2
     assert "MSS_THREADS" in capsys.readouterr().err
+
+
+_OUTPUT_COMMANDS = {
+    "--json": ["census", "--variant", "modular-magic", "--threads", "1"],
+    "--out": ["enumerate", "--variant", "modular-magic"],
+    "--dot": ["nest-graph", "--variant", "modular-magic", "--relabelings", "rho"],
+    "--report": ["nest-graph", "--variant", "modular-magic", "--relabelings", "rho"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing_parent", "directory"])
+@pytest.mark.parametrize("option", sorted(_OUTPUT_COMMANDS))
+def test_unwritable_output_path_is_a_usage_error_before_any_work(
+    option, where, tmp_path, capsys, monkeypatch
+):
+    def work_started(*_, **__):
+        raise AssertionError("started work before rejecting the output path")
+
+    monkeypatch.setattr(cli.nests, "_threaded_census", work_started)
+    monkeypatch.setattr(cli, "iter_modular_magic", work_started)
+    monkeypatch.setattr(cli.nestgraph, "build_nest_graph", work_started)
+    monkeypatch.setattr(cli.verification, "run_checks", work_started)
+    path = tmp_path / "missing" / "out" if where == "missing_parent" else tmp_path
+    assert run([*_OUTPUT_COMMANDS[option], option, str(path)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

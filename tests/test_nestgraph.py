@@ -127,6 +127,18 @@ def test_sm_uv_mu_graph_uses_default_physical_generators():
     assert [str(l) for l in comps[0]] == ["[7,8]"]
 
 
+@pytest.mark.parametrize("variant, order", [("MM", 4608), ("SM", 3_359_232)])
+def test_nest_generators_and_defaults_generate_the_full_physical_group(
+    variant, order, mm_census, sm_census
+):
+    # The nest-defining generators plus the defaults a nest graph adds
+    # must generate the group whose order minimality certifies.
+    nest_generators = nests._CENSUS[variant][3]()
+    extended = catalog.PhysicalGroup(nest_generators + list(ng.default_physical_generators(variant)))
+    census = mm_census if variant == "MM" else sm_census
+    assert extended.order == ng.minimality(variant, nest_census=census).group_order == order
+
+
 def test_completeness():
     assert ng.completeness("MM", RHO_MU)
     assert not ng.completeness("MM", ["rho"])

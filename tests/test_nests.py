@@ -397,13 +397,16 @@ def test_label_path_names_no_scan():
     assert not set().union(*map(names, map(top.get, reached))) & _SCAN_NAMES
 
 
-def _scan_by_table(group, pattern, cells, ties=None):
-    """The distinct images, over every element of the materialized
-    group, that hold the pattern and pass the ties."""
+def _scan_by_table(table, pattern, cells, ties=None):
+    """The distinct images, over every element of a materialized group,
+    that hold the pattern and pass the ties. table holds the group's
+    cell images cell-major (row k: cell k's image under each element),
+    so each image is read under an inverse element: over a whole group,
+    the same set."""
     arr = np.frombuffer(cells, dtype=np.uint8)
-    inv = group.inverse_cell_images
     pos, val = map(list, zip(*pattern))
-    images = arr[inv[(arr[inv[:, pos]] == val).all(axis=1)]]
+    keep = (arr[table[pos]] == np.array(val)[:, None]).all(axis=0)
+    images = arr[table[:, keep].T]
     if ties is not None:
         images = images[ties(images)]
     return np.unique(images, axis=0)
@@ -420,8 +423,9 @@ def test_scan_equals_the_materialized_group_filter(mm_sample):
     ]
     for generators, materialized, pattern, ties, boards in cases:
         group = catalog.PhysicalGroup(generators())
+        table = np.ascontiguousarray(materialized.cell_images.T)
         for board in boards:
-            (want,) = _scan_by_table(materialized, pattern, board.cells, ties)
+            (want,) = _scan_by_table(table, pattern, board.cells, ties)
             assert nests._scan(group, pattern, board.cells, ties) == want.tobytes()
 
 
