@@ -79,7 +79,10 @@ class Board:
     __slots__ = ("_cells",)
 
     def __init__(self, cells: bytes | Iterable[int]):
-        data = bytes(cells)
+        try:
+            data = bytes(cells)
+        except ValueError as exc:
+            raise DigitError("cell values must lie in 0..8") from exc
         if len(data) != 81:
             raise BoardFormatError(f"expected 81 cells, got {len(data)}")
         if max(data) > 8:

@@ -77,14 +77,9 @@ def _from_col_perm(cp: Sequence[int]) -> tuple[int, ...]:
     return tuple(9 * r + cp[c] for r in range(9) for c in range(9))
 
 
-def _check_index(value: int, what: str) -> None:
-    if not 0 <= value <= 8:
-        raise DomainError(f"{what} must lie in 0..8, got {value}")
-
-
-def _check_small(value: int, what: str) -> None:
-    if not 0 <= value <= 2:
-        raise DomainError(f"{what} must lie in 0..2, got {value}")
+def _check_range(value: int, top: int, what: str) -> None:
+    if not 0 <= value <= top:
+        raise DomainError(f"{what} must lie in 0..{top}, got {value}")
 
 
 _TRANSPOSE_CELL = tuple(9 * c + r for r in range(9) for c in range(9))
@@ -112,7 +107,7 @@ def _swap(kind: str, what: str, i: int, j: int) -> NamedGenerator:
     """swap_<kind>(i, j) of two lines, or of two bands or pillars."""
     width = 3 if kind in ("bands", "pillars") else 1
     for line in (i, j):
-        (_check_small if width == 3 else _check_index)(line, what)
+        _check_range(line, 9 // width - 1, what)
     if i == j:
         raise DomainError(f"swap_{kind} needs two distinct {what}s")
     perm = list(range(9))
@@ -142,7 +137,7 @@ def swap_pillars(i: int, j: int) -> NamedGenerator:
 
 
 def _cycle(kind: str, what: str, unit: int) -> NamedGenerator:
-    _check_small(unit, what)
+    _check_range(unit, 2, what)
     perm = list(range(9))
     perm[3 * unit : 3 * unit + 3] = perm[3 * unit + 1 : 3 * unit + 3] + [3 * unit]
     return _line_move(f"cycle_{kind}({unit})", perm, kind == "cols")
@@ -161,7 +156,7 @@ def cycle_cols(pillar: int) -> NamedGenerator:
 def _triple(kind: str, what: str, fixed: tuple[int, int, int]) -> NamedGenerator:
     perm = list(range(9))
     for unit, p in enumerate(fixed):
-        _check_small(p, f"fixed {what} position")
+        _check_range(p, 2, f"fixed {what} position")
         a, b = (3 * unit + x for x in range(3) if x != p)
         perm[a], perm[b] = b, a
     return _line_move(f"triple_{kind}({','.join(map(str, fixed))})", perm, kind == "cols")

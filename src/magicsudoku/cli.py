@@ -11,6 +11,7 @@ reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,7 +22,6 @@ from . import boards as boards_mod
 from . import nestgraph, nests, verification
 from .analysis import g9_minimality_certificate
 from .boards import parse_board
-from .catalog import parse_generator
 from .enumeration import (
     _map_partitions,
     enumerate_modular_magic,
@@ -43,25 +43,21 @@ __all__ = ["run", "main", "build_parser"]
 _VARIANT_CHOICES = ("modular-magic", "semi-magic")
 
 
-def _default_threads() -> int:
-    env = os.environ.get("MSS_THREADS")
-    if env:
-        try:
-            threads = int(env)
-        except ValueError as exc:
-            raise DomainError(f"bad MSS_THREADS value {env!r}") from exc
-        if threads < 1:
-            raise DomainError(f"bad MSS_THREADS value {env!r}")
-        return threads
-    return os.cpu_count() or 1
-
-
 def _resolve_threads(args: argparse.Namespace) -> int:
     if args.threads is not None:
         if args.threads < 1:
             raise DomainError(f"bad thread count {args.threads}")
         return args.threads
-    return _default_threads()
+    env = os.environ.get("MSS_THREADS")
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise DomainError(f"bad MSS_THREADS value {env!r}")
+    return threads
 
 
 def _check_output_paths(args: argparse.Namespace) -> None:
@@ -145,13 +141,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 def _cmd_nest_graph(args: argparse.Namespace) -> int:
     variant = normalize_variant(args.variant)
-    rel = [parse_generator(t) for t in _split_tokens(args.relabelings)]
-    phys = (
-        [parse_generator(t) for t in _split_tokens(args.physical)]
-        if args.physical is not None
-        else None
-    )
-    graph = nestgraph.build_nest_graph(variant, rel, phys)
+    phys = None if args.physical is None else _split_tokens(args.physical)
+    graph = nestgraph.build_nest_graph(variant, _split_tokens(args.relabelings), phys)
     dot = nestgraph.to_dot(graph)
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -196,14 +187,7 @@ def _cmd_keedwell(args: argparse.Namespace) -> int:
 def _cmd_minimality_g9(args: argparse.Namespace) -> int:
     given = dict(total_boards=args.total, orbit_count=args.orbits, group_order=args.group_order)
     cert = g9_minimality_certificate(**{k: v for k, v in given.items() if v is not None})
-    payload = {
-        "total_boards": cert.total_boards,
-        "orbit_count": cert.orbit_count,
-        "group_order": cert.group_order,
-        "average_orbit_floor": cert.average_orbit_floor,
-        "bound_holds": cert.bound_holds,
-    }
-    _emit_json(args, payload)
+    _emit_json(args, dataclasses.asdict(cert))
     return 0 if cert.bound_holds else 1
 
 
@@ -222,8 +206,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"{check.name}: {status} ({check.seconds:.2f}s)")
         print(f"overall: {'PASS' if report.overall else 'FAIL'}")
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
+        _emit_json(args, report.to_dict())
     return 0 if report.overall else 1
 
 

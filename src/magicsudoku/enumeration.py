@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
@@ -177,6 +177,22 @@ def _map_partitions(fn: Callable[[tuple[int, int] | None], _T], threads: int) ->
         return pool.map(fn, [(w, threads) for w in range(threads)])
 
 
+def _visit(
+    chunks: Iterable[np.ndarray],
+    boards: Callable[[Iterable[np.ndarray]], Iterable[Board]],
+    visitor: Visitor | None,
+) -> int:
+    """The number of boards in the index chunks; with a visitor, each
+    board of boards(chunks) is visited in order first."""
+    if visitor is None:
+        return sum(map(len, chunks))
+    count = 0
+    for board in boards(chunks):
+        visitor(board)
+        count += 1
+    return count
+
+
 def _sorted(catalog_fn: _Catalog, chunks: Iterable[np.ndarray]) -> list[Board]:
     """The boards of the index chunks, sorted by cells."""
     return sorted(_boards(catalog_fn, chunks), key=lambda b: b.cells)
@@ -213,13 +229,7 @@ def enumerate_modular_magic(
     partition into n slices gets the boards whose first two cells d0, d1
     satisfy (9 * d0 + d1) % n == w.
     """
-    chunks = _mm_join(partition)
-    if visitor is None:
-        return sum(map(len, chunks))
-    boards = _sorted(modular_magic_blocks, chunks)
-    for board in boards:
-        visitor(board)
-    return len(boards)
+    return _visit(_mm_join(partition), partial(_sorted, modular_magic_blocks), visitor)
 
 
 def iter_modular_magic() -> Iterator[Board]:
@@ -260,14 +270,7 @@ def enumerate_semi_magic(
     of a partition into n slices gets the top-left catalog indices
     congruent to w mod n.
     """
-    chunks = _sm_join(partition)
-    if visitor is None:
-        return sum(map(len, chunks))
-    count = 0
-    for board in _boards(semi_magic_blocks, chunks):
-        visitor(board)
-        count += 1
-    return count
+    return _visit(_sm_join(partition), partial(_boards, semi_magic_blocks), visitor)
 
 
 def iter_semi_magic() -> Iterator[Board]:

@@ -43,7 +43,7 @@ from .keedwell import (
     linearity_degree,
     swap_block_columns,
 )
-from .nests import MM, SM, Census
+from .nests import MM, SM, Census, NestLabel
 from .perms import PermGroup, act, closure, compose, identity, inverse
 
 __all__ = [
@@ -130,9 +130,10 @@ class VerifyContext:
     """Lazy shared state for the check suite: each shared result is
     computed once and timed.
 
-    threads > 1 splits the censuses and the off-diagonal sweep across
-    processes; all other work stays in the calling process. Results do
-    not depend on threads.
+    threads > 1 splits the censuses, the off-diagonal sweep and the
+    semi-magic crosscheck's comparisons across processes; the crosscheck
+    draws its boards in the calling process, and all other work stays
+    there too. Results do not depend on threads.
     """
 
     def __init__(self, threads: int = 1, seed: int = DEFAULT_SEED):
@@ -150,6 +151,10 @@ class VerifyContext:
             self._seconds[key] = time.perf_counter() - t0
         return self._results[key]
 
+    def _summed(self, fn: Callable[[tuple[int, int] | None], tuple[int, int]]) -> tuple[int, int]:
+        """fn's (boards, failures) pairs over the threads slices, summed."""
+        return tuple(map(sum, zip(*_map_partitions(fn, self.threads))))
+
     def census(self, variant: str) -> Census:
         v = nests.normalize_variant(variant)
         return self._once(v, lambda: nests._threaded_census(v, self.threads))
@@ -157,12 +162,7 @@ class VerifyContext:
     def off_diagonal_sweep(self) -> tuple[int, int]:
         """(boards, check_two_equal failures) over every modular-magic
         board, each re-checked with is_modular_magic."""
-
-        def sweep() -> tuple[int, int]:
-            parts = _map_partitions(_mm_sweep_slice, self.threads)
-            return sum(n for n, _ in parts), sum(f for _, f in parts)
-
-        return self._once("off_diagonal_sweep", sweep)
+        return self._once("off_diagonal_sweep", lambda: self._summed(_mm_sweep_slice))
 
     def enumeration_seconds(self, variant: str) -> float:
         """Time of the work a variant's enumeration time bound covers:
@@ -183,8 +183,7 @@ class VerifyContext:
         def crosscheck() -> tuple[int, int]:
             rng = random.Random(self.seed)
             boards = [random_semi_magic(rng) for _ in range(SM_CROSSCHECK_TARGET)]
-            parts = _map_partitions(partial(_sm_crosscheck_slice, boards), self.threads)
-            return sum(n for n, _ in parts), sum(m for _, m in parts)
+            return self._summed(partial(_sm_crosscheck_slice, boards))
 
         return self._once("sm_crosscheck", crosscheck)
 
@@ -372,18 +371,17 @@ def _check_orbit_sizes(ctx: VerifyContext, variant: str, sizes: tuple[int, ...])
 
 
 def _check_keedwell_suite(ctx: VerifyContext):
-    boards = {(l.first, l.second): nests.representative(l) for l in nests.sm_labels()}
+    boards = {l: nests.representative(l) for l in nests.sm_labels()}
+    degree = {l: linearity_degree(b) for l, b in boards.items()}
     decomposable = sum(keedwell_decompose(b) is not None for b in boards.values())
 
     graph = nestgraph.build_nest_graph(SM, ["(12)(45)(78)"])
-    degrees_by_component = {}
-    for comp in nestgraph.weak_components(graph):
-        degrees = sorted(
-            {linearity_degree(boards[(l.first, l.second)]) for l in comp}
-        )
-        degrees_by_component[str(len(comp))] = degrees
+    degrees_by_component = {
+        str(len(comp)): sorted({degree[l] for l in comp})
+        for comp in nestgraph.weak_components(graph)
+    }
 
-    dec71 = keedwell_decompose(boards[(7, 1)])
+    dec71 = keedwell_decompose(boards[NestLabel(SM, 7, 1)])
     exponents_71 = {
         "c": [list(row) for row in dec71.exponents.c],
         "d": [list(row) for row in dec71.exponents.d],
@@ -391,8 +389,8 @@ def _check_keedwell_suite(ctx: VerifyContext):
 
     gk_failures = 0
     for gen in catalog.g_k_generators():
-        for board in boards.values():
-            if linearity_degree(act(gen.symmetry, board)) != linearity_degree(board):
+        for label, board in boards.items():
+            if linearity_degree(act(gen.symmetry, board)) != degree[label]:
                 gk_failures += 1
 
     tau_failures = 0

@@ -58,8 +58,9 @@ def test_parse_rejects_bad_input():
 def test_board_constructor_validates():
     with pytest.raises(BoardFormatError):
         Board(bytes(80))
-    with pytest.raises(DigitError):
-        Board(bytes(80) + b"\x09")
+    for cells in (bytes(80) + b"\x09", [0] * 80 + [300], [-1] * 81):
+        with pytest.raises(DigitError):
+            Board(cells)
 
 
 def test_cell_accessors(board_mm_72):

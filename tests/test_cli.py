@@ -282,8 +282,16 @@ def test_minimality_g9_default(tmp_path, capsys):
     out = tmp_path / "g9.json"
     assert run(["minimality-g9", "--json", str(out), "--quiet"]) == 0
     payload = json.loads(out.read_text())
-    assert payload["bound_holds"] is True
-    assert payload["average_orbit_floor"] == 1218935174261
+    assert list(payload) == [
+        "total_boards", "orbit_count", "group_order", "average_orbit_floor", "bound_holds"
+    ]
+    assert payload == {
+        "total_boards": 6_670_903_752_021_072_936_960,
+        "orbit_count": 5_472_730_538,
+        "group_order": 1_218_998_108_160,
+        "average_orbit_floor": 1_218_935_174_261,
+        "bound_holds": True,
+    }
 
 
 def test_minimality_g9_failing_bound(capsys):
@@ -361,7 +369,7 @@ def test_verify_empty_check_selection_is_usage_error(checks, capsys, monkeypatch
     assert "no checks selected" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
 def test_threads_env_below_one_is_usage_error(value, capsys, monkeypatch):
     def checks_run(*_, **__):
         raise AssertionError("ran checks before rejecting MSS_THREADS")
@@ -370,6 +378,15 @@ def test_threads_env_below_one_is_usage_error(value, capsys, monkeypatch):
     monkeypatch.setattr(cli.verification, "run_checks", checks_run)
     assert run(["verify", "--checks", "g9_certificate"]) == 2
     assert "MSS_THREADS" in capsys.readouterr().err
+
+
+def test_threads_option_below_one_is_usage_error(capsys, monkeypatch):
+    def census_run(*_):
+        raise AssertionError("ran the census before rejecting --threads")
+
+    monkeypatch.setattr(cli.nests, "_threaded_census", census_run)
+    assert run(["census", "--variant", "modular-magic", "--threads", "0"]) == 2
+    assert "bad thread count" in capsys.readouterr().err
 
 
 _OUTPUT_COMMANDS = {
