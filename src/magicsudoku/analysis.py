@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .boards import Board, _mm_classes, _variant_blocks, modular_magic_blocks
 from .errors import DomainError
-from .nestgraph import orbit_sizes
 
 __all__ = [
     "check_two_equal",
@@ -24,7 +23,6 @@ __all__ = [
     "SUDOKU_BOARD_TOTAL",
     "SUDOKU_ORBIT_COUNT",
     "G9_ORDER",
-    "orbit_sizes",
 ]
 
 #: Number of standard 9x9 Sudoku boards.

@@ -79,6 +79,8 @@ class Board:
     __slots__ = ("_cells",)
 
     def __init__(self, cells: bytes | Iterable[int]):
+        if isinstance(cells, (int, str)):  # bytes() would read 81 as 81 zeros
+            raise BoardFormatError(f"expected 81 cells, got {type(cells).__name__}")
         try:
             data = bytes(cells)
         except ValueError as exc:

@@ -9,7 +9,7 @@ through parse_generator.
 The physical groups are built once per generator list as the product
 they are, transpose x row moves x column moves (PhysicalGroup), and are
 materialized only for callers that compare or draw rows; breadth-first
-closure builds only the line groups and the relabeling groups.
+closure builds only the line groups and S_MM.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .enumeration import semi_magic_blocks
+from .boards import _Catalog, modular_magic_blocks, semi_magic_blocks
 from .errors import DomainError, IntegrityError
-from .perms import PermGroup, Symmetry, _sort_rows, closure, compose
+from .perms import PermGroup, Symmetry, _sort_rows, closure
 
 __all__ = [
     "NamedGenerator",
@@ -404,7 +404,7 @@ def h_gamma_group() -> PermGroup:
 def g_mm_group() -> PermGroup:
     """The full modular-magic group (order 165,888): the direct product
     of H_MM, which moves only cells, and S_MM, which moves only digits
-    (its formula check pins every element as a pure relabeling). Rows of
+    (its catalog check pins every element as a pure relabeling). Rows of
     sorted H_MM cells beside sorted S_MM digits are already sorted."""
     h, s = h_mm_group(), s_mm_elements()
     if not h.is_cell_only:
@@ -422,42 +422,36 @@ def h9_group() -> PhysicalGroup:
 
 
 @cache
-def s_mm_elements() -> PermGroup:
-    """The modular-magic relabeling group (order 36).
-
-    Built as the closure of the four generators and cross-checked
-    against the explicit element formula (the 18 affine maps mu(k,l)
-    and their compositions with rho); disagreement raises IntegrityError.
-    """
-    group = closure([g.symmetry for g in s_mm_generators()])
-    formula = set()
-    for k in sorted(_MU_K):
-        for l in sorted(_MU_L):
-            m = mu(k, l).symmetry
-            formula.add(m.key())
-            formula.add(compose(rho().symmetry, m).key())
-    if len(formula) != 36 or {group.element(i).key() for i in range(group.order)} != formula:
-        raise IntegrityError("relabeling group formula disagrees with closure")
-    return group
+def _relabelings(catalog_fn: _Catalog) -> PermGroup:
+    """The digit relabelings that map every block of the catalog to a
+    catalog block, read off the candidates sending block 0 to block i."""
+    cat = np.array(catalog_fn(), dtype=np.intp).reshape(-1, 9)
+    weights = 9 ** np.arange(9)
+    codes = set((cat @ weights).tolist())
+    perms = np.empty_like(cat)
+    perms[:, cat[0]] = cat
+    images = (perms[:, cat] @ weights).tolist()  # base-9 code of each block's image
+    keep = [p for p, row in zip(perms.tolist(), images) if codes.issuperset(row)]
+    return PermGroup.from_symmetries(Symmetry.from_digit(p) for p in keep)
 
 
 @cache
-def s_sm_group() -> PermGroup:
-    """The semi-magic relabeling group, found by brute force.
+def s_mm_elements() -> PermGroup:
+    """The modular-magic relabeling group (order 36): the closure of the
+    four generators, cross-checked against the relabelings that keep the
+    modular-magic catalog; disagreement raises IntegrityError."""
+    group = closure([g.symmetry for g in s_mm_generators()])
+    if not np.array_equal(group._rows, _relabelings(modular_magic_blocks)._rows):
+        raise IntegrityError("relabeling group of the generators disagrees with the catalog")
+    return group
 
-    Keeps exactly the digit permutations that map every one of the 72
-    semi-magic blocks to a semi-magic block: all 9! permutations, as
-    rows p with p[d] the image of digit d, are filtered block by block
-    by the base-9 code of the block's image against the catalog's codes.
-    """
-    catalog = np.array(semi_magic_blocks(), dtype=np.intp).reshape(-1, 9)
-    weights = 9 ** np.arange(9)
-    codes = catalog @ weights
-    every = itertools.chain.from_iterable(itertools.permutations(range(9)))
-    perms = np.frombuffer(bytes(every), dtype=np.uint8).reshape(-1, 9)
-    for blk in catalog:
-        perms = perms[np.isin(perms[:, blk] @ weights, codes)]
-    return PermGroup.from_symmetries(Symmetry.from_digit(p) for p in perms.tolist())
+
+def s_sm_group() -> PermGroup:
+    """The semi-magic relabeling group (order 72). Block 0 holds each
+    digit once, so a relabeling is fixed by where it sends block 0, and
+    one that keeps the catalog sends it to a catalog block: the 72
+    candidates, block 0 sent to each catalog block, hold every element."""
+    return _relabelings(semi_magic_blocks)
 
 
 def g_sm_order() -> int:

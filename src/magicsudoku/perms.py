@@ -128,12 +128,10 @@ class PermGroup:
         self._inv_cells: np.ndarray | None = None
 
     @classmethod
-    def from_symmetries(
-        cls, symmetries: Iterable[Symmetry], generators: Sequence[Symmetry] = ()
-    ) -> "PermGroup":
+    def from_symmetries(cls, symmetries: Iterable[Symmetry]) -> "PermGroup":
         """Build a group from an explicit element list (assumed closed)."""
         rows = np.array([list(s.cell) + list(s.digit) for s in symmetries], dtype=np.uint8)
-        return cls(generators, _sort_rows(rows))
+        return cls((), _sort_rows(rows))
 
     @property
     def order(self) -> int:

@@ -64,6 +64,3 @@ def test_certificate_uses_exact_integers():
     assert an.g9_minimality_certificate(total, n, 2 * floor).bound_holds
     assert not an.g9_minimality_certificate(total, n, 2 * floor + 2).bound_holds
 
-
-def test_orbit_sizes_reexport(mm_census):
-    assert an.orbit_sizes("MM", nest_census=mm_census) == (4608, 27648)

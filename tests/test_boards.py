@@ -56,8 +56,9 @@ def test_parse_rejects_bad_input():
 
 
 def test_board_constructor_validates():
-    with pytest.raises(BoardFormatError):
-        Board(bytes(80))
+    for cells in (bytes(80), 81, "0" * 81):
+        with pytest.raises(BoardFormatError):
+            Board(cells)
     for cells in (bytes(80) + b"\x09", [0] * 80 + [300], [-1] * 81):
         with pytest.raises(DigitError):
             Board(cells)

@@ -121,8 +121,8 @@ def test_semi_magic_symmetry_order_against_sympy():
 
 
 def test_s_sm_group_matches_the_loop_oracle():
-    # The Python loop over all 9! digit permutations that the numpy
-    # filter replaced.
+    # The Python loop over all 9! digit permutations, the reference for
+    # the filter over the 72 candidates that send block 0 to a block.
     catalog_blocks = en.semi_magic_blocks()
     block_set = frozenset(catalog_blocks)
     keep = [
@@ -134,6 +134,17 @@ def test_s_sm_group_matches_the_loop_oracle():
         )
     ]
     assert np.array_equal(catalog.s_sm_group()._rows, PermGroup.from_symmetries(keep)._rows)
+
+
+@pytest.mark.parametrize("wrong", ["rho only", "(01) for mu(5,6)"])
+def test_s_mm_rejects_wrong_generators(monkeypatch, wrong):
+    # A generator list whose closure is not the catalog's relabeling
+    # group: too small, or too large.
+    paper = catalog.s_mm_generators()
+    gens = [catalog.rho()] if wrong == "rho only" else paper[:3] + [catalog.parse_generator("(01)")]
+    monkeypatch.setattr(catalog, "s_mm_generators", lambda: gens)
+    with pytest.raises(IntegrityError, match="relabeling group"):
+        catalog.s_mm_elements.__wrapped__()
 
 
 def test_h9_membership():

@@ -2,6 +2,7 @@
 replaced, kept in oracles.py as the oracle."""
 
 import ast
+import importlib
 import itertools
 import random
 from pathlib import Path
@@ -258,20 +259,25 @@ def test_answers_do_not_depend_on_the_memos(sample_boards, wrapped_boards):
 # The predicate and the off-diagonal sweep stay independent of the join,
 # the nest labels and the group catalog that they check.
 _CHECKED_ELSEWHERE = {"enumeration", "nests", "catalog"}
-_ALLOWED_IMPORTS = {"boards": {"errors"}, "analysis": {"boards", "errors", "nestgraph"}}
+_ALLOWED_IMPORTS = {"boards": {"errors"}, "analysis": {"boards", "errors"}}
 
 
 def _package_imports(module):
     """The magicsudoku modules that a module's source imports, at any
-    depth of its syntax tree."""
-    names = set()
-    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
-        if isinstance(node, ast.Import):
-            names |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom):
-            base = ".".join(filter(None, ["magicsudoku" if node.level else "", node.module]))
-            names |= {f"{base}.{alias.name}" for alias in node.names}
-    return {name.split(".")[1] for name in names if name.startswith("magicsudoku.")}
+    depth of its syntax tree, and the ones those import in turn."""
+    found, todo = set(), [module]
+    while todo:
+        names = set()
+        for node in ast.walk(ast.parse(Path(todo.pop().__file__).read_text())):
+            if isinstance(node, ast.Import):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["magicsudoku" if node.level else "", node.module]))
+                names |= {f"{base}.{alias.name}" for alias in node.names}
+        new = {name.split(".")[1] for name in names if name.startswith("magicsudoku.")} - found
+        found |= new
+        todo += [importlib.import_module(f"magicsudoku.{name}") for name in new]
+    return found
 
 
 @pytest.mark.parametrize("module", [boards, an], ids=lambda m: m.__name__)
