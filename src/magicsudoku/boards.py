@@ -29,7 +29,8 @@ from __future__ import annotations
 import itertools
 import struct
 from functools import cache
-from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
+from collections.abc import Iterable
+from typing import BinaryIO, Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -79,11 +80,14 @@ class Board:
     __slots__ = ("_cells",)
 
     def __init__(self, cells: bytes | Iterable[int]):
-        if isinstance(cells, (int, str)):  # bytes() would read 81 as 81 zeros
+        if isinstance(cells, np.ndarray):  # bytes() would read its raw buffer
+            cells = cells.ravel().tolist()
+        elif isinstance(cells, str) or not isinstance(cells, Iterable):
+            # bytes() would read 81 as 81 zeros, or ask a str for an encoding
             raise BoardFormatError(f"expected 81 cells, got {type(cells).__name__}")
         try:
             data = bytes(cells)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise DigitError("cell values must lie in 0..8") from exc
         if len(data) != 81:
             raise BoardFormatError(f"expected 81 cells, got {len(data)}")

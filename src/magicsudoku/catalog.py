@@ -362,13 +362,11 @@ class PhysicalGroup:
         self._line_keys = frozenset(p.tobytes() for p in self._lines)
         self.order = 2 * len(self._lines) ** 2
 
-    def contains(self, s: Symmetry) -> bool:
+    def __contains__(self, s: Symmetry) -> bool:
         """Membership test: s splits into transpose^e after (rp, cp)
         with rp and cp both in the line group."""
         split = _split(s)
         return split is not None and all(bytes(p) in self._line_keys for p in split[1:])
-
-    __contains__ = contains
 
     def materialize(self) -> PermGroup:
         """Every element, in the sorted row order closure gives."""
@@ -403,12 +401,11 @@ def h_gamma_group() -> PermGroup:
 @cache
 def g_mm_group() -> PermGroup:
     """The full modular-magic group (order 165,888): the direct product
-    of H_MM, which moves only cells, and S_MM, which moves only digits
-    (its catalog check pins every element as a pure relabeling). Rows of
+    of H_MM, which moves only cells (materialize writes the identity
+    digit part), and S_MM, which moves only digits (its catalog check
+    pins every element as a pure relabeling). Rows of
     sorted H_MM cells beside sorted S_MM digits are already sorted."""
     h, s = h_mm_group(), s_mm_elements()
-    if not h.is_cell_only:
-        raise IntegrityError("modular-magic physical group relabels digits")
     rows = np.empty((h.order * s.order, 90), dtype=np.uint8)
     rows[:, :81] = np.repeat(h.cell_images, s.order, axis=0)
     rows[:, 81:] = np.tile(s.digit_images, (h.order, 1))

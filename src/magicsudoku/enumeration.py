@@ -237,19 +237,10 @@ def iter_modular_magic() -> Iterator[Board]:
     return iter(_sorted(modular_magic_blocks, _mm_join()))
 
 
-def complete_modular_magic(
-    assignments: Mapping[int, int], limit: int | None = None
-) -> list[Board]:
+def complete_modular_magic(assignments: Mapping[int, int]) -> list[Board]:
     """All modular-magic boards extending the given cell assignments,
-    in lexicographic row-major order.
-
-    Returns only the first ``limit`` boards, if given; a negative limit
-    raises DomainError.
-    """
-    if limit is not None and limit < 0:
-        raise DomainError(f"bad limit {limit!r}")
-    boards = _complete(modular_magic_blocks, assignments)
-    return boards if limit is None else boards[:limit]
+    in lexicographic row-major order."""
+    return _complete(modular_magic_blocks, assignments)
 
 
 # --- semi-magic enumeration ---

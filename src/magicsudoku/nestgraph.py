@@ -167,22 +167,17 @@ def to_dot(graph: NestGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def completeness(
-    variant: str,
-    rel_generators: Iterable[NamedGenerator | str],
-    phys_generators: Iterable[NamedGenerator | str] | None = None,
-) -> bool:
+def completeness(variant: str, rel_generators: Iterable[NamedGenerator | str]) -> bool:
     """True when the nest graph has exactly the true orbit count of
     weak components."""
     v = normalize_variant(variant)
-    graph = build_nest_graph(v, rel_generators, phys_generators)
+    graph = build_nest_graph(v, rel_generators)
     return len(weak_components(graph)) == EXPECTED_ORBITS[v]
 
 
 def orbit_sizes(
     variant: str,
     rel_generators: Iterable[NamedGenerator | str] | None = None,
-    phys_generators: Iterable[NamedGenerator | str] | None = None,
     nest_census: Census | None = None,
 ) -> tuple[int, ...]:
     """Board counts of the graph's weak components, ascending.
@@ -196,7 +191,7 @@ def orbit_sizes(
         if rel_generators is None
         else _as_generators(rel_generators)
     )
-    graph = build_nest_graph(v, rel, phys_generators)
+    graph = build_nest_graph(v, rel)
     if nest_census is None:
         nest_census = census(v)
     sizes = [

@@ -168,11 +168,6 @@ class PermGroup:
             self._inv_cells = table.T
         return self._inv_cells
 
-    @property
-    def is_cell_only(self) -> bool:
-        """True iff every element has the identity digit part."""
-        return bool((self.digit_images == np.arange(9, dtype=np.uint8)).all())
-
     def element(self, i: int) -> Symmetry:
         row = self._rows[i]
         return Symmetry(tuple(int(v) for v in row[:81]), tuple(int(v) for v in row[81:]))
@@ -203,11 +198,11 @@ def _as_row(s: Symmetry) -> np.ndarray:
     return np.array(s.cell + tuple(81 + d for d in s.digit), dtype=np.int16)
 
 
-def closure(generators: Iterable[Symmetry], cap: int = CLOSURE_CAP) -> PermGroup:
+def closure(generators: Iterable[Symmetry]) -> PermGroup:
     """Materialize the group generated by the given symmetries.
 
     Breadth-first right multiplication from the identity; raises
-    CapacityError if the element count would exceed ``cap``.
+    CapacityError if the element count would exceed ``CLOSURE_CAP``.
     """
     gens = list(generators)
     # Composition index maps: row[idx] composes the row's element with g.
@@ -230,8 +225,8 @@ def closure(generators: Iterable[Symmetry], cap: int = CLOSURE_CAP) -> PermGroup
                     fresh.append(k)
             if fresh:
                 new_rows.append(cand[fresh])
-            if len(seen) > cap:
-                raise CapacityError(f"closure exceeded {cap} elements")
+            if len(seen) > CLOSURE_CAP:
+                raise CapacityError(f"closure exceeded {CLOSURE_CAP} elements")
         if not new_rows:
             break
         frontier = np.concatenate(new_rows) if len(new_rows) > 1 else new_rows[0]

@@ -136,11 +136,10 @@ class VerifyContext:
     there too. Results do not depend on threads.
     """
 
-    def __init__(self, threads: int = 1, seed: int = DEFAULT_SEED):
+    def __init__(self, threads: int = 1):
         if threads < 1:
             raise DomainError(f"bad thread count {threads}")
         self.threads = threads
-        self.seed = seed
         self._results: dict[str, object] = {}
         self._seconds: dict[str, float] = {}
 
@@ -181,7 +180,7 @@ class VerifyContext:
         MagicSudokuError; any other exception propagates."""
 
         def crosscheck() -> tuple[int, int]:
-            rng = random.Random(self.seed)
+            rng = random.Random(DEFAULT_SEED)
             boards = [random_semi_magic(rng) for _ in range(SM_CROSSCHECK_TARGET)]
             return self._summed(partial(_sm_crosscheck_slice, boards))
 
@@ -244,13 +243,11 @@ def _check_timed_count(ctx: VerifyContext, build: Callable[[], tuple], count: in
 
 
 def _check_mm_census(ctx: VerifyContext):
-    small = {(1, 1), (2, 2), (7, 7)}
-    alphabet = sorted(
-        (label.first, label.second) for label in nests.mm_labels()
-    )
     expected = {
         "counts": {
-            f"[{a},{b}]": 1536 if (a, b) in small else 4608 for a, b in alphabet
+            "[1,1]": 1536, "[1,2]": 4608, "[1,8]": 4608,
+            "[2,1]": 4608, "[2,2]": 1536, "[2,7]": 4608,
+            "[7,2]": 4608, "[7,5]": 4608, "[7,7]": 1536,
         },
         "total": 32_256,
     }
@@ -457,7 +454,7 @@ def _check_properties(
     materialize: Callable[[], PermGroup],
     draw: Callable[[VerifyContext, random.Random], Board],
 ):
-    rng = random.Random(ctx.seed + seed_offset)
+    rng = random.Random(DEFAULT_SEED + seed_offset)
     group = materialize()
     relabelings = nestgraph._GROUPS[variant].relabelings()
 
@@ -565,7 +562,6 @@ def run_checks(
     names: Iterable[str] | None = None,
     ctx: VerifyContext | None = None,
     threads: int = 1,
-    seed: int = DEFAULT_SEED,
 ) -> VerifyReport:
     """Run the named checks (all by default) and collect a report."""
     selected = list(CHECKS) if names is None else list(names)
@@ -575,7 +571,7 @@ def run_checks(
     if unknown:
         raise DomainError(f"unknown checks: {', '.join(unknown)}")
     if ctx is None:
-        ctx = VerifyContext(threads=threads, seed=seed)
+        ctx = VerifyContext(threads=threads)
     results = []
     for name in selected:
         t0 = time.perf_counter()

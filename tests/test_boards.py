@@ -5,6 +5,7 @@ import itertools
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from magicsudoku.boards import (
@@ -56,12 +57,15 @@ def test_parse_rejects_bad_input():
 
 
 def test_board_constructor_validates():
-    for cells in (bytes(80), 81, "0" * 81):
+    for cells in (bytes(80), 81, "0" * 81, None, np.zeros(80, dtype=np.int64)):
         with pytest.raises(BoardFormatError):
             Board(cells)
-    for cells in (bytes(80) + b"\x09", [0] * 80 + [300], [-1] * 81):
+    for cells in (bytes(80) + b"\x09", [0] * 80 + [300], [-1] * 81, [0.0] * 81, [None] * 81):
         with pytest.raises(DigitError):
             Board(cells)
+    digits = np.arange(81) % 9
+    assert Board(digits) == Board(digits.tolist())
+    assert Board(digits.astype(np.int32).reshape(9, 9)) == Board(digits.tolist())
 
 
 def test_cell_accessors(board_mm_72):

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from magicsudoku import catalog
+from magicsudoku import catalog, perms
 from magicsudoku.errors import CapacityError, DomainError
 from magicsudoku.perms import (
     PermGroup,
@@ -84,10 +84,11 @@ def test_closure_small_groups():
     assert closure([]).order == 1
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
+    monkeypatch.setattr(perms, "CLOSURE_CAP", 100)
     gens = [g.symmetry for g in catalog.h_mm_generators()]
     with pytest.raises(CapacityError):
-        closure(gens, cap=100)
+        closure(gens)
 
 
 def test_closure_deterministic_order():
