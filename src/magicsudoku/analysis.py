@@ -12,8 +12,9 @@ smaller group could be complete.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .boards import Board, _mm_classes, _variant_blocks, modular_magic_blocks
+from .boards import Board, _mm_classes, _mm_weights, _variant_blocks, modular_magic_blocks
 from .errors import DomainError
 
 __all__ = [
@@ -35,16 +36,21 @@ G9_ORDER = 1_218_998_108_160
 
 def check_two_equal(board: Board) -> bool:
     """For each center entry in {0,3,6}: do at least two of the three
-    blocks with that center share their off-diagonal set? Reads the
-    classes (center and off-diagonal pair) of the board's nine catalog
-    blocks from the catalog's class table."""
+    blocks with that center share their off-diagonal set? Decoded from
+    the weight sum of the board's block classes (center and off-diagonal
+    pair), which encodes their multiset."""
     blocks = _variant_blocks(modular_magic_blocks, board.cells)
     if blocks is None:
         raise DomainError("board is not modular-magic")
-    classes = _mm_classes()
+    return _two_equal(sum(map(_mm_weights().__getitem__, blocks)))
+
+
+@cache
+def _two_equal(code: int) -> bool:
+    """check_two_equal of a weight sum, whose base-4 digits count each class."""
     by_center: dict[int, list[tuple[int, int, int]]] = {0: [], 3: [], 6: []}
-    for i in blocks:
-        by_center[classes[i][0]].append(classes[i])
+    for weight, cls in dict(zip(_mm_weights(), _mm_classes())).items():
+        by_center[cls[0]] += [cls] * (code // weight % 4)
     return all(len(group) == 3 and len(set(group)) <= 2 for group in by_center.values())
 
 

@@ -13,7 +13,7 @@ catalog indices and the band's column code. A variant predicate is
 three lookups in that table and one XOR of the column codes, which is
 all ones exactly when every column holds each digit once. The same
 reader gives check_two_equal and nests.canonicalize the nine catalog
-indices, and check_two_equal reads their classes from one table.
+indices, and both read one table of modular-magic class weights.
 
 Board I/O shares one nibble-packing kernel (_pack_rows/_unpack_rows) and
 one digit translate table (_TO_ASCII/_FROM_ASCII). pack, unpack,
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+from array import array
 from functools import cache
 from collections.abc import Iterable
 from typing import BinaryIO, Callable, Iterator, TextIO
@@ -88,6 +89,8 @@ class Board:
         try:
             data = bytes(cells)
         except (ValueError, TypeError) as exc:
+            if any(isinstance(c, Iterable) and not isinstance(c, str) for c in cells):
+                raise BoardFormatError("expected 81 cells, got a sequence of rows") from exc
             raise DigitError("cell values must lie in 0..8") from exc
         if len(data) != 81:
             raise BoardFormatError(f"expected 81 cells, got {len(data)}")
@@ -332,6 +335,14 @@ def _mm_classes() -> tuple[tuple[int, int, int], ...]:
     """The class of each modular-magic catalog block, by catalog index:
     its center, then its off-diagonal pair in ascending order."""
     return tuple((blk[1][1], *sorted(off_diagonal_set(blk))) for blk in modular_magic_blocks())
+
+
+@cache
+def _mm_weights() -> array:
+    """4**k per modular-magic catalog block, k its class's rank: a weight
+    sum counts a board's classes in base 4 (no center is in four blocks)."""
+    rank = {cls: k for k, cls in enumerate(sorted(set(_mm_classes())))}
+    return array("q", (4 ** rank[cls] for cls in _mm_classes()))
 
 
 # --- packing and file formats ---

@@ -403,13 +403,13 @@ def g_mm_group() -> PermGroup:
     """The full modular-magic group (order 165,888): the direct product
     of H_MM, which moves only cells (materialize writes the identity
     digit part), and S_MM, which moves only digits (its catalog check
-    pins every element as a pure relabeling). Rows of
-    sorted H_MM cells beside sorted S_MM digits are already sorted."""
+    pins every element as a pure relabeling), each sorted factor broadcast
+    into the table, whose rows are then already sorted."""
     h, s = h_mm_group(), s_mm_elements()
-    rows = np.empty((h.order * s.order, 90), dtype=np.uint8)
-    rows[:, :81] = np.repeat(h.cell_images, s.order, axis=0)
-    rows[:, 81:] = np.tile(s.digit_images, (h.order, 1))
-    return PermGroup(h.generators + s.generators, rows)
+    rows = np.empty((h.order, s.order, 90), dtype=np.uint8)
+    rows[:, :, :81] = h.cell_images[:, None]
+    rows[:, :, 81:] = s.digit_images
+    return PermGroup(h.generators + s.generators, rows.reshape(-1, 90))
 
 
 def h9_group() -> PhysicalGroup:

@@ -158,14 +158,19 @@ def _slice(keys: np.ndarray, partition: tuple[int, int] | None) -> np.ndarray:
     return cand
 
 
-def _boards(catalog_fn: _Catalog, chunks: Iterable[np.ndarray]) -> Iterator[Board]:
-    """The boards of the index chunks, in order."""
+def _cells(catalog_fn: _Catalog, chunks: Iterable[np.ndarray]) -> Iterator[bytes]:
+    """The 81 row-major cell bytes of each board of the index chunks, in order."""
     cat = _join_tables(catalog_fn)[0]
     for idx in chunks:
         # The gathered (n, I, J, r, c) blocks, read as (n, I, r, J, c): row-major cells.
         data = cat[idx].reshape(-1, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4).tobytes()
         for k in range(0, len(data), 81):
-            yield Board._wrap(data[k : k + 81])
+            yield data[k : k + 81]
+
+
+def _boards(catalog_fn: _Catalog, chunks: Iterable[np.ndarray]) -> Iterator[Board]:
+    """The boards of the index chunks, in order."""
+    return map(Board._wrap, _cells(catalog_fn, chunks))
 
 
 def _map_partitions(fn: Callable[[tuple[int, int] | None], _T], threads: int) -> list[_T]:
@@ -195,7 +200,7 @@ def _visit(
 
 def _sorted(catalog_fn: _Catalog, chunks: Iterable[np.ndarray]) -> list[Board]:
     """The boards of the index chunks, sorted by cells."""
-    return sorted(_boards(catalog_fn, chunks), key=lambda b: b.cells)
+    return list(map(Board._wrap, sorted(_cells(catalog_fn, chunks))))
 
 
 def _complete(catalog_fn: _Catalog, assignments: Mapping[int, int]) -> list[Board]:

@@ -19,21 +19,23 @@ pattern, and over H_Γ (864) with the standard gnomon, it is the oracle
 for the labels.
 
 Both variants label boards by a table lookup of a block code, whose one
-function reads the block columns of an (n, 9) join chunk, which the
-census counts, or one board's nine catalog indices, which canonicalize
-reads through the variant predicate's own reader (three lookups in the
-band table boards builds up front) and looks up in one map from code to
-nest. The modular-magic code is a board's multiset of block classes
-(center and off-diagonal pair, from boards' class table), which
-physical symmetries keep: one code per nest. The semi-magic code is the
-mini-line family of block 0 and the cyclic step between neighbouring
-blocks of each band and pillar: eight codes per nest. One walk from the
+function reads int tables, through numpy views for the block columns of
+an (n, 9) join chunk, which the census counts, and as Python ints for
+one board's nine catalog indices, which canonicalize reads through the
+variant predicate's own reader (three lookups in the band table boards
+builds up front) and looks up in one map from code to nest. The
+modular-magic code is a board's multiset of block classes (center and
+off-diagonal pair, from boards' class weights), which physical
+symmetries keep: one code per nest. The semi-magic code is the mini-line
+family of block 0 and the cyclic step between neighbouring blocks of
+each band and pillar: eight codes per nest. One walk from the
 representatives under the physical generators builds each table, with
 no scan.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
@@ -41,7 +43,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .boards import Board, _line_sets, _mm_classes, _variant_blocks, is_semi_magic
+from .boards import Board, _line_sets, _mm_weights, _variant_blocks, is_semi_magic
 from .catalog import PhysicalGroup, _physical_group, h_gamma_generators, h_mm_generators
 from .enumeration import (
     STANDARD_GNOMON_BLOCKS,
@@ -308,19 +310,19 @@ def representative(label: NestLabel) -> Board:
 # --- labels and censuses ---
 
 
-@cache
-def _mm_weights() -> np.ndarray:
-    """4**class per modular-magic catalog block, its class being its
-    center and off-diagonal pair. Physical symmetries only move,
-    transpose or rotate blocks or swap their mini-diagonals, so they keep
-    a board's class multiset, which the weight sum encodes: each center
-    is in three blocks, so no count reaches 4."""
-    return 4 ** np.unique(_mm_classes(), axis=0, return_inverse=True)[1].ravel()
+def _indexable(tables, columns):
+    """The 64-bit int tables and block columns as given for one board's
+    nine ints; int64 views of the tables and intp columns for a chunk's."""
+    if isinstance(columns, np.ndarray):
+        return [np.frombuffer(table, np.int64) for table in tables], columns.astype(np.intp)
+    return tables, columns
 
 
 def _mm_code(columns):
-    """The weight sum of block columns of modular-magic catalog indices."""
-    return sum(map(_mm_weights().__getitem__, columns))
+    """The class weight sum of block columns of modular-magic catalog
+    indices: physical symmetries move, transpose or rotate blocks, keeping classes."""
+    (weight,), columns = _indexable((_mm_weights(),), columns)
+    return sum(map(weight.__getitem__, columns))
 
 
 # The block whose mini-rows, in order, are the first family of
@@ -331,12 +333,12 @@ _SM_FAMILIES = STANDARD_GNOMON_BLOCKS[(0, 0)]
 
 
 @cache
-def _sm_code_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sm_code_tables() -> tuple[array, array, array]:
     """Per semi-magic catalog block, whether its mini-rows are in the
-    column family; per pair of blocks (a, b), the step (p[b] - p[a]) % 3,
-    p being the position of a block's first mini-row in its family; and
-    the same step on the first mini-columns. A mini-line's digit set is
-    its 9 bits in _line_sets."""
+    column family; at 72 a + b for blocks a and b, the step
+    (p[b] - p[a]) % 3, p being the position of a block's first mini-row
+    in its family; and the same step on the first mini-columns. A
+    mini-line's digit set is its 9 bits in _line_sets."""
     family, position = np.zeros(512, dtype=np.intp), np.zeros(512, dtype=np.intp)
     # Row f, column k: mini-line k of the family block's rows (f = 0) or columns (f = 1).
     lines = np.array(_line_sets(np.array([_SM_FAMILIES]))) >> 9 * np.arange(3) & 511
@@ -344,10 +346,10 @@ def _sm_code_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     blocks = _join_tables(semi_magic_blocks)[0].reshape(-1, 3, 3)
     row0, col0 = (sets & 511 for sets in _line_sets(blocks))
 
-    def step(p: np.ndarray) -> np.ndarray:
-        return (p[None, :] - p[:, None]) % 3
+    def step(p: np.ndarray) -> array:
+        return array("q", ((p[None, :] - p[:, None]) % 3).ravel().tolist())
 
-    return family[row0], step(position[row0]), step(position[col0])
+    return array("q", family[row0].tolist()), step(position[row0]), step(position[col0])
 
 
 def _sm_code(c):
@@ -356,10 +358,10 @@ def _sm_code(c):
     column family, k_I the row step from block 3I to 3I+1 and m_J the
     column step from block J to 3+J. On a board each step is 1 or 2, the
     same along every row of the band or column of the pillar."""
-    flip, row_step, col_step = _sm_code_tables()
-    return (729 * flip[c[0]] + row_step[c[0], c[1]] + 3 * row_step[c[3], c[4]]
-            + 9 * row_step[c[6], c[7]] + 27 * col_step[c[0], c[3]]
-            + 81 * col_step[c[1], c[4]] + 243 * col_step[c[2], c[5]])
+    (flip, row, col), c = _indexable(_sm_code_tables(), c)
+    return (729 * flip[c[0]] + row[72 * c[0] + c[1]] + 3 * row[72 * c[3] + c[4]]
+            + 9 * row[72 * c[6] + c[7]] + 27 * col[72 * c[0] + c[3]]
+            + 81 * col[72 * c[1] + c[4]] + 243 * col[72 * c[2] + c[5]])
 
 
 @cache

@@ -57,7 +57,7 @@ def test_parse_rejects_bad_input():
 
 
 def test_board_constructor_validates():
-    for cells in (bytes(80), 81, "0" * 81, None, np.zeros(80, dtype=np.int64)):
+    for cells in (bytes(80), 81, "0" * 81, None, np.zeros(80, dtype=np.int64), [[0] * 9] * 9):
         with pytest.raises(BoardFormatError):
             Board(cells)
     for cells in (bytes(80) + b"\x09", [0] * 80 + [300], [-1] * 81, [0.0] * 81, [None] * 81):

@@ -1,6 +1,7 @@
 """Named generators, symmetry groups, and independent order oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,20 @@ def test_g_mm_product_equals_closure():
     gens = catalog.h_mm_generators() + catalog.s_mm_generators()
     regrown = closure([g.symmetry for g in gens])
     assert np.array_equal(catalog.g_mm_group()._rows, regrown._rows)
+
+
+def test_g_mm_group_allocates_only_its_table():
+    # With both factors built, the 165,888 x 90 table is the only large
+    # allocation: no repeated copy of H_MM's cells beside it.
+    catalog.h_mm_group(), catalog.s_mm_elements()
+    tracemalloc.start()
+    try:
+        group = catalog.g_mm_group.__wrapped__()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.order == 165_888
+    assert peak <= 1.1 * 165_888 * 90
 
 
 def test_factored_h_mm_membership():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magicsudoku import catalog, nests
+from magicsudoku import boards, catalog, nests
 from magicsudoku import enumeration as en
 from magicsudoku.boards import Board, is_modular_magic, is_semi_magic
 from magicsudoku.enumeration import (
@@ -302,7 +302,7 @@ def test_canonicalize_keeps_its_domain_errors(board_mm_72, board_sm_71):
 
 
 def test_h_mm_generators_keep_each_representatives_weight_sum():
-    weight = nests._mm_weights()
+    weight = np.array(nests._mm_weights())
 
     def weight_sum(board):
         return int(weight[_block_indices(en.modular_magic_blocks, board.cells)].sum())
@@ -321,6 +321,26 @@ def test_label_table_walks_every_code(variant, per_nest):
     assert table.dtype == np.int8 and table[-1] == -1
     codes = Counter(table[table >= 0].tolist())
     assert codes == {9 * label.first + label.second: per_nest for label in nests.labels(variant)}
+
+
+def test_one_board_codes_are_python_ints_equal_to_the_chunk_codes():
+    # Every board of one modular-magic slice and 300 semi-magic boards:
+    # the code of the nine catalog indices canonicalize reads is a Python
+    # int, the value the census's chunk path gives the same board.
+    rng = random.Random(12)
+    chunks = {"MM": list(en._mm_join((1, 81))),
+              "SM": [np.array([nests._board_blocks("SM", random_semi_magic(rng).cells)
+                               for _ in range(300)], dtype=np.uint8)]}
+    for variant, chunk_list in chunks.items():
+        catalog_fn, _, code_fn, _ = nests._CENSUS[variant]
+        checked = 0
+        for idx in chunk_list:
+            want = code_fn(idx.T).tolist()
+            for board, code in zip(en._boards(catalog_fn, [idx]), want):
+                got = code_fn(nests._board_blocks(variant, board.cells))
+                assert type(got) is int and got == code
+                checked += 1
+        assert checked == (896 if variant == "MM" else 300)
 
 
 @pytest.mark.parametrize("variant", ["MM", "SM"])
@@ -349,9 +369,9 @@ def _constant_code(variant, monkeypatch):
 def _one_off_diagonal_pair(variant, monkeypatch):
     # With one off-diagonal pair for every block, a class is a center
     # alone, and every board has three blocks of each center.
-    classes = tuple((center, 1, 8) for center, *_ in nests._mm_classes())
-    monkeypatch.setattr(nests, "_mm_classes", lambda: classes)
-    monkeypatch.setattr(nests, "_mm_weights", nests._mm_weights.__wrapped__)  # not the cache
+    classes = tuple((center, 1, 8) for center, *_ in boards._mm_classes())
+    monkeypatch.setattr(boards, "_mm_classes", lambda: classes)
+    monkeypatch.setattr(nests, "_mm_weights", boards._mm_weights.__wrapped__)  # not the cache
 
 
 @pytest.mark.parametrize(
@@ -366,9 +386,11 @@ def test_label_table_rejects_nests_sharing_a_code(variant, mutate, monkeypatch):
 
 
 # The names of the scan oracle, which crosscheck_sm checks the labels
-# against, and the label functions, which must reach none of them.
+# against, and the label functions, which must reach none of them. The
+# modular-magic weights come from boards, which imports neither nests
+# nor catalog (test_predicates_and_sweep_import_no_join).
 _SCAN_NAMES = {"_scan", "_scan_tables", "_sm_scanned", "h_gamma_group", "PhysicalGroup"}
-_LABEL_PATH = ("_label_table", "_label_codes", "_mm_code", "_sm_code", "_mm_weights",
+_LABEL_PATH = ("_label_table", "_label_codes", "_mm_code", "_sm_code", "_indexable",
                "_sm_code_tables", "_board_blocks")
 
 

@@ -142,6 +142,38 @@ def test_check_two_equal_matches_the_oracle(sample_boards):
     assert checked >= 4 * 347
 
 
+def _grouped_two_equal(indices):
+    """check_two_equal as the classes of nine catalog blocks grouped by center."""
+    classes = boards._mm_classes()
+    by_center = {0: [], 3: [], 6: []}
+    for i in indices:
+        by_center[classes[i][0]].append(classes[i])
+    return all(len(group) == 3 and len(set(group)) <= 2 for group in by_center.values())
+
+
+def test_check_two_equal_equals_the_grouping_by_center():
+    # Every modular-magic board (all True), and seeded nine-block draws
+    # with three blocks of each center, some False: the decoded weight
+    # sum gives the per-center grouping's answer.
+    count = 0
+    for board in iter_modular_magic():
+        indices = boards._variant_blocks(modular_magic_blocks, board.cells)
+        assert an.check_two_equal(board) == _grouped_two_equal(indices)
+        count += 1
+    assert count == 32_256
+    by_center = {c: [i for i, cls in enumerate(boards._mm_classes()) if cls[0] == c]
+                 for c in (0, 3, 6)}
+    rng = random.Random(25)
+    weight = boards._mm_weights()
+    answers = set()
+    for _ in range(2000):
+        indices = [i for c in (0, 3, 6) for i in rng.sample(by_center[c], 3)]
+        want = _grouped_two_equal(indices)
+        assert an._two_equal(sum(weight[i] for i in indices)) == want
+        answers.add(want)
+    assert answers == {True, False}
+
+
 # --- the block pass: digit range, passing-block sets, independence ---
 
 
@@ -247,6 +279,8 @@ def test_answers_do_not_depend_on_the_memos(sample_boards, wrapped_boards):
     corpus = base + mutated + wrapped_boards
     boards._bands.cache_clear()
     boards._mm_classes.cache_clear()
+    boards._mm_weights.cache_clear()
+    an._two_equal.cache_clear()
     cold = [_answers(board) for board in corpus]
     warm = [_answers(board) for board in corpus]
     assert cold == warm
