@@ -35,7 +35,15 @@ from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
-from .boards import Block, Board, _Catalog, _line_sets, modular_magic_blocks, semi_magic_blocks
+from .boards import (
+    _CHUNK,
+    Block,
+    Board,
+    _Catalog,
+    _line_sets,
+    modular_magic_blocks,
+    semi_magic_blocks,
+)
 from .errors import DomainError, IntegrityError
 
 __all__ = [
@@ -162,10 +170,14 @@ def _cells(catalog_fn: _Catalog, chunks: Iterable[np.ndarray]) -> Iterator[bytes
     """The 81 row-major cell bytes of each board of the index chunks, in order."""
     cat = _join_tables(catalog_fn)[0]
     for idx in chunks:
-        # The gathered (n, I, J, r, c) blocks, read as (n, I, r, J, c): row-major cells.
-        data = cat[idx].reshape(-1, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4).tobytes()
-        for k in range(0, len(data), 81):
-            yield data[k : k + 81]
+        for start in range(0, len(idx), _CHUNK):  # bounds the batch buffers
+            # The gathered (n, I, J, r) mini-rows, each one 3-byte item, read
+            # as (n, I, r, J): row-major cells, a third as many items to move
+            # as a transpose of single cells.
+            blocks = cat.take(idx[start : start + _CHUNK], axis=0).view("V3")
+            data = blocks.reshape(-1, 3, 3, 3).transpose(0, 1, 3, 2).tobytes()
+            # "V81" keeps trailing zero cells, which "S81" would strip.
+            yield from np.frombuffer(data, "V81").tolist()
 
 
 def _boards(catalog_fn: _Catalog, chunks: Iterable[np.ndarray]) -> Iterator[Board]:

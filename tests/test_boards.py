@@ -1,5 +1,6 @@
 """Board parsing, formatting, predicates, and serialization."""
 
+import hashlib
 import io
 import itertools
 import random
@@ -28,7 +29,7 @@ from magicsudoku.boards import (
     write_mssb,
     write_text,
 )
-from magicsudoku.enumeration import iter_modular_magic, random_semi_magic
+from magicsudoku.enumeration import enumerate_semi_magic, iter_modular_magic, random_semi_magic
 from magicsudoku.errors import BoardFormatError, DigitError, StructureError
 
 from conftest import CANON_MM_72
@@ -293,7 +294,29 @@ def test_forged_mssb_count_fails_at_the_first_short_read(board_mm_72):
     assert max(fh.sizes) <= 41 * _CHUNK
 
 
-def test_parse_board_text_edge_cases(board_mm_72):
+def _reference_iter_text(fh):
+    # The per-line reader that the batch reader keeps as its fallback.
+    for number, line in enumerate(fh, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            board = parse_board(line)
+        except (BoardFormatError, DigitError) as exc:
+            raise type(exc)(f"line {number}: {exc}") from None
+        yield board
+
+
+def _text_outcome(reader, data, newline):
+    # The boards a reader yields from an encoded text file, or its error.
+    fh = io.TextIOWrapper(io.BytesIO(data.encode()), encoding="utf-8", newline=newline)
+    try:
+        return list(reader(fh))
+    except (BoardFormatError, DigitError) as exc:
+        return type(exc), str(exc)
+
+
+def test_parse_board_text_edge_cases(board_mm_72, board_sm_71):
     line = format_board(board_mm_72)
     for bad in ("\u0663", "9"):
         with pytest.raises(DigitError, match=bad):
@@ -302,3 +325,58 @@ def test_parse_board_text_edge_cases(board_mm_72):
     assert parse_board(spaced) == board_mm_72
     text = io.StringIO(f"\n{line}\n   \n{spaced}\n\n")
     assert list(iter_text(text)) == [board_mm_72, board_mm_72]
+    # Streams longer than one batch, with the odd lines in the second.
+    boards = [board_mm_72, board_sm_71] * _CHUNK
+    lines = list(map(format_board, boards))
+    head, tail = lines[: _CHUNK + 7], lines[_CHUNK + 7 :]
+    blank, padded, arabic = "", "  " + line + " ", line[:40] + "\u0663" + line[41:]
+    cases = [
+        ("\n".join(head + [blank, padded] + tail) + "\n", None),
+        ("\n".join(head + [blank, padded, arabic] + tail) + "\n", None),
+        ("\n".join(head + [line[:-1], line + "0"] + tail) + "\n", None),
+        ("\r\n".join(lines) + "\r\n", ""),
+        ("\r\n".join(lines) + "\r\n", None),
+        ("\n".join(lines), None),
+        # Single lines of two rows: only "\r" ends a line here.
+        (line[:40] + "\n" + line[41:] + "\n", "\r"),
+        (line + "\n" + line[:1], "\r"),
+    ]
+    got = [_text_outcome(iter_text, data, newline) for data, newline in cases]
+    assert got == [_text_outcome(_reference_iter_text, data, newline) for data, newline in cases]
+    assert got[0] == boards[: _CHUNK + 7] + [board_mm_72] + boards[_CHUNK + 7 :]
+    assert got[1] == (DigitError, f"line {_CHUNK + 10}: invalid digit characters: ['\u0663']")
+    assert got[2] == (BoardFormatError, f"line {_CHUNK + 8}: expected 81 digits, got 80")
+    assert got[3:6] == [boards] * 3
+    assert got[6:] == [(BoardFormatError, f"line 1: expected 81 digits, got {n}") for n in (80, 82)]
+
+
+def test_iter_text_reads_plain_lines_without_the_line_parser(board_mm_72, monkeypatch):
+    # A batch of plain lines is read whole; only other batches parse lines.
+    def parse(line):
+        raise AssertionError(f"parsed {line!r}")
+
+    monkeypatch.setattr("magicsudoku.boards.parse_board", parse)
+    line = format_board(board_mm_72) + "\n"
+    assert list(iter_text(io.StringIO(line * (_CHUNK + 3)))) == [board_mm_72] * (_CHUNK + 3)
+    with pytest.raises(AssertionError, match="parsed"):
+        list(iter_text(io.StringIO(line + " " + line)))
+
+
+# SHA-256 of the MSSB and text streams of semi-magic slice 17, computed
+# when boards were gathered cell by cell and split one at a time.
+_SM_SLICE_MSSB = "bcea5e86b15d38f17c9587dc4a5937cbc37a8f78519714f4929f60b1a3db06d5"
+_SM_SLICE_TEXT = "4b39242dd0030d057bfe7f633827f57a523a713be51373245c8e823acee1f8b0"
+
+
+def test_sm_slice_streams_pinned():
+    boards = []
+    assert enumerate_semi_magic(boards.append, (17, 72)) == 82944
+    mssb, text = io.BytesIO(), io.StringIO()
+    write_mssb(mssb, boards)
+    write_text(text, boards)
+    assert hashlib.sha256(mssb.getvalue()).hexdigest() == _SM_SLICE_MSSB
+    assert hashlib.sha256(text.getvalue().encode()).hexdigest() == _SM_SLICE_TEXT
+    mssb.seek(0)
+    text.seek(0)
+    assert read_mssb(mssb) == boards
+    assert list(iter_text(text)) == boards

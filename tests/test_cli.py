@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, JSON payloads, files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -143,6 +144,22 @@ def test_enumerate_to_text_file(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 32256
     assert lines == [format_board(board) for board in iter_modular_magic()]
+
+
+# SHA-256 of the modular-magic files of enumerate --out, computed when
+# boards were gathered cell by cell and split one at a time.
+_MM_FILE_DIGESTS = {
+    "text": "74577cd5031790ff38637f41d546ffbc36bf7ed0b8737284c0afca8069a81942",
+    "binary": "9a9c1683f2fbc0c79db89cdf54d6c37ffa7de1de67cfa794693be40ef21e7bce",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_MM_FILE_DIGESTS))
+def test_enumerate_file_bytes_pinned(tmp_path, fmt):
+    out = tmp_path / f"mm.{fmt}"
+    assert run(["enumerate", "--variant", "modular-magic", "--format", fmt,
+                "--out", str(out), "--quiet"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _MM_FILE_DIGESTS[fmt]
 
 
 def test_census_json(tmp_path, capsys, mm_census):

@@ -1,6 +1,7 @@
 """Exhaustive enumeration, partitioning, completion, and sampling."""
 
 import ast
+import functools
 import hashlib
 import itertools
 import os
@@ -270,24 +271,34 @@ def _admissible(tables, allowed, idx):
     return mask
 
 
-def _extend(catalog_fn, cand, idx, stop):
-    # The reference join's step: extend the partial assemblies idx one
-    # block position at a time through position stop - 1, each with the
-    # 72-wide _admissible mask.
+def _reference_levels(catalog_fn, cand):
+    # The join position by position: the partial assemblies of depth
+    # 1..9, each level the one before extended by one block position
+    # with the 72-wide _admissible mask.
     tables = en._join_tables(catalog_fn)
-    for p in range(idx.shape[1], stop):
-        rows, picks = np.nonzero(_admissible(tables, cand[p], idx))
-        idx = np.column_stack((idx[rows], picks.astype(np.uint8)))
-    return idx
+    levels = [np.zeros((1, 0), dtype=np.uint8)]
+    for p in range(9):
+        rows, picks = np.nonzero(_admissible(tables, cand[p], levels[-1]))
+        levels.append(np.column_stack((levels[-1][rows], picks.astype(np.uint8))))
+    return levels[1:]
+
+
+def _head_chunks(rows):
+    # One chunk per pair of blocks at positions 0 and 1: the runs of
+    # rows that share those two blocks.
+    cuts = np.flatnonzero((rows[1:, :2] != rows[:-1, :2]).any(axis=1)) + 1
+    return np.split(rows, cuts) if len(rows) else []
 
 
 def _reference_join(catalog_fn, cand):
-    # The join position by position, one chunk per admissible pair of
-    # blocks at positions 0 and 1.
-    for head in _extend(catalog_fn, cand, np.zeros((1, 0), dtype=np.uint8), 2):
-        idx = _extend(catalog_fn, cand, head[None], 9)
-        if len(idx):
-            yield idx
+    return _head_chunks(_reference_levels(catalog_fn, cand)[-1])
+
+
+@functools.cache
+def _sm_slice_levels(top_left):
+    # _reference_levels of a semi-magic slice, built once for the two
+    # tests that read it.
+    return _reference_levels(en.semi_magic_blocks, en._slice(np.arange(72), (top_left, 72)))
 
 
 _SM_LEVELS = [1, 12, 72, 864, 3456, 6912, 41472, 82944, 82944]
@@ -298,20 +309,19 @@ def test_sm_join_level_sizes():
     # any other, which makes random_semi_magic exactly uniform. Every
     # semi-magic assembly of eight blocks has its forced last block in
     # the catalog; 4,608 modular-magic ones do not.
-    empty = np.zeros((1, 0), dtype=np.uint8)
     for top_left in (0, 17, 71):
         cand = en._slice(np.arange(72), (top_left, 72))
-        sizes = [len(_extend(en.semi_magic_blocks, cand, empty, d)) for d in range(1, 10)]
-        assert sizes == _SM_LEVELS
+        assert list(map(len, _sm_slice_levels(top_left))) == _SM_LEVELS
         # The band join's rows show the same levels, each prefix of a
-        # depth with equally many completions.
-        rows = np.concatenate(list(en._join(en.semi_magic_blocks, cand)))
+        # depth with equally many completions. A prefix is counted by its
+        # base-72 number, which names it uniquely.
+        rows = np.concatenate(list(en._join(en.semi_magic_blocks, cand))).astype(np.int64)
         for depth, size in enumerate(_SM_LEVELS, 1):
-            _, counts = np.unique(rows[:, :depth], axis=0, return_counts=True)
+            _, counts = np.unique(rows[:, :depth] @ 72 ** np.arange(depth), return_counts=True)
             assert len(counts) == size
             assert (counts == len(rows) // size).all()
     cand = np.ones((9, 72), dtype=bool)
-    sizes = [len(_extend(en.modular_magic_blocks, cand, empty, d)) for d in range(1, 10)]
+    sizes = list(map(len, _reference_levels(en.modular_magic_blocks, cand)))
     assert sizes == [72, 576, 2304, 18432, 20736, 11520, 46080, 36864, 32256]
 
 
@@ -325,9 +335,9 @@ def _preset(catalog_fn, assignments):
     return cand
 
 
-def _assert_joins_equal(catalog_fn, cand):
+def _assert_joins_equal(catalog_fn, cand, want=None):
     got = list(en._join(catalog_fn, cand))
-    want = list(_reference_join(catalog_fn, cand))
+    want = _reference_join(catalog_fn, cand) if want is None else want
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     return sum(map(len, got))
@@ -336,7 +346,9 @@ def _assert_joins_equal(catalog_fn, cand):
 def test_band_join_matches_the_reference_join(board_mm_72):
     sm, mm = en.semi_magic_blocks, en.modular_magic_blocks
     for top_left in (0, 17, 71):
-        assert _assert_joins_equal(sm, en._slice(np.arange(72), (top_left, 72))) == 82944
+        cand = en._slice(np.arange(72), (top_left, 72))
+        want = _head_chunks(_sm_slice_levels(top_left)[-1])
+        assert _assert_joins_equal(sm, cand, want) == 82944
     assert _assert_joins_equal(mm, np.ones((9, 72), dtype=bool)) == 32256
     assert _assert_joins_equal(sm, _preset(sm, dict(en.standard_gnomon_cells()))) == 16
     assert _assert_joins_equal(mm, _preset(mm, dict(nests._MM_TEMPLATE))) > 0
@@ -366,6 +378,34 @@ def test_band_join_matches_the_reference_join(board_mm_72):
                 cand[0] &= rng.random(72) < 0.05
             nonempty += _assert_joins_equal(catalog_fn, cand) > 0
         assert nonempty > 40
+
+
+def _reference_cells(catalog_fn, chunks):
+    # The gather of single cells: (n, I, J, r, c) blocks transposed to
+    # (n, I, r, J, c), then split 81 bytes at a time.
+    cat = en._join_tables(catalog_fn)[0]
+    for idx in chunks:
+        data = cat[idx].reshape(-1, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4).tobytes()
+        for k in range(0, len(data), 81):
+            yield data[k : k + 81]
+
+
+def test_cells_equal_the_single_cell_gather():
+    rng = np.random.default_rng(29)
+    chunk, sm_slice = en._CHUNK, list(en._sm_join((17, 72)))
+    assert max(map(len, sm_slice)) > chunk
+    inputs = {
+        "SM slice": sm_slice,
+        "MM join": list(en._mm_join()),
+        "one row": [np.array([[5, 17, 30, 42, 0, 71, 9, 60, 33]], dtype=np.uint8)],
+        "random rows": [rng.integers(0, 72, (n, 9), dtype=np.uint8)
+                        for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 7)],
+    }
+    for catalog_fn in (en.semi_magic_blocks, en.modular_magic_blocks):
+        for name, chunks in inputs.items():
+            got = list(en._cells(catalog_fn, chunks))
+            assert got == list(_reference_cells(catalog_fn, chunks)), name
+            assert len(got) == sum(map(len, chunks))
 
 
 def test_join_reads_no_predicate_table():

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import itertools
 import random
 from collections import Counter
@@ -386,37 +387,54 @@ def test_label_table_rejects_nests_sharing_a_code(variant, mutate, monkeypatch):
 
 
 # The names of the scan oracle, which crosscheck_sm checks the labels
-# against, and the label functions, which must reach none of them. The
-# modular-magic weights come from boards, which imports neither nests
-# nor catalog (test_predicates_and_sweep_import_no_join).
+# against, and the label functions, which must reach none of them.
 _SCAN_NAMES = {"_scan", "_scan_tables", "_sm_scanned", "h_gamma_group", "PhysicalGroup"}
 _LABEL_PATH = ("_label_table", "_label_codes", "_mm_code", "_sm_code", "_indexable",
                "_sm_code_tables", "_board_blocks")
 
 
-def test_label_path_names_no_scan():
-    tree = ast.parse(Path(nests.__file__).read_text())
-    top = {}  # module-level name -> the def or assignment that binds it
+def _module_scope(name):
+    """A package module's module-level names: the def or assignment that
+    binds each, and the (module, name) that each package import names."""
+    tree = ast.parse(Path(importlib.import_module(f"magicsudoku.{name}").__file__).read_text())
+    defs, imports = {}, {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            top[node.name] = node
+            defs[node.name] = node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            top.update((n.id, node) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+            bound = (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+            defs.update((name, node) for name in bound)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.removeprefix("magicsudoku.")
+            if node.level or module != node.module:
+                imports.update((a.asname or a.name, (module, a.name)) for a in node.names)
+    return defs, imports
 
-    def names(node):
-        return {n.id if isinstance(n, ast.Name) else n.attr
-                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
-    # Follow the label functions through every module-level name they use.
-    reached, todo = set(), list(_LABEL_PATH)
+def _names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_label_path_names_no_scan():
+    # Follow the label functions through every module-level name they
+    # use, in nests and in the package modules it imports them from.
+    scopes, reached, todo = {}, set(), [("nests", name) for name in _LABEL_PATH]
     while todo:
-        name = todo.pop()
-        if name in top and name not in reached:
-            reached.add(name)
-            todo += names(top[name])
-    assert set(_LABEL_PATH) <= reached
-    assert not set().union(*map(names, map(top.get, reached))) & _SCAN_NAMES
+        module, name = todo.pop()
+        if module not in scopes:
+            scopes[module] = _module_scope(module)
+        defs, imports = scopes[module]
+        if name in imports:
+            todo.append(imports[name])
+        elif name in defs and (module, name) not in reached:
+            reached.add((module, name))
+            todo += [(module, n) for n in _names(defs[name])]
+    assert {("nests", name) for name in _LABEL_PATH} <= reached
+    assert {("boards", "_mm_weights"), ("boards", "_variant_blocks")} <= reached
+    used = set().union(*(_names(scopes[m][0][name]) for m, name in reached))
+    assert not used & _SCAN_NAMES
 
 
 def _scan_by_table(table, pattern, cells, ties=None):
