@@ -13,7 +13,8 @@ gnomon) become per-position candidate masks of that join.
 The join is a join of bands, each three catalog blocks with pairwise
 disjoint mini-row sets: bands 0 and 1 have disjoint mini-column sets in
 every pillar, and band 2 is any band with the column triples they leave,
-found by a sorted-key lookup. It yields (n, 9) uint8 chunks of catalog
+whose range of the key-sorted bands is read from a start table over
+every key. It yields C-contiguous (n, 9) uint8 chunks of catalog
 indices, one per admissible pair of blocks at positions 0 and 1. Chunks
 and their rows come in lexicographic order, so earlier positions vary
 slowest.
@@ -122,37 +123,45 @@ def _band_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, ...]:
 
 def _join(catalog_fn: _Catalog, cand: np.ndarray) -> Iterator[np.ndarray]:
     """Every board built from the catalog whose block at position p has
-    its catalog index in the mask cand[p], as (n, 9) uint8 chunks of
-    catalog indices: one chunk per admissible pair of blocks at
-    positions 0 and 1, in lexicographic order.
+    its catalog index in the mask cand[p], as C-contiguous (n, 9) uint8
+    chunks of catalog indices: one non-empty chunk per admissible pair
+    of blocks at positions 0 and 1, in lexicographic order.
 
     A board is three bands whose blocks have disjoint mini-column sets
     in each pillar. Each band-0 row of a chunk pairs with the band-1 rows
     that fit it in all three pillars, and each pair with the bands that
-    have the column triples it leaves: one sorted-key range. Rows stay in
+    have the column triples it leaves: the range first[key] to
+    first[key + 1] of a start table over every key. Rows stay in
     lexicographic order, as np.nonzero lists pairs in order and the
-    stable sort keeps a key's bands in order."""
+    stable sort keeps a key's bands in order. Every gather takes whole
+    rows or single items, far faster than a 2-D fancy index of 3-byte rows."""
     bands, by_key, keys, rest, m = _band_tables(catalog_fn)
     col_ok = _join_tables(catalog_fn)[2]
 
     def allowed(rows, r):
-        return cand[np.arange(3 * r, 3 * r + 3), rows].all(axis=1)
+        a, b, c = cand[3 * r : 3 * r + 3]
+        return a.take(rows[:, 0]) & b.take(rows[:, 1]) & c.take(rows[:, 2])
 
-    top, mid, ok = bands[allowed(bands, 0)], bands[allowed(bands, 1)], allowed(by_key, 2)
-    low, low_keys = by_key[ok], keys[ok]
-    starts = np.unique(top[:, :2], axis=0, return_index=True)[1].tolist()
-    for start, stop in zip(starts, starts[1:] + [len(top)]):
-        head = top[start:stop]
-        (b0, b1), b2 = head[0, :2], head[:, 2]
-        fit = mid[col_ok[b0, mid[:, 0]] & col_ok[b1, mid[:, 1]]]
-        i, j = np.nonzero(col_ok[b2[:, None], fit[:, 2]])
-        want = (rest[b0, fit[j, 0]] * m + rest[b1, fit[j, 1]]) * m + rest[b2[i], fit[j, 2]]
-        lo = np.searchsorted(low_keys, want)
-        n = np.searchsorted(low_keys, want, "right") - lo
-        pair = np.repeat(np.arange(len(n)), n)
-        if len(pair):
-            at = np.arange(len(pair)) + np.repeat(lo - np.cumsum(n) + n, n)
-            yield np.column_stack((head[i[pair]], fit[j[pair]], low[at]))
+    top, mid = bands.compress(allowed(bands, 0), 0), bands.compress(allowed(bands, 1), 0)
+    ok = allowed(by_key, 2)
+    low, first = by_key.compress(ok, 0), np.searchsorted(keys.compress(ok), np.arange(m**3 + 1))
+    # top is lexicographic, so each (b0, b1) pair is one run of its rows.
+    starts = np.flatnonzero(np.diff(top[:, 0].astype(int) * 256 + top[:, 1])) + 1
+    for head in np.split(top, starts) if len(top) else []:
+        b0, b1 = head[0, :2]
+        fit = mid.compress(col_ok[b0].take(mid[:, 0]) & col_ok[b1].take(mid[:, 1]), 0)
+        i, j = np.nonzero(col_ok.take(head[:, 2], 0).take(fit[:, 2], 1))
+        pair = np.column_stack((head.take(i, 0), fit.take(j, 0)))
+        want = rest[b0].take(pair[:, 3]) * m + rest[b1].take(pair[:, 4])
+        want = want * m + rest[pair[:, 2], pair[:, 5]]
+        lo = first.take(want)
+        n = first.take(want + 1) - lo
+        total = n.sum()
+        if total:
+            rows = np.empty((total, 9), dtype=np.uint8)
+            rows[:, :6] = np.repeat(pair, n, 0)
+            rows[:, 6:] = low.take(np.arange(total) + np.repeat(lo - np.cumsum(n) + n, n), 0)
+            yield rows
 
 
 def _slice(keys: np.ndarray, partition: tuple[int, int] | None) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import catalog
@@ -175,6 +176,13 @@ def completeness(variant: str, rel_generators: Iterable[NamedGenerator | str]) -
     return len(weak_components(graph)) == EXPECTED_ORBITS[v]
 
 
+@cache
+def _orbit_components(variant: str) -> tuple[tuple[NestLabel, ...], ...]:
+    """Weak components of the variant's nest graph under its full
+    relabeling group: the true orbits, built once per variant."""
+    return weak_components(build_nest_graph(variant, _GROUPS[variant].orbit_relabelings()))
+
+
 def orbit_sizes(
     variant: str,
     rel_generators: Iterable[NamedGenerator | str] | None = None,
@@ -186,19 +194,14 @@ def orbit_sizes(
     orbit size list. Pass a precomputed census to skip re-enumeration.
     """
     v = normalize_variant(variant)
-    rel = (
-        _GROUPS[v].orbit_relabelings()
+    comps = (
+        _orbit_components(v)
         if rel_generators is None
-        else _as_generators(rel_generators)
+        else weak_components(build_nest_graph(v, rel_generators))
     )
-    graph = build_nest_graph(v, rel)
     if nest_census is None:
         nest_census = census(v)
-    sizes = [
-        sum(nest_census.counts[label] for label in comp)
-        for comp in weak_components(graph)
-    ]
-    return tuple(sorted(sizes))
+    return tuple(sorted(sum(nest_census.counts[label] for label in comp) for comp in comps))
 
 
 def minimality(

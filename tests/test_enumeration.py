@@ -380,6 +380,52 @@ def test_band_join_matches_the_reference_join(board_mm_72):
         assert nonempty > 40
 
 
+@pytest.mark.parametrize("join, digest", [
+    (en._sm_join, "328dde5af5673a038be15524cee3449fd82236470dc5ea46fb5b7a532032cd8f"),
+    (en._mm_join, "0f2b234aebf99bd7ad6c788652b2d31f633adca0522f92a37b6d9cea2474863c"),
+], ids=["SM", "MM"])
+def test_join_chunks_pinned(join, digest):
+    # One SHA-256 over each chunk's length and bytes, so the chunk
+    # boundaries are pinned with the rows; computed with the join that
+    # searched the sorted band-2 keys per chunk. census reads idx.T and
+    # _cells takes whole rows, so each chunk is a C-contiguous uint8 array.
+    h = hashlib.sha256()
+    for idx in join():
+        assert idx.dtype == np.uint8 and idx.ndim == 2 and idx.shape[1] == 9
+        assert len(idx) and idx.flags.c_contiguous
+        h.update(len(idx).to_bytes(8, "little"))
+        h.update(idx.tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("catalog_fn", [en.semi_magic_blocks, en.modular_magic_blocks])
+def test_join_empty_edges(catalog_fn):
+    bands = en._band_tables(catalog_fn)[0]
+    for p in (0, 4):  # no top band; no middle band
+        cand = np.ones((9, 72), dtype=bool)
+        cand[p] = False
+        assert list(en._join(catalog_fn, cand)) == []
+    # Band 2 restricted to one band (x, y, z) while position 0 must hold
+    # x too: every pair leaves pillar 0 a column triple disjoint from x's,
+    # so no pair asks for that band's key, though band 2 is not empty.
+    x, y, z = bands[0]
+    cand = np.zeros((9, 72), dtype=bool)
+    cand[[1, 2, 3, 4, 5]] = True
+    cand[[0, 6, 7, 8], [x, x, y, z]] = True
+    assert list(en._join(catalog_fn, np.vstack((cand[:6], np.ones((3, 72), dtype=bool)))))
+    assert list(en._join(catalog_fn, cand)) == []
+    # A top band list that holds one (b0, b1) run, with or without its
+    # third block fixed, gives one chunk.
+    b0, b1, b2 = bands[len(bands) // 2]
+    for fixed in ([b0, b1], [b0, b1, b2]):
+        cand = np.ones((9, 72), dtype=bool)
+        for p, b in enumerate(fixed):
+            cand[p] = np.arange(72) == b
+        got = list(en._join(catalog_fn, cand))
+        assert len(got) == 1
+        assert _assert_joins_equal(catalog_fn, cand) == len(got[0]) > 0
+
+
 def _reference_cells(catalog_fn, chunks):
     # The gather of single cells: (n, I, J, r, c) blocks transposed to
     # (n, I, r, J, c), then split 81 bytes at a time.

@@ -186,3 +186,36 @@ def test_orbit_sizes(mm_census, sm_census):
     sm = ng.orbit_sizes("SM", nest_census=sm_census)
     assert sm == (373248, 2239488, 3359232)
     assert sum(sm) == 5971968
+
+
+def test_orbit_graph_is_built_once_per_variant(monkeypatch, mm_census, sm_census):
+    # orbit_sizes with the default relabelings and every minimality call
+    # read one cached orbit graph per variant; the reports are unchanged.
+    built = []
+    for variant, groups in ng._GROUPS.items():
+
+        def counted(groups=groups, variant=variant):
+            built.append(variant)
+            return groups.orbit_relabelings()
+
+        monkeypatch.setitem(ng._GROUPS, variant, groups._replace(orbit_relabelings=counted))
+    ng._orbit_components.cache_clear()
+    full_mm = [g.name for g in catalog.s_mm_generators()]
+    want = {
+        ("MM", RHO_MU): ng.MinimalityReport(27648, 27648, 2, 2, True, True, (4608, 27648), 27648),
+        ("MM", tuple(full_mm)): ng.MinimalityReport(
+            165888, 27648, 2, 2, True, False, (4608, 27648), 27648
+        ),
+        ("SM", (SM_MU,)): ng.MinimalityReport(
+            6718464, 3359232, 3, 3, True, True, (373248, 2239488, 3359232), 6718464
+        ),
+    }
+    try:
+        for _ in range(3):
+            for (variant, rel), report in want.items():
+                census = mm_census if variant == "MM" else sm_census
+                assert ng.minimality(variant, rel_generators=rel, nest_census=census) == report
+                assert ng.orbit_sizes(variant, nest_census=census) == report.orbit_sizes
+        assert sorted(built) == ["MM", "SM"]
+    finally:
+        ng._orbit_components.cache_clear()
