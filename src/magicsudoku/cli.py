@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: enumerate, census, nest-graph, keedwell, minimality-g9,
-verify. Exit codes: 0 success, 1 check or integrity failure, 2 usage
-error. Worker count comes from --threads, else the MSS_THREADS
-environment variable, else the available parallelism; board streams
-written with --out are always produced sequentially so their order is
-reproducible.
+verify. Exit codes: 0 success, 1 check or integrity failure or a stdout
+closed early, 2 usage error. Worker count comes from --threads, else the
+MSS_THREADS environment variable, else the available parallelism; board
+streams written with --out are always produced sequentially so their
+order is reproducible.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .nests import MM, normalize_variant
 
 __all__ = ["run", "main", "build_parser"]
 
-_VARIANT_CHOICES = ("modular-magic", "semi-magic")
+_VARIANT_CHOICES = tuple(spec.name for spec in nests._VARIANTS.values())
 
 
 def _resolve_threads(args: argparse.Namespace) -> int:
@@ -287,7 +287,14 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a reader gone early raises here, inside the try
+    except BrokenPipeError:
+        # As the signal module's docs advise: the flush at exit then cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

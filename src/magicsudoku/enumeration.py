@@ -30,6 +30,7 @@ are disjoint and their union is the full enumeration.
 from __future__ import annotations
 
 import multiprocessing
+import operator
 import os
 from functools import cache, partial
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
@@ -166,8 +167,12 @@ def _join(catalog_fn: _Catalog, cand: np.ndarray) -> Iterator[np.ndarray]:
 
 def _slice(keys: np.ndarray, partition: tuple[int, int] | None) -> np.ndarray:
     """Join candidate masks of a partition slice: worker w of n gets the
-    top-left catalog blocks whose key is congruent to w mod n."""
-    worker, nparts = (0, 1) if partition is None else partition
+    top-left catalog blocks whose key is congruent to w mod n. Only
+    integers, as operator.index takes them, make a partition."""
+    try:
+        worker, nparts = (0, 1) if partition is None else map(operator.index, partition)
+    except (TypeError, ValueError):
+        raise DomainError(f"bad partition {partition!r}") from None
     if nparts < 1 or not 0 <= worker < nparts:
         raise DomainError(f"bad partition {partition!r}")
     cand = np.ones((9, len(keys)), dtype=bool)

@@ -6,6 +6,7 @@ canonicalized image of act(g, R). Weak components of the graph are the
 orbit candidates; a candidate group is complete when the component
 count matches the variant's true orbit count, and minimal when its
 order also equals the least common multiple of the true orbit sizes.
+Each variant's groups come from its record in nests._VARIANTS.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable
 
 from . import catalog
 from .catalog import NamedGenerator, parse_generator
@@ -21,6 +22,7 @@ from .errors import DomainError
 from .nests import (
     MM,
     SM,
+    _VARIANTS,
     Census,
     NestLabel,
     canonicalize,
@@ -29,7 +31,7 @@ from .nests import (
     normalize_variant,
     representative,
 )
-from .perms import PermGroup, act, closure
+from .perms import act, closure
 
 __all__ = [
     "NestGraph",
@@ -68,39 +70,14 @@ class MinimalityReport:
 
 
 def _as_generators(gens: Iterable[NamedGenerator | str]) -> tuple[NamedGenerator, ...]:
-    out = []
-    for g in gens:
-        out.append(g if isinstance(g, NamedGenerator) else parse_generator(str(g)))
-    return tuple(out)
-
-
-class _Groups(NamedTuple):
-    """A variant's symmetry groups: its full physical group H, the
-    physical generators that extend the nest-defining group to H, its
-    relabeling group S, and the relabelings of the orbit-size graph."""
-
-    physical: Callable[[], list[NamedGenerator]]
-    nest_extension: tuple[NamedGenerator, ...]
-    relabelings: Callable[[], PermGroup]
-    orbit_relabelings: Callable[[], Sequence[NamedGenerator]]
-
-
-_GROUPS = {
-    MM: _Groups(catalog.h_mm_generators, (), catalog.s_mm_elements, catalog.s_mm_generators),
-    SM: _Groups(
-        catalog.h9_generators,
-        (catalog.swap_bands(0, 1), catalog.swap_pillars(0, 1)),
-        catalog.s_sm_group,
-        lambda: [catalog.relabeling(s.digit) for s in catalog.s_sm_group() if not s.is_identity],
-    ),
-}
+    return tuple(g if isinstance(g, NamedGenerator) else parse_generator(str(g)) for g in gens)
 
 
 def default_physical_generators(variant: str) -> tuple[NamedGenerator, ...]:
     """Physical generators that extend the nest-defining group to the
     variant's full physical group: none for modular-magic, the leading
     band and pillar swaps for semi-magic."""
-    return _GROUPS[normalize_variant(variant)].nest_extension
+    return _VARIANTS[normalize_variant(variant)].nest_extension
 
 
 def build_nest_graph(
@@ -178,30 +155,26 @@ def completeness(variant: str, rel_generators: Iterable[NamedGenerator | str]) -
 
 @cache
 def _orbit_components(variant: str) -> tuple[tuple[NestLabel, ...], ...]:
-    """Weak components of the variant's nest graph under its full
-    relabeling group: the true orbits, built once per variant."""
-    return weak_components(build_nest_graph(variant, _GROUPS[variant].orbit_relabelings()))
+    """Weak components of the variant's nest graph under every non-identity
+    element of its relabeling group: the true orbits, built once per variant."""
+    group = _VARIANTS[variant].relabelings()
+    rel = [catalog.relabeling(s.digit) for s in group if not s.is_identity]
+    return weak_components(build_nest_graph(variant, rel))
 
 
-def orbit_sizes(
-    variant: str,
-    rel_generators: Iterable[NamedGenerator | str] | None = None,
-    nest_census: Census | None = None,
-) -> tuple[int, ...]:
-    """Board counts of the graph's weak components, ascending.
-
-    Defaults use the full relabeling group, so the result is the true
-    orbit size list. Pass a precomputed census to skip re-enumeration.
-    """
+def orbit_sizes(variant: str, nest_census: Census | None = None) -> tuple[int, ...]:
+    """Board counts of the true orbits, ascending: the weak components of
+    the nest graph under the full relabeling group. Pass a precomputed
+    census to skip re-enumeration; DomainError if it lacks one of the
+    variant's nests."""
     v = normalize_variant(variant)
-    comps = (
-        _orbit_components(v)
-        if rel_generators is None
-        else weak_components(build_nest_graph(v, rel_generators))
-    )
     if nest_census is None:
         nest_census = census(v)
-    return tuple(sorted(sum(nest_census.counts[label] for label in comp) for comp in comps))
+    counts = nest_census.counts
+    for label in labels(v):
+        if label not in counts:
+            raise DomainError(f"{nest_census.variant} census has no {v} nest {label}")
+    return tuple(sorted(sum(counts[label] for label in comp) for comp in _orbit_components(v)))
 
 
 def minimality(
@@ -219,7 +192,7 @@ def minimality(
     """
     v = normalize_variant(variant)
     if phys_group is None:
-        phys_group = catalog._physical_group(_GROUPS[v].physical)
+        phys_group = catalog._physical_group(_VARIANTS[v].physical)
     phys_order = phys_group if isinstance(phys_group, int) else phys_group.order
     rel = _as_generators(rel_generators)
     rel_order = closure([g.symmetry for g in rel]).order

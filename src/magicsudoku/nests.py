@@ -6,7 +6,8 @@ canonical shape, identified by a two-digit label: for modular-magic
 boards the pattern fixes all 27 mini-diagonal cells holding {0,3,6} and
 the label reads cells (0,2) and (3,8); for semi-magic boards the
 canonical board carries the standard gnomon and the label reads cells
-(6,5) and (5,6).
+(6,5) and (5,6). These, and every other fact that sets one variant
+apart, are stated once, in the private record _VARIANTS.
 
 One group scan finds the image of a board that holds a given cell
 pattern and checks that it is unique. Each element of a physical group
@@ -18,19 +19,16 @@ that holds the pattern. Over H_MM (96 candidates) with the mini-diagonal
 pattern, and over H_Γ (864) with the standard gnomon, it is the oracle
 for the labels.
 
-Both variants label boards by a table lookup of a block code, whose one
-function reads int tables, through numpy views for the block columns of
-an (n, 9) join chunk, which the census counts, and as Python ints for
-one board's nine catalog indices, which canonicalize reads through the
-variant predicate's own reader (three lookups in the band table boards
-builds up front) and looks up in one map from code to nest. The
-modular-magic code is a board's multiset of block classes (center and
-off-diagonal pair, from boards' class weights), which physical
-symmetries keep: one code per nest. The semi-magic code is the mini-line
-family of block 0 and the cyclic step between neighbouring blocks of
-each band and pillar: eight codes per nest. One walk from the
-representatives under the physical generators builds each table, with
-no scan.
+Both variants label a board by a table lookup of a block code. One code
+function per variant reads the nine block columns of catalog indices:
+numpy views for an (n, 9) join chunk, which the census counts, or Python
+ints for one board, which canonicalize reads through the variant
+predicate's reader. The modular-magic code is the multiset of block
+classes (center and off-diagonal pair), which physical symmetries keep:
+one code per nest. The semi-magic code is the mini-line family of block
+0 and the cyclic step between neighbouring blocks of each band and
+pillar: eight codes per nest. One walk from the representatives under
+the nest-defining generators builds each table, with no scan.
 """
 
 from __future__ import annotations
@@ -39,12 +37,13 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .boards import Board, _line_sets, _mm_weights, _variant_blocks, is_semi_magic
-from .catalog import PhysicalGroup, _physical_group, h_gamma_generators, h_mm_generators
+from . import catalog
+from .boards import Board, _Catalog, _line_sets, _mm_weights, _variant_blocks, is_semi_magic
+from .catalog import NamedGenerator, PhysicalGroup, _physical_group
 from .enumeration import (
     STANDARD_GNOMON_BLOCKS,
     _complete,
@@ -57,7 +56,7 @@ from .enumeration import (
     standard_gnomon_cells,
 )
 from .errors import DomainError, IntegrityError
-from .perms import act
+from .perms import PermGroup, act
 
 __all__ = [
     "MM",
@@ -79,16 +78,6 @@ __all__ = [
 MM = "MM"
 SM = "SM"
 
-_VARIANT_ALIASES = {
-    "mm": MM,
-    "modular-magic": MM,
-    "modular_magic": MM,
-    "sm": SM,
-    "semi-magic": SM,
-    "semi_magic": SM,
-}
-
-
 def normalize_variant(variant: str) -> str:
     v = _VARIANT_ALIASES.get(str(variant).lower())
     if v is None:
@@ -105,7 +94,7 @@ class NestLabel:
     second: int
 
     def __post_init__(self) -> None:
-        if self.variant not in (MM, SM):
+        if self.variant not in _VARIANTS:
             raise DomainError(f"bad variant {self.variant!r}")
         if not (0 <= self.first <= 8 and 0 <= self.second <= 8):
             raise DomainError(f"bad label digits ({self.first},{self.second})")
@@ -214,7 +203,7 @@ def canonicalize_sm_by_scan(board: Board) -> tuple[NestLabel, Board]:
 
 def _sm_scanned(board: Board) -> tuple[NestLabel, Board]:
     """canonicalize_sm_by_scan of a board known to be semi-magic."""
-    canon = _scan(_physical_group(h_gamma_generators), _SM_GNOMON_CELLS, board.cells)
+    canon = _scan(_physical_group(_VARIANTS[SM].nest_generators), _SM_GNOMON_CELLS, board.cells)
     return NestLabel(SM, canon[_SM_A], canon[_SM_B]), Board._wrap(canon)
 
 
@@ -234,7 +223,7 @@ def canonicalize(variant: str, board: Board) -> tuple[NestLabel, Board]:
     census's label of its nine catalog blocks, and that nest's
     representative. Raises DomainError unless the board is of the variant."""
     v = normalize_variant(variant)
-    nest = _nests(v).get(int(_CENSUS[v][2](_board_blocks(v, board.cells))))
+    nest = _nests(v).get(int(_VARIANTS[v].code(_board_blocks(v, board.cells))))
     if nest is None:
         raise IntegrityError(f"block codes match no {v} nest")
     return nest
@@ -253,35 +242,29 @@ def canonicalize_sm(board: Board) -> tuple[NestLabel, Board]:
 def _board_blocks(variant: str, cells: bytes) -> tuple[int, ...]:
     """The catalog indices of a board's nine blocks. Raises DomainError
     unless the board is of the variant."""
-    found = _variant_blocks(_CENSUS[variant][0], cells)
+    found = _variant_blocks(_VARIANTS[variant].catalog, cells)
     if found is None:
-        raise DomainError(f"board is not {'modular-magic' if variant == MM else 'semi-magic'}")
+        raise DomainError(f"board is not {_VARIANTS[variant].name}")
     return found
 
 
 # --- representatives and label alphabets ---
 
 
-# Per variant: the block catalog, the canonical (cell, digit) pattern, the
-# two label cells, the tie-break among the pattern's boards, the nest count.
-_CANONICAL = {MM: (modular_magic_blocks, _MM_TEMPLATE, (_MM_ALPHA, _MM_GAMMA1), _mm_ties, 9),
-              SM: (semi_magic_blocks, _SM_GNOMON_CELLS, (_SM_A, _SM_B), None, 16)}
-
-
 @cache
 def _representatives(variant: str) -> dict[NestLabel, Board]:
     """Each nest's label and canonical board, in label order: the boards
     completing the variant's pattern that pass its tie-break, one per nest."""
-    catalog_fn, pattern, (first, second), ties, count = _CANONICAL[variant]
-    boards = _complete(catalog_fn, dict(pattern))
-    if ties is not None:
+    spec = _VARIANTS[variant]
+    boards = _complete(spec.catalog, dict(spec.pattern))
+    if spec.ties is not None:
         cells = np.frombuffer(b"".join(b.cells for b in boards), dtype=np.uint8)
-        boards = [b for b, ok in zip(boards, ties(cells.reshape(-1, 81))) if ok]
+        boards = [b for b, ok in zip(boards, spec.ties(cells.reshape(-1, 81))) if ok]
+    first, second = spec.label_cells
     reps = {NestLabel(variant, b[first], b[second]): b for b in boards}
-    if len(boards) != count or len(reps) != count:
-        raise IntegrityError(
-            f"{len(boards)} canonical {variant} boards with {len(reps)} labels, expected {count}"
-        )
+    if len(boards) != spec.nest_count or len(reps) != spec.nest_count:
+        raise IntegrityError(f"{len(boards)} canonical {variant} boards with {len(reps)} "
+                             f"labels, expected {spec.nest_count}")
     return dict(sorted(reps.items()))
 
 
@@ -372,8 +355,8 @@ def _label_table(variant: str) -> np.ndarray:
     Walked from each nest's representative under the variant's physical
     generators, with one witness board per code, until no new code
     appears. Raises IntegrityError if two nests reach one code."""
-    code_fn, generators = _CENSUS[variant][2:]
-    symmetries = [gen.symmetry for gen in generators()]
+    code_fn = _VARIANTS[variant].code
+    symmetries = [gen.symmetry for gen in _VARIANTS[variant].nest_generators()]
     nest_of: dict[int, NestLabel] = {}
     for label in labels(variant):
         todo = [representative(label)]
@@ -401,16 +384,47 @@ def _nests(variant: str) -> dict[int, tuple[NestLabel, Board]]:
 def _label_codes(variant: str, columns):
     """9 * first + second of the nest labels of nine block columns of the
     variant's catalog indices: nine ints for one board, or idx.T of a chunk."""
-    codes = _label_table(variant).take(_CENSUS[variant][2](columns), mode="clip")
+    codes = _label_table(variant).take(_VARIANTS[variant].code(columns), mode="clip")
     if np.count_nonzero(codes < 0):
         raise IntegrityError(f"block codes match no {variant} nest")
     return codes
 
 
-# Per variant: the block catalog, the join, the block code and the
-# physical generators.
-_CENSUS = {MM: (modular_magic_blocks, _mm_join, _mm_code, h_mm_generators),
-           SM: (semi_magic_blocks, _sm_join, _sm_code, h_gamma_generators)}
+class _Variant(NamedTuple):
+    """Each fact that sets one variant apart, stated once and read by name.
+    A nest graph adds nest_extension to the nest-defining generators to
+    reach the full physical group."""
+
+    name: str
+    catalog: _Catalog
+    pattern: tuple[tuple[int, int], ...]  # canonical (cell, digit) pairs
+    label_cells: tuple[int, int]
+    ties: Callable[[np.ndarray], np.ndarray] | None  # tie-break among the pattern's boards
+    nest_count: int
+    join: Callable[[tuple[int, int] | None], Iterator[np.ndarray]]
+    code: Callable  # block code of nine block columns
+    nest_generators: Callable[[], list[NamedGenerator]]
+    physical: Callable[[], list[NamedGenerator]]
+    nest_extension: tuple[NamedGenerator, ...]
+    relabelings: Callable[[], PermGroup]
+
+
+_VARIANTS = {
+    MM: _Variant(
+        name="modular-magic", catalog=modular_magic_blocks, pattern=_MM_TEMPLATE,
+        label_cells=(_MM_ALPHA, _MM_GAMMA1), ties=_mm_ties, nest_count=9, join=_mm_join,
+        code=_mm_code, nest_generators=catalog.h_mm_generators,
+        physical=catalog.h_mm_generators, nest_extension=(), relabelings=catalog.s_mm_elements),
+    SM: _Variant(
+        name="semi-magic", catalog=semi_magic_blocks, pattern=_SM_GNOMON_CELLS,
+        label_cells=(_SM_A, _SM_B), ties=None, nest_count=16, join=_sm_join, code=_sm_code,
+        nest_generators=catalog.h_gamma_generators, physical=catalog.h9_generators,
+        nest_extension=(catalog.swap_bands(0, 1), catalog.swap_pillars(0, 1)),
+        relabelings=catalog.s_sm_group),
+}
+# Each key, lower-cased, and name, with "-" or "_": one lookup per canonicalize call.
+_VARIANT_ALIASES = {alias: key for key, spec in _VARIANTS.items()
+                    for alias in (key.lower(), spec.name, spec.name.replace("-", "_"))}
 
 
 def census(variant: str, partition: tuple[int, int] | None = None) -> Census:
@@ -422,7 +436,7 @@ def census(variant: str, partition: tuple[int, int] | None = None) -> Census:
     """
     v = normalize_variant(variant)
     codes = np.zeros(81, dtype=int)
-    for idx in _CENSUS[v][1](partition):
+    for idx in _VARIANTS[v].join(partition):
         codes += np.bincount(_label_codes(v, idx.T), minlength=81)
     mapping = {NestLabel(v, *divmod(code, 9)): int(n) for code, n in enumerate(codes) if n}
     return Census(v, mapping, sum(mapping.values()))

@@ -357,8 +357,8 @@ def _check_sm_minimality(ctx: VerifyContext):
 
 def _check_orbit_sizes(ctx: VerifyContext, variant: str, sizes: tuple[int, ...]):
     found = nestgraph.orbit_sizes(variant, nest_census=ctx.census(variant))
-    groups = nestgraph._GROUPS[variant]
-    full = catalog._physical_group(groups.physical).order * groups.relabelings().order
+    spec = nests._VARIANTS[variant]
+    full = catalog._physical_group(spec.physical).order * spec.relabelings().order
     actual = {
         "sizes": list(found),
         "divide_full_group": all(full % s == 0 for s in found),
@@ -456,7 +456,7 @@ def _check_properties(
 ):
     rng = random.Random(DEFAULT_SEED + seed_offset)
     group = materialize()
-    relabelings = nestgraph._GROUPS[variant].relabelings()
+    relabelings = nests._VARIANTS[variant].relabelings()
 
     def draw_symmetry(r):
         kind = r.randrange(3)

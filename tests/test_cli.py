@@ -105,14 +105,34 @@ def test_enumerate_to_file_writes_the_json_count(tmp_path, capsys):
     assert len(read_mssb(out.open("rb"))) == 32256
 
 
-def test_python_dash_m_runs_the_cli():
+def _module_env():
+    """The environment for `python -m magicsudoku` from this source tree."""
     src = str(Path(magicsudoku.__file__).resolve().parents[1])
     paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def test_python_dash_m_runs_the_cli():
     argv = [sys.executable, "-m", "magicsudoku", "verify", "--checks", "g9_certificate"]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run(argv, env=_module_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "g9_certificate: PASS" in done.stdout
+
+
+def test_stdout_closed_early_exits_1_with_nothing_on_stderr():
+    # As `enumerate ... | head -1` does: read one line, close the pipe.
+    argv = [sys.executable, "-m", "magicsudoku", "enumerate", "--variant", "modular-magic"]
+    pipe = subprocess.PIPE
+    proc = subprocess.Popen(argv, env=_module_env(), stdout=pipe, stderr=pipe)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    assert len(first) == 82 and stderr == b""
 
 
 def test_enumerate_to_binary_file(tmp_path, mm_sample):

@@ -158,6 +158,19 @@ def test_partition_validation():
             en.enumerate_semi_magic(partition=bad)
 
 
+def test_partition_takes_only_integers():
+    # Floats, strings and pairs of the wrong length are refused before any
+    # join; numpy integers pass operator.index and give the int slice.
+    for bad in ((0.5, 2), (0, 2.0), ("0", "2"), (0, 1, 2), 7):
+        with pytest.raises(DomainError, match="^bad partition"):
+            nests.census("MM", partition=bad)
+        with pytest.raises(DomainError, match="^bad partition"):
+            en.enumerate_semi_magic(None, bad)
+    numpy_part = (np.int64(1), np.uint8(3))
+    assert nests.census("MM", numpy_part) == nests.census("MM", (1, 3))
+    assert en.enumerate_modular_magic(None, numpy_part) == nests.census("MM", (1, 3)).total
+
+
 def test_sm_total(sm_census):
     assert sm_census.total == 5971968
 

@@ -133,7 +133,7 @@ def test_nest_generators_and_defaults_generate_the_full_physical_group(
 ):
     # The nest-defining generators plus the defaults a nest graph adds
     # must generate the group whose order minimality certifies.
-    nest_generators = nests._CENSUS[variant][3]()
+    nest_generators = nests._VARIANTS[variant].nest_generators()
     extended = catalog.PhysicalGroup(nest_generators + list(ng.default_physical_generators(variant)))
     census = mm_census if variant == "MM" else sm_census
     assert extended.order == ng.minimality(variant, nest_census=census).group_order == order
@@ -179,26 +179,22 @@ def test_sm_minimality(sm_census):
 
 def test_orbit_sizes(mm_census, sm_census):
     assert ng.orbit_sizes("MM", nest_census=mm_census) == (4608, 27648)
-    assert ng.orbit_sizes("MM", RHO_MU, nest_census=mm_census) == (4608, 27648)
-    trivial = ng.orbit_sizes("MM", [], nest_census=mm_census)
-    assert trivial == (1536, 1536, 1536, 4608, 4608, 4608, 4608, 4608, 4608)
-    assert sum(trivial) == 32256
     sm = ng.orbit_sizes("SM", nest_census=sm_census)
     assert sm == (373248, 2239488, 3359232)
     assert sum(sm) == 5971968
 
 
 def test_orbit_graph_is_built_once_per_variant(monkeypatch, mm_census, sm_census):
-    # orbit_sizes with the default relabelings and every minimality call
-    # read one cached orbit graph per variant; the reports are unchanged.
+    # orbit_sizes and every minimality call read one cached orbit graph
+    # per variant; the reports are unchanged.
     built = []
-    for variant, groups in ng._GROUPS.items():
+    for variant, spec in nests._VARIANTS.items():
 
-        def counted(groups=groups, variant=variant):
+        def counted(spec=spec, variant=variant):
             built.append(variant)
-            return groups.orbit_relabelings()
+            return spec.relabelings()
 
-        monkeypatch.setitem(ng._GROUPS, variant, groups._replace(orbit_relabelings=counted))
+        monkeypatch.setitem(nests._VARIANTS, variant, spec._replace(relabelings=counted))
     ng._orbit_components.cache_clear()
     full_mm = [g.name for g in catalog.s_mm_generators()]
     want = {
@@ -219,3 +215,26 @@ def test_orbit_graph_is_built_once_per_variant(monkeypatch, mm_census, sm_census
         assert sorted(built) == ["MM", "SM"]
     finally:
         ng._orbit_components.cache_clear()
+
+
+def test_mm_orbit_graph_over_the_group_has_the_generators_components():
+    # The orbit graph reads every non-identity relabeling; a group and any
+    # generating set of it join the same nests.
+    group = catalog.s_mm_elements()
+    everything = [catalog.relabeling(s.digit) for s in group if not s.is_identity]
+    assert len(everything) == 35
+    by_group = ng.weak_components(ng.build_nest_graph("MM", everything))
+    assert by_group == ng.weak_components(ng.build_nest_graph("MM", catalog.s_mm_generators()))
+    assert ng._orbit_components("MM") == by_group
+    assert [len(c) for c in by_group] == [3, 6]
+
+
+def test_a_census_lacking_a_nest_is_a_domain_error(mm_census, sm_census):
+    # Another variant's census, or a slice census that misses a nest.
+    cases = [("MM", sm_census, "SM census has no MM nest [1,1]"),
+             ("SM", mm_census, "MM census has no SM nest [2,1]"),
+             ("MM", nests.census("MM", (1, 81)), "MM census has no MM nest [2,2]")]
+    for variant, given, want in cases:
+        for call in (ng.orbit_sizes, ng.minimality):
+            with pytest.raises(DomainError, match=re.escape(want)):
+                call(variant, nest_census=given)

@@ -232,7 +232,7 @@ def _reference_canonicalize(variant, board):
     variant predicate, then the block indices by base-9 code."""
     if not (is_modular_magic if variant == "MM" else is_semi_magic)(board):
         raise DomainError(f"board is not {'modular-magic' if variant == 'MM' else 'semi-magic'}")
-    catalog_fn = nests._CENSUS[variant][0]
+    catalog_fn = nests._VARIANTS[variant].catalog
     code = int(nests._label_codes(variant, _block_indices(catalog_fn, board.cells).T)[0])
     label = nests.NestLabel(variant, *divmod(code, 9))
     return label, nests.representative(label)
@@ -254,7 +254,7 @@ def test_canonicalize_equals_the_batch_labels(variant, partitions):
     # whose top-left block is read directly (17) and of one it is
     # transposed in (68): one board through canonicalize gives the label
     # the census gives its chunk.
-    catalog_fn, join = nests._CENSUS[variant][:2]
+    catalog_fn, join = nests._VARIANTS[variant].catalog, nests._VARIANTS[variant].join
     nest = {9 * l.first + l.second: (l, nests.representative(l)) for l in nests.labels(variant)}
     total = 0
     for partition in partitions:
@@ -271,7 +271,7 @@ def test_board_blocks_accepts_exactly_the_boards_of_the_variant(variant):
     # Against the oracle predicate: seeded random 9-tuples of catalog
     # indices, and real boards with each block swapped for every catalog
     # block in turn, which breaks one band or pillar at a time.
-    catalog_fn, join = nests._CENSUS[variant][:2]
+    catalog_fn, join = nests._VARIANTS[variant].catalog, nests._VARIANTS[variant].join
     predicate = oracle_is_modular_magic if variant == "MM" else oracle_is_semi_magic
     rng = np.random.default_rng(15)
     real = np.concatenate([next(join((w, 9)))[[0, -1]] for w in (1, 5)])
@@ -333,7 +333,7 @@ def test_one_board_codes_are_python_ints_equal_to_the_chunk_codes():
               "SM": [np.array([nests._board_blocks("SM", random_semi_magic(rng).cells)
                                for _ in range(300)], dtype=np.uint8)]}
     for variant, chunk_list in chunks.items():
-        catalog_fn, _, code_fn, _ = nests._CENSUS[variant]
+        catalog_fn, code_fn = nests._VARIANTS[variant].catalog, nests._VARIANTS[variant].code
         checked = 0
         for idx in chunk_list:
             want = code_fn(idx.T).tolist()
@@ -363,8 +363,8 @@ def _constant_code(variant, monkeypatch):
     def constant(columns):
         return 0 * columns[0]
 
-    catalog_fn, join, _, generators = nests._CENSUS[variant]
-    monkeypatch.setitem(nests._CENSUS, variant, (catalog_fn, join, constant, generators))
+    spec = nests._VARIANTS[variant]
+    monkeypatch.setitem(nests._VARIANTS, variant, spec._replace(code=constant))
 
 
 def _one_off_diagonal_pair(variant, monkeypatch):
