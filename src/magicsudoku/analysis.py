@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .boards import Board, _mm_classes, _mm_weights, _variant_blocks, modular_magic_blocks
-from .errors import DomainError
+from .errors import DomainError, _in_range
 
 __all__ = [
     "check_two_equal",
@@ -70,13 +70,9 @@ def g9_minimality_certificate(
 ) -> G9Certificate:
     """Exact average-orbit bound: bound_holds certifies that a
     trivial-stabilizer orbit exists, hence the group is minimal."""
-    total_boards = int(total_boards)
-    orbit_count = int(orbit_count)
-    group_order = int(group_order)
-    if orbit_count <= 0:
-        raise DomainError("orbit count must be positive")
-    if total_boards <= 0 or group_order <= 0:
-        raise DomainError("certificate inputs must be positive")
+    given = {"board total": total_boards, "orbit count": orbit_count, "group order": group_order}
+    total_boards, orbit_count, group_order = (
+        _in_range(n, f"{name} must be a positive integer", 1) for name, n in given.items())
     return G9Certificate(
         total_boards=total_boards,
         orbit_count=orbit_count,

@@ -145,10 +145,6 @@ class Board:
 
 def parse_board(text: str) -> Board:
     """Parse 81 digit characters (whitespace ignored) into a Board."""
-    if len(text) == 81 and text.isascii():
-        raw = text.encode("ascii")
-        if not raw.translate(None, b"012345678"):
-            return Board._wrap(raw.translate(_FROM_ASCII))
     stripped = "".join(text.split())
     if len(stripped) != 81:
         raise BoardFormatError(f"expected 81 digits, got {len(stripped)}")
@@ -158,12 +154,9 @@ def parse_board(text: str) -> Board:
     return Board._wrap(stripped.encode("ascii").translate(_FROM_ASCII))
 
 
-def format_board(board: Board, pretty: bool = False) -> str:
-    """Render a board as one 81-character line, or 9 lines if pretty."""
-    flat = board.cells.translate(_TO_ASCII).decode("ascii")
-    if not pretty:
-        return flat
-    return "\n".join(flat[9 * r : 9 * r + 9] for r in range(9))
+def format_board(board: Board) -> str:
+    """Render a board as one 81-character line."""
+    return board.cells.translate(_TO_ASCII).decode("ascii")
 
 
 # The mini-rows, mini-columns, main and anti mini-diagonal of a block

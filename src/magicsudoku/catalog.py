@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boards import _Catalog, modular_magic_blocks, semi_magic_blocks
-from .errors import DomainError, IntegrityError
+from .errors import DomainError, IntegrityError, _in_range
 from .perms import PermGroup, Symmetry, _sort_rows, closure
 
 __all__ = [
@@ -78,8 +78,7 @@ def _from_col_perm(cp: Sequence[int]) -> tuple[int, ...]:
 
 
 def _check_range(value: int, top: int, what: str) -> None:
-    if not 0 <= value <= top:
-        raise DomainError(f"{what} must lie in 0..{top}, got {value}")
+    _in_range(value, f"{what} must lie in 0..{top}, got {value!r}", 0, top)
 
 
 _TRANSPOSE_CELL = tuple(9 * c + r for r in range(9) for c in range(9))

@@ -46,7 +46,7 @@ from .boards import (
     modular_magic_blocks,
     semi_magic_blocks,
 )
-from .errors import DomainError, IntegrityError
+from .errors import DomainError, IntegrityError, _in_range
 
 __all__ = [
     "semi_magic_blocks",
@@ -235,10 +235,9 @@ def _complete(catalog_fn: _Catalog, assignments: Mapping[int, int]) -> list[Boar
     cat = _join_tables(catalog_fn)[0]
     cand = np.ones((9, len(cat)), dtype=bool)
     for cell, digit in assignments.items():
-        if not (0 <= int(cell) <= 80 and 0 <= int(digit) <= 8):
-            raise DomainError(f"bad assignment {cell!r}: {digit!r}")
-        r, c = divmod(int(cell), 9)
-        cand[3 * (r // 3) + c // 3] &= cat[:, 3 * (r % 3) + c % 3] == int(digit)
+        bad = f"bad assignment {cell!r}: {digit!r}"
+        r, c = divmod(_in_range(cell, bad, 0, 80), 9)
+        cand[3 * (r // 3) + c // 3] &= cat[:, 3 * (r % 3) + c % 3] == _in_range(digit, bad, 0, 8)
     return _sorted(catalog_fn, _join(catalog_fn, cand))
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check."""
+
+import math
+import operator
 
 
 class MagicSudokuError(Exception):
@@ -27,3 +30,15 @@ class IntegrityError(MagicSudokuError):
 
 class CapacityError(MagicSudokuError):
     """A computation exceeded a configured size cap."""
+
+
+def _in_range(value: object, message: str, low: int = 0, high: float = math.inf) -> int:
+    """value as an int, if operator.index takes it (a numpy integer too)
+    and it lies in low..high; else DomainError(message)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(message) from None
+    if not low <= value <= high:
+        raise DomainError(message)
+    return value

@@ -6,7 +6,10 @@ canonicalized image of act(g, R). Weak components of the graph are the
 orbit candidates; a candidate group is complete when the component
 count matches the variant's true orbit count, and minimal when its
 order also equals the least common multiple of the true orbit sizes.
-Each variant's groups come from its record in nests._VARIANTS.
+The true orbits, and so their count, are the weak components of the
+nest graph under the variant's full relabeling group, built once per
+variant on first use. Each variant's groups come from its record in
+nests._VARIANTS.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from . import catalog
 from .catalog import NamedGenerator, parse_generator
 from .errors import DomainError
 from .nests import (
-    MM,
-    SM,
     _VARIANTS,
     Census,
     NestLabel,
@@ -36,7 +37,6 @@ from .perms import act, closure
 __all__ = [
     "NestGraph",
     "MinimalityReport",
-    "EXPECTED_ORBITS",
     "default_physical_generators",
     "build_nest_graph",
     "weak_components",
@@ -45,10 +45,6 @@ __all__ = [
     "orbit_sizes",
     "minimality",
 ]
-
-#: True orbit counts under the full symmetry group per variant.
-EXPECTED_ORBITS = {MM: 2, SM: 3}
-
 
 @dataclass(frozen=True)
 class NestGraph:
@@ -147,10 +143,12 @@ def to_dot(graph: NestGraph) -> str:
 
 def completeness(variant: str, rel_generators: Iterable[NamedGenerator | str]) -> bool:
     """True when the nest graph has exactly the true orbit count of
-    weak components."""
+    weak components. The candidate group lies inside the full group, so
+    its orbits refine the true orbits: an equal count is an equal
+    partition, which is what complete means."""
     v = normalize_variant(variant)
     graph = build_nest_graph(v, rel_generators)
-    return len(weak_components(graph)) == EXPECTED_ORBITS[v]
+    return len(weak_components(graph)) == len(_orbit_components(v))
 
 
 @cache
@@ -201,12 +199,12 @@ def minimality(
     component_count = len(weak_components(graph))
     sizes = orbit_sizes(v, nest_census=nest_census)
     orbit_lcm = math.lcm(*sizes)
-    complete = component_count == EXPECTED_ORBITS[v]
+    complete = component_count == len(sizes)
     return MinimalityReport(
         group_order=group_order,
         largest_orbit=max(sizes),
         component_count=component_count,
-        expected_orbit_count=EXPECTED_ORBITS[v],
+        expected_orbit_count=len(sizes),
         complete=complete,
         minimal=complete and group_order == orbit_lcm,
         orbit_sizes=sizes,

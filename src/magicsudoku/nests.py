@@ -55,7 +55,7 @@ from .enumeration import (
     semi_magic_blocks,
     standard_gnomon_cells,
 )
-from .errors import DomainError, IntegrityError
+from .errors import DomainError, IntegrityError, _in_range
 from .perms import PermGroup, act
 
 __all__ = [
@@ -96,8 +96,8 @@ class NestLabel:
     def __post_init__(self) -> None:
         if self.variant not in _VARIANTS:
             raise DomainError(f"bad variant {self.variant!r}")
-        if not (0 <= self.first <= 8 and 0 <= self.second <= 8):
-            raise DomainError(f"bad label digits ({self.first},{self.second})")
+        for digit in (self.first, self.second):
+            _in_range(digit, f"bad label digits ({self.first!r},{self.second!r})", 0, 8)
 
     def __str__(self) -> str:
         return f"[{self.first},{self.second}]"

@@ -35,7 +35,7 @@ from .enumeration import (
     random_semi_magic,
     semi_magic_blocks,
 )
-from .errors import DomainError, IntegrityError, MagicSudokuError
+from .errors import DomainError, IntegrityError, MagicSudokuError, _in_range
 from .keedwell import (
     apply_alpha,
     apply_beta,
@@ -137,9 +137,7 @@ class VerifyContext:
     """
 
     def __init__(self, threads: int = 1):
-        if threads < 1:
-            raise DomainError(f"bad thread count {threads}")
-        self.threads = threads
+        self.threads = _in_range(threads, f"bad thread count {threads!r}", 1)
         self._results: dict[str, object] = {}
         self._seconds: dict[str, float] = {}
 

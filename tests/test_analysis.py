@@ -1,5 +1,6 @@
 """Off-diagonal structure check and the average-orbit group certificate."""
 
+import numpy as np
 import pytest
 
 from magicsudoku import analysis as an, nests
@@ -53,6 +54,16 @@ def test_certificate_rejects_bad_inputs():
         an.g9_minimality_certificate(0, 10, 10)
     with pytest.raises(DomainError):
         an.g9_minimality_certificate(100, 10, 0)
+
+
+def test_certificate_takes_only_integers():
+    given = (np.int64(100), np.int32(10), np.uint8(10))
+    assert an.g9_minimality_certificate(*given) == an.g9_minimality_certificate(100, 10, 10)
+    cases = [((100.0, 10, 10), "board total"), ((100, 5472730538.7, 10), "orbit count"),
+             ((100, 10, "10"), "group order")]
+    for given, name in cases:
+        with pytest.raises(DomainError, match=f"{name} must be a positive integer"):
+            an.g9_minimality_certificate(*given)
 
 
 def test_certificate_uses_exact_integers():

@@ -85,12 +85,6 @@ def test_board_equality_and_hash(board_mm_72, board_mm_11):
     assert len({board_mm_72, again, board_mm_11}) == 2
 
 
-def test_pretty_format(board_mm_72):
-    lines = format_board(board_mm_72, pretty=True).splitlines()
-    assert len(lines) == 9
-    assert lines[0].replace(" ", "") == CANON_MM_72[:9]
-
-
 def test_block_extraction(board_mm_72):
     assert block(board_mm_72, 0, 0) == ((0, 2, 7), (1, 3, 5), (8, 4, 6))
     assert block(board_mm_72, 2, 2) == ((3, 1, 5), (8, 6, 4), (7, 2, 0))

@@ -66,6 +66,12 @@ def test_builder_domain_errors():
         catalog.mu(4, 1)
     with pytest.raises(DomainError):
         catalog.relabeling((0, 0, 2, 3, 4, 5, 6, 7, 8))
+    # Line and block positions are integers, not values that compare like one.
+    cases = [(catalog.swap_rows, (0.5, 1)), (catalog.swap_bands, (1.0, 0)),
+             (catalog.cycle_rows, ("1",)), (catalog.triple_cols, (0, 1, 2.0))]
+    for build, args in cases:
+        with pytest.raises(DomainError, match="must lie in"):
+            build(*args)
 
 
 def test_mu_digit_action():

@@ -212,6 +212,13 @@ def test_complete_modular_magic_edge_cases():
         en.complete_modular_magic({-1: 0})
 
 
+def test_complete_modular_magic_takes_integer_cells_and_digits():
+    assert len(en.complete_modular_magic({np.int64(0): np.uint8(0)})) == 5376
+    for bad in ({0: 0.9}, {0.5: 0}, {"0": 0}, {0: "0"}):
+        with pytest.raises(DomainError, match="bad assignment"):
+            en.complete_modular_magic(bad)
+
+
 def test_standard_gnomon_cells():
     pairs = en.standard_gnomon_cells()
     assert len(pairs) == 45

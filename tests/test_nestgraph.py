@@ -1,7 +1,11 @@
 """Generator-labeled nest graphs, components, DOT output, minimality."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +26,40 @@ def _action(graph, token):
     return {src: dst for src, dst, t in graph.edges if t == token}
 
 
-def test_expected_orbit_constants():
-    assert ng.EXPECTED_ORBITS == {"MM": 2, "SM": 3}
+def test_expected_orbit_constants(mm_census, sm_census):
+    # The true orbit counts, derived from the full group's nest graph.
+    assert len(ng.orbit_sizes("MM", mm_census)) == 2
+    assert len(ng.orbit_sizes("SM", sm_census)) == 3
+
+
+def test_completeness_agrees_with_minimality(mm_census, sm_census):
+    cases = [("MM", []), ("MM", ["rho"]), ("MM", [MU_NAME]), ("MM", list(RHO_MU)),
+             ("SM", [SM_MU])]
+    complete = []
+    for variant, gens in cases:
+        census = mm_census if variant == "MM" else sm_census
+        report = ng.minimality(variant, rel_generators=gens, nest_census=census)
+        assert ng.completeness(variant, gens) == report.complete
+        assert report.expected_orbit_count == len(report.orbit_sizes)
+        complete.append(report.complete)
+    assert complete == [False, False, False, True, True]
+
+
+def test_import_builds_no_nest_graph():
+    # A fresh process, so that no other test has filled the cache: the
+    # true orbits are built on first use, not at import.
+    code = (
+        "import magicsudoku\n"
+        "from magicsudoku import nestgraph\n"
+        "print(nestgraph._orbit_components.cache_info().currsize)\n"
+    )
+    src = str(Path(ng.__file__).resolve().parents[1])
+    paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
 
 
 def test_mm_graph_shape():

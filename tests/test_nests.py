@@ -47,6 +47,13 @@ def test_nest_label_basics():
         nests.NestLabel("QQ", 1, 1)
 
 
+def test_nest_label_digits_are_integers():
+    assert nests.NestLabel("MM", np.int64(1), np.uint8(2)) == nests.NestLabel("MM", 1, 2)
+    for first, second in ((1.5, 2), ("1", 2), (1, 2.0), (None, 2)):
+        with pytest.raises(DomainError, match="bad label digits"):
+            nests.NestLabel("MM", first, second)
+
+
 def test_label_alphabets():
     mm = nests.mm_labels()
     assert [str(l) for l in mm] == [

@@ -6,6 +6,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from magicsudoku import nests, verification
@@ -121,6 +122,13 @@ def test_sm_crosscheck_does_not_depend_on_threads(monkeypatch):
     checked, mismatches = VerifyContext(threads=1).sm_crosscheck()
     assert checked == 12 and mismatches > 0
     assert VerifyContext(threads=2).sm_crosscheck() == (checked, mismatches)
+
+
+def test_thread_count_is_an_integer():
+    assert VerifyContext(np.int64(2)).threads == 2
+    for bad in (1.5, "2", None, 0):
+        with pytest.raises(DomainError, match="bad thread count"):
+            VerifyContext(bad)
 
 
 def test_timed_count_times_a_fresh_build():
