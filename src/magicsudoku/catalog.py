@@ -182,8 +182,10 @@ _MU_L = frozenset((0, 3, 6))
 def mu(k: int, l: int) -> NamedGenerator:
     """The digit relabeling n -> k*n + l mod 9 for k in {1,2,4,5,7,8}
     and l in {0,3,6}."""
+    bad = f"mu requires k in {sorted(_MU_K)} and l in {sorted(_MU_L)}"
+    k, l = _in_range(k, bad), _in_range(l, bad)
     if k not in _MU_K or l not in _MU_L:
-        raise DomainError(f"mu requires k in {sorted(_MU_K)} and l in {sorted(_MU_L)}")
+        raise DomainError(bad)
     return NamedGenerator(
         f"mu({k},{l})", Symmetry.from_digit(tuple((k * n + l) % 9 for n in range(9)))
     )

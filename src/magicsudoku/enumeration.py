@@ -14,11 +14,13 @@ The join is a join of bands, each three catalog blocks with pairwise
 disjoint mini-row sets: bands 0 and 1 have disjoint mini-column sets in
 every pillar, and band 2 is any band with the column triples they leave,
 whose range of the key-sorted bands is read from a start table over
-every key. It yields C-contiguous (n, 9) uint8 chunks of catalog
-indices, one per admissible pair of blocks at positions 0 and 1. Chunks
-and their rows come in lexicographic order, so earlier positions vary
-slowest.
-Board objects are built only for visitors, the iterators and completions.
+every key. The join yields ranges: per admissible pair of blocks at
+positions 0 and 1, the band-0/band-1 rows and each one's range of band
+2. Counts and the census read the ranges alone. Rows are built only for
+visitors, the iterators and completions: C-contiguous (n, 9) uint8
+chunks of catalog indices, one per pair, and Board objects from those.
+Chunks and their rows come in lexicographic order, so earlier positions
+vary slowest.
 
 Both enumerators are deterministic: semi-magic boards come in join
 order, modular-magic boards in lexicographic row-major order. An
@@ -33,7 +35,7 @@ import multiprocessing
 import operator
 import os
 from functools import cache, partial
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -122,17 +124,24 @@ def _band_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, ...]:
     return bands, bands[order], keys[order], rest, m
 
 
-def _join(catalog_fn: _Catalog, cand: np.ndarray) -> Iterator[np.ndarray]:
-    """Every board built from the catalog whose block at position p has
-    its catalog index in the mask cand[p], as C-contiguous (n, 9) uint8
-    chunks of catalog indices: one non-empty chunk per admissible pair
-    of blocks at positions 0 and 1, in lexicographic order.
+class _Ranges(NamedTuple):
+    """low: the admissible band-2 bands, (k, 3) uint8 rows in key order;
+    pairs: per admissible pair of blocks at positions 0 and 1, its (n, 6)
+    band-0/band-1 rows and the start lo and length n of each one's range of low."""
+
+    low: np.ndarray
+    pairs: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _ranges(catalog_fn: _Catalog, cand: np.ndarray) -> _Ranges:
+    """The boards built from the catalog whose block at position p has
+    its catalog index in the mask cand[p], as band-2 ranges.
 
     A board is three bands whose blocks have disjoint mini-column sets
-    in each pillar. Each band-0 row of a chunk pairs with the band-1 rows
+    in each pillar. Each band-0 row pairs with the band-1 rows
     that fit it in all three pillars, and each pair with the bands that
     have the column triples it leaves: the range first[key] to
-    first[key + 1] of a start table over every key. Rows stay in
+    first[key + 1] of a start table over every key. Ranges stay in
     lexicographic order, as np.nonzero lists pairs in order and the
     stable sort keeps a key's bands in order. Every gather takes whole
     rows or single items, far faster than a 2-D fancy index of 3-byte rows."""
@@ -145,24 +154,40 @@ def _join(catalog_fn: _Catalog, cand: np.ndarray) -> Iterator[np.ndarray]:
 
     top, mid = bands.compress(allowed(bands, 0), 0), bands.compress(allowed(bands, 1), 0)
     ok = allowed(by_key, 2)
-    low, first = by_key.compress(ok, 0), np.searchsorted(keys.compress(ok), np.arange(m**3 + 1))
-    # top is lexicographic, so each (b0, b1) pair is one run of its rows.
-    starts = np.flatnonzero(np.diff(top[:, 0].astype(int) * 256 + top[:, 1])) + 1
-    for head in np.split(top, starts) if len(top) else []:
-        b0, b1 = head[0, :2]
-        fit = mid.compress(col_ok[b0].take(mid[:, 0]) & col_ok[b1].take(mid[:, 1]), 0)
-        i, j = np.nonzero(col_ok.take(head[:, 2], 0).take(fit[:, 2], 1))
-        pair = np.column_stack((head.take(i, 0), fit.take(j, 0)))
-        want = rest[b0].take(pair[:, 3]) * m + rest[b1].take(pair[:, 4])
-        want = want * m + rest[pair[:, 2], pair[:, 5]]
-        lo = first.take(want)
-        n = first.take(want + 1) - lo
+    first = np.searchsorted(keys.compress(ok), np.arange(m**3 + 1))
+
+    def pairs():
+        # top is lexicographic, so each (b0, b1) pair is one run of its rows.
+        starts = np.flatnonzero(np.diff(top[:, 0].astype(int) * 256 + top[:, 1])) + 1
+        for head in np.split(top, starts) if len(top) else []:
+            b0, b1 = head[0, :2]
+            fit = mid.compress(col_ok[b0].take(mid[:, 0]) & col_ok[b1].take(mid[:, 1]), 0)
+            i, j = np.nonzero(col_ok.take(head[:, 2], 0).take(fit[:, 2], 1))
+            pair = np.column_stack((head.take(i, 0), fit.take(j, 0)))
+            want = rest[b0].take(pair[:, 3]) * m + rest[b1].take(pair[:, 4])
+            want = want * m + rest[pair[:, 2], pair[:, 5]]
+            lo = first.take(want)
+            yield pair, lo, first.take(want + 1) - lo
+
+    return _Ranges(by_key.compress(ok, 0), pairs())
+
+
+def _rows(ranges: _Ranges) -> Iterator[np.ndarray]:
+    """The boards of the ranges as C-contiguous (n, 9) uint8 chunks of
+    catalog indices, one per pair of blocks at positions 0 and 1 that
+    has boards, rows in lexicographic order."""
+    for pair, lo, n in ranges.pairs:
         total = n.sum()
         if total:
             rows = np.empty((total, 9), dtype=np.uint8)
             rows[:, :6] = np.repeat(pair, n, 0)
-            rows[:, 6:] = low.take(np.arange(total) + np.repeat(lo - np.cumsum(n) + n, n), 0)
+            rows[:, 6:] = ranges.low.take(np.arange(total) + np.repeat(lo - np.cumsum(n) + n, n), 0)
             yield rows
+
+
+def _join(catalog_fn: _Catalog, cand: np.ndarray) -> Iterator[np.ndarray]:
+    """The rows of _ranges(catalog_fn, cand)."""
+    return _rows(_ranges(catalog_fn, cand))
 
 
 def _slice(keys: np.ndarray, partition: tuple[int, int] | None) -> np.ndarray:
@@ -209,16 +234,17 @@ def _map_partitions(fn: Callable[[tuple[int, int] | None], _T], threads: int) ->
 
 
 def _visit(
-    chunks: Iterable[np.ndarray],
+    ranges: _Ranges,
     boards: Callable[[Iterable[np.ndarray]], Iterable[Board]],
     visitor: Visitor | None,
 ) -> int:
-    """The number of boards in the index chunks; with a visitor, each
-    board of boards(chunks) is visited in order first."""
+    """The number of boards of the ranges, summed from their lengths;
+    with a visitor, each board of boards(_rows(ranges)) is visited in
+    order first."""
     if visitor is None:
-        return sum(map(len, chunks))
+        return sum(int(n.sum()) for _, _, n in ranges.pairs)
     count = 0
-    for board in boards(chunks):
+    for board in boards(_rows(ranges)):
         visitor(board)
         count += 1
     return count
@@ -244,10 +270,15 @@ def _complete(catalog_fn: _Catalog, assignments: Mapping[int, int]) -> list[Boar
 # --- modular-magic enumeration ---
 
 
+def _mm_ranges(partition: tuple[int, int] | None = None) -> _Ranges:
+    """The join ranges of a partition slice of the modular-magic boards."""
+    cat = _join_tables(modular_magic_blocks)[0].astype(int)
+    return _ranges(modular_magic_blocks, _slice(9 * cat[:, 0] + cat[:, 1], partition))
+
+
 def _mm_join(partition: tuple[int, int] | None = None) -> Iterator[np.ndarray]:
     """The join chunks of a partition slice of the modular-magic boards."""
-    cat = _join_tables(modular_magic_blocks)[0].astype(int)
-    return _join(modular_magic_blocks, _slice(9 * cat[:, 0] + cat[:, 1], partition))
+    return _rows(_mm_ranges(partition))
 
 
 def enumerate_modular_magic(
@@ -259,7 +290,7 @@ def enumerate_modular_magic(
     partition into n slices gets the boards whose first two cells d0, d1
     satisfy (9 * d0 + d1) % n == w.
     """
-    return _visit(_mm_join(partition), partial(_sorted, modular_magic_blocks), visitor)
+    return _visit(_mm_ranges(partition), partial(_sorted, modular_magic_blocks), visitor)
 
 
 def iter_modular_magic() -> Iterator[Board]:
@@ -276,9 +307,14 @@ def complete_modular_magic(assignments: Mapping[int, int]) -> list[Board]:
 # --- semi-magic enumeration ---
 
 
+def _sm_ranges(partition: tuple[int, int] | None = None) -> _Ranges:
+    """The join ranges of a partition slice of the semi-magic boards."""
+    return _ranges(semi_magic_blocks, _slice(np.arange(len(semi_magic_blocks())), partition))
+
+
 def _sm_join(partition: tuple[int, int] | None = None) -> Iterator[np.ndarray]:
     """The join chunks of a partition slice of the semi-magic boards."""
-    return _join(semi_magic_blocks, _slice(np.arange(len(semi_magic_blocks())), partition))
+    return _rows(_sm_ranges(partition))
 
 
 def enumerate_semi_magic(
@@ -291,7 +327,7 @@ def enumerate_semi_magic(
     of a partition into n slices gets the top-left catalog indices
     congruent to w mod n.
     """
-    return _visit(_sm_join(partition), partial(_boards, semi_magic_blocks), visitor)
+    return _visit(_sm_ranges(partition), partial(_boards, semi_magic_blocks), visitor)
 
 
 def iter_semi_magic() -> Iterator[Board]:

@@ -20,10 +20,12 @@ pattern, and over H_Γ (864) with the standard gnomon, it is the oracle
 for the labels.
 
 Both variants label a board by a table lookup of a block code. One code
-function per variant reads the nine block columns of catalog indices:
-numpy views for an (n, 9) join chunk, which the census counts, or Python
-ints for one board, which canonicalize reads through the variant
-predicate's reader. The modular-magic code is the multiset of block
+per variant reads block columns of catalog indices: numpy views for
+(n, 9) join chunks or band rows, or Python ints for one board, which
+canonicalize reads through the variant predicate's reader. Each code is
+a sum by band, a pair code of bands 0 and 1 plus a band code of band 2,
+so the census counts the join's band-2 ranges by band code and never
+builds a board row. The modular-magic code is the multiset of block
 classes (center and off-diagonal pair), which physical symmetries keep:
 one code per nest. The semi-magic code is the mini-line family of block
 0 and the cyclic step between neighbouring blocks of each band and
@@ -50,7 +52,10 @@ from .enumeration import (
     _join_tables,
     _map_partitions,
     _mm_join,
+    _mm_ranges,
+    _Ranges,
     _sm_join,
+    _sm_ranges,
     modular_magic_blocks,
     semi_magic_blocks,
     standard_gnomon_cells,
@@ -301,11 +306,33 @@ def _indexable(tables, columns):
     return tables, columns
 
 
-def _mm_code(columns):
-    """The class weight sum of block columns of modular-magic catalog
-    indices: physical symmetries move, transpose or rotate blocks, keeping classes."""
-    (weight,), columns = _indexable((_mm_weights(),), columns)
-    return sum(map(weight.__getitem__, columns))
+class _BandCode(NamedTuple):
+    """A block code additive by band: pair(c), read from the six block
+    columns of bands 0 and 1, plus band(c[6:9]), read from band 2's
+    three. Called on nine block columns, it gives the sum."""
+
+    pair: Callable
+    band: Callable
+
+    def __call__(self, columns):
+        return self.pair(columns) + self.band(columns[6:9])
+
+
+def _mm_pair(c):
+    """The class weight sum of the six block columns c of bands 0 and 1 of
+    modular-magic catalog indices: physical symmetries move, transpose or
+    rotate blocks, keeping classes."""
+    (w,), c = _indexable((_mm_weights(),), c)
+    return w[c[0]] + w[c[1]] + w[c[2]] + w[c[3]] + w[c[4]] + w[c[5]]
+
+
+def _mm_band(c):
+    """The class weight sum of the three block columns c of band 2."""
+    (w,), c = _indexable((_mm_weights(),), c)
+    return w[c[0]] + w[c[1]] + w[c[2]]
+
+
+_mm_code = _BandCode(_mm_pair, _mm_band)
 
 
 # The block whose mini-rows, in order, are the first family of
@@ -335,16 +362,26 @@ def _sm_code_tables() -> tuple[array, array, array]:
     return array("q", family[row0].tolist()), step(position[row0]), step(position[col0])
 
 
-def _sm_code(c):
-    """729 t + sum of 3**I k_I + sum of 3**(3+J) m_J of block columns c of
-    semi-magic catalog indices: t whether block 0's mini-rows are in the
-    column family, k_I the row step from block 3I to 3I+1 and m_J the
-    column step from block J to 3+J. On a board each step is 1 or 2, the
-    same along every row of the band or column of the pillar."""
+def _sm_pair(c):
+    """729 t + sum of 3**I k_I + sum of 3**(3+J) m_J over bands 0 and 1 of
+    block columns c of semi-magic catalog indices: t whether block 0's
+    mini-rows are in the column family, k_I the row step from block 3I
+    to 3I+1 and m_J the column step from block J to 3+J. On a board each
+    step is 1 or 2, the same along every row of the band or column of
+    the pillar."""
     (flip, row, col), c = _indexable(_sm_code_tables(), c)
     return (729 * flip[c[0]] + row[72 * c[0] + c[1]] + 3 * row[72 * c[3] + c[4]]
-            + 9 * row[72 * c[6] + c[7]] + 27 * col[72 * c[0] + c[3]]
-            + 81 * col[72 * c[1] + c[4]] + 243 * col[72 * c[2] + c[5]])
+            + 27 * col[72 * c[0] + c[3]] + 81 * col[72 * c[1] + c[4]]
+            + 243 * col[72 * c[2] + c[5]])
+
+
+def _sm_band(c):
+    """9 k_2 of the three block columns c of band 2: 9 or 18."""
+    (_, row, _), c = _indexable(_sm_code_tables(), c)
+    return 9 * row[72 * c[0] + c[1]]
+
+
+_sm_code = _BandCode(_sm_pair, _sm_band)
 
 
 @cache
@@ -384,10 +421,16 @@ def _nests(variant: str) -> dict[int, tuple[NestLabel, Board]]:
 def _label_codes(variant: str, columns):
     """9 * first + second of the nest labels of nine block columns of the
     variant's catalog indices: nine ints for one board, or idx.T of a chunk."""
-    codes = _label_table(variant).take(_VARIANTS[variant].code(columns), mode="clip")
-    if np.count_nonzero(codes < 0):
+    return _labels_of_codes(variant, _VARIANTS[variant].code(columns))
+
+
+def _labels_of_codes(variant: str, codes):
+    """9 * first + second of the nest labels of the variant's block codes;
+    IntegrityError if a code is of no nest."""
+    found = _label_table(variant).take(codes, mode="clip")
+    if np.count_nonzero(found < 0):
         raise IntegrityError(f"block codes match no {variant} nest")
-    return codes
+    return found
 
 
 class _Variant(NamedTuple):
@@ -402,7 +445,8 @@ class _Variant(NamedTuple):
     ties: Callable[[np.ndarray], np.ndarray] | None  # tie-break among the pattern's boards
     nest_count: int
     join: Callable[[tuple[int, int] | None], Iterator[np.ndarray]]
-    code: Callable  # block code of nine block columns
+    ranges: Callable[[tuple[int, int] | None], _Ranges]
+    code: _BandCode  # block code of nine block columns
     nest_generators: Callable[[], list[NamedGenerator]]
     physical: Callable[[], list[NamedGenerator]]
     nest_extension: tuple[NamedGenerator, ...]
@@ -413,11 +457,12 @@ _VARIANTS = {
     MM: _Variant(
         name="modular-magic", catalog=modular_magic_blocks, pattern=_MM_TEMPLATE,
         label_cells=(_MM_ALPHA, _MM_GAMMA1), ties=_mm_ties, nest_count=9, join=_mm_join,
-        code=_mm_code, nest_generators=catalog.h_mm_generators,
+        ranges=_mm_ranges, code=_mm_code, nest_generators=catalog.h_mm_generators,
         physical=catalog.h_mm_generators, nest_extension=(), relabelings=catalog.s_mm_elements),
     SM: _Variant(
         name="semi-magic", catalog=semi_magic_blocks, pattern=_SM_GNOMON_CELLS,
-        label_cells=(_SM_A, _SM_B), ties=None, nest_count=16, join=_sm_join, code=_sm_code,
+        label_cells=(_SM_A, _SM_B), ties=None, nest_count=16, join=_sm_join,
+        ranges=_sm_ranges, code=_sm_code,
         nest_generators=catalog.h_gamma_generators, physical=catalog.h9_generators,
         nest_extension=(catalog.swap_bands(0, 1), catalog.swap_pillars(0, 1)),
         relabelings=catalog.s_sm_group),
@@ -431,14 +476,24 @@ def census(variant: str, partition: tuple[int, int] | None = None) -> Census:
     """Enumerate the variant and count boards per nest label.
 
     A partition restricts the underlying enumeration slice; partial
-    censuses merge by adding counts. Labels come per join chunk of block
-    indices, with no Board built.
+    censuses merge by adding counts. The counts come from the join's
+    band-2 ranges, with no board row or Board built: the boards of a
+    pair's range whose band 2 has band code v all have block code pair
+    code + v, and a prefix count of band code v over band 2 counts them.
     """
     v = normalize_variant(variant)
-    codes = np.zeros(81, dtype=int)
-    for idx in _VARIANTS[v].join(partition):
-        codes += np.bincount(_label_codes(v, idx.T), minlength=81)
-    mapping = {NestLabel(v, *divmod(code, 9)): int(n) for code, n in enumerate(codes) if n}
+    spec = _VARIANTS[v]
+    low, pairs = spec.ranges(partition)
+    values, which = np.unique(spec.code.band(low.T), return_inverse=True)
+    prefix = np.zeros((len(low) + 1, len(values)), dtype=np.int64)
+    np.cumsum(which[:, None] == np.arange(len(values)), axis=0, out=prefix[1:])
+    counts = np.zeros(81, dtype=np.int64)
+    for pair, lo, n in pairs:
+        per = prefix.take(lo + n, 0) - prefix.take(lo, 0)
+        at, value = np.nonzero(per)
+        found = _labels_of_codes(v, spec.code.pair(pair.T).take(at) + values.take(value))
+        counts += np.bincount(found, per[at, value], minlength=81).astype(np.int64)
+    mapping = {NestLabel(v, *divmod(code, 9)): int(n) for code, n in enumerate(counts) if n}
     return Census(v, mapping, sum(mapping.values()))
 
 

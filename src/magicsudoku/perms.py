@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .boards import Board
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, _in_range
 
 __all__ = [
     "Symmetry",
@@ -67,7 +67,9 @@ class Symmetry:
 
     @classmethod
     def from_digit(cls, image: Sequence[int]) -> "Symmetry":
-        return cls(tuple(range(81)), tuple(image))
+        """The digit relabeling d -> image[d], each image an integer digit."""
+        bad = "digit permutation must be a bijection on 0..8"
+        return cls(tuple(range(81)), tuple(_in_range(d, bad, 0, 8) for d in image))
 
     @property
     def is_identity(self) -> bool:

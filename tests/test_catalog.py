@@ -74,6 +74,18 @@ def test_builder_domain_errors():
             build(*args)
 
 
+def test_relabeling_digits_are_integers():
+    # Floats that compare equal to digits would give float digit images.
+    identity = (0.0, 1, 2, 3, 4, 5, 6, 7, 8)
+    for build, args in [(catalog.mu, (4.0, 0)), (catalog.mu, (4, 0.0)),
+                        (catalog.relabeling, (identity,)), (Symmetry.from_digit, (identity,))]:
+        with pytest.raises(DomainError):
+            build(*args)
+    gen = catalog.mu(np.int64(4), np.int64(0))
+    assert gen.name == "mu(4,0)" and gen.symmetry == catalog.mu(4, 0).symmetry
+    assert all(type(d) is int for d in catalog.relabeling(np.arange(9)[::-1]).symmetry.digit)
+
+
 def test_mu_digit_action():
     for k in (1, 2, 4, 5, 7, 8):
         for l in (0, 3, 6):

@@ -400,6 +400,26 @@ def test_band_join_matches_the_reference_join(board_mm_72):
         assert nonempty > 40
 
 
+@pytest.mark.parametrize("catalog_fn", [en.semi_magic_blocks, en.modular_magic_blocks])
+def test_count_only_sums_the_ranges_of_the_rows(catalog_fn):
+    # The count-only path sums range lengths, never building a row; it
+    # equals the rows of the join on seeded restricted masks, on masks
+    # with one position empty, and on a join whose band 2 is empty.
+    rng = np.random.default_rng(31)
+    masks = [rng.random((9, 72)) < rng.choice([0.5, 0.9, 1.0], size=(9, 1)) for _ in range(20)]
+    for m in masks[:9]:
+        m[0] &= rng.random(72) < 0.1
+    for p in (0, 4, 8):
+        masks.append(np.ones((9, 72), dtype=bool))
+        masks[-1][p] = False
+    counts = []
+    for cand in masks:
+        want = sum(map(len, en._join(catalog_fn, cand)))
+        assert en._visit(en._ranges(catalog_fn, cand), None, None) == want
+        counts.append(want)
+    assert counts[-3:] == [0, 0, 0] and sum(c > 0 for c in counts) > 10
+
+
 @pytest.mark.parametrize("join, digest", [
     (en._sm_join, "328dde5af5673a038be15524cee3449fd82236470dc5ea46fb5b7a532032cd8f"),
     (en._mm_join, "0f2b234aebf99bd7ad6c788652b2d31f633adca0522f92a37b6d9cea2474863c"),

@@ -515,6 +515,58 @@ def test_census_slice_matches_enumeration():
     assert all(v > 0 for v in got.counts.values())
 
 
+def _row_census(variant, chunks):
+    """The reference census of join chunks: every row labelled by _label_codes."""
+    codes = sum((np.bincount(nests._label_codes(variant, idx.T), minlength=81) for idx in chunks),
+                np.zeros(81, dtype=np.int64))
+    return {nests.NestLabel(variant, *divmod(code, 9)): int(n) for code, n in enumerate(codes) if n}
+
+
+@pytest.mark.parametrize(
+    "variant, partitions",
+    [("MM", [None]), ("SM", [(0, 72), (17, 72), (40, 72), (71, 72)])],
+    ids=["MM", "SM"],
+)
+def test_census_equals_the_labels_of_the_materialized_rows(variant, partitions):
+    # The census counts band-2 ranges; the reference labels every row of
+    # the join chunks those ranges expand to.
+    for partition in partitions:
+        want = _row_census(variant, nests._VARIANTS[variant].join(partition))
+        got = nests.census(variant, partition)
+        assert got.counts == want and list(got.counts) == sorted(want)
+        assert got.total == sum(want.values()) == (32_256 if variant == "MM" else 82_944)
+
+
+@pytest.mark.parametrize("variant", ["MM", "SM"])
+def test_census_of_restricted_joins_equals_the_labels_of_the_rows(variant, monkeypatch):
+    # A slice's nests can hold equally many boards, so a census that
+    # swapped labels would still match there; seeded restricted masks
+    # give uneven counts.
+    spec = nests._VARIANTS[variant]
+    rng = np.random.default_rng(37)
+    uneven = 0
+    for _ in range(6):
+        cand = rng.random((9, 72)) < 0.8
+        cand[0] &= rng.random(72) < 0.2
+        monkeypatch.setitem(nests._VARIANTS, variant,
+                            spec._replace(ranges=lambda p: en._ranges(spec.catalog, cand)))
+        got = nests.census(variant)
+        assert got.counts == _row_census(variant, en._join(spec.catalog, cand))
+        uneven += len(set(got.counts.values())) > 1
+    assert uneven >= 4
+
+
+@pytest.mark.parametrize("variant, partition", [("MM", (1, 81)), ("SM", (17, 72))])
+def test_census_rejects_a_reached_code_of_no_nest(variant, partition, monkeypatch):
+    # One code that the slice reaches, read as no nest by a mutant table.
+    idx = next(nests._VARIANTS[variant].join(partition))
+    table = nests._label_table(variant).copy()
+    table[nests._VARIANTS[variant].code(idx.T)[-1]] = -1
+    monkeypatch.setattr(nests, "_label_table", lambda v: table)
+    with pytest.raises(IntegrityError, match=f"^block codes match no {variant} nest$"):
+        nests.census(variant, partition)
+
+
 def test_census_rejects_bad_variant():
     with pytest.raises(DomainError):
         nests.census("nope")
