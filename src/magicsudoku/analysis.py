@@ -1,8 +1,9 @@
 """Structural checks and the full-Sudoku average-orbit certificate.
 
 The off-diagonal check groups a modular-magic board's blocks by center
-entry and requires two matching off-diagonal sets in each group. The
-average-orbit certificate is exact big-integer arithmetic over the
+entry and requires two matching off-diagonal sets in each group, decoded
+once per class-weight sum, which the band table gives as three band sums.
+The average-orbit certificate is exact big-integer arithmetic over the
 published full-Sudoku constants: if twice the board total exceeds the
 orbit count times the group order, the average orbit is larger than
 half the group order, so some orbit has trivial stabilizer and no
@@ -14,7 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .boards import Board, _mm_classes, _mm_weights, _variant_blocks, modular_magic_blocks
+from .boards import (
+    Board,
+    _mm_classes,
+    _mm_weights,
+    _variant_bands,
+    _weight_sum,
+    modular_magic_blocks,
+)
 from .errors import DomainError, _in_range
 
 __all__ = [
@@ -38,11 +46,11 @@ def check_two_equal(board: Board) -> bool:
     """For each center entry in {0,3,6}: do at least two of the three
     blocks with that center share their off-diagonal set? Decoded from
     the weight sum of the board's block classes (center and off-diagonal
-    pair), which encodes their multiset."""
-    blocks = _variant_blocks(modular_magic_blocks, board.cells)
-    if blocks is None:
+    pair), which encodes their multiset: three band sums added."""
+    bands = _variant_bands(modular_magic_blocks, board.cells)
+    if bands is None:
         raise DomainError("board is not modular-magic")
-    return _two_equal(sum(map(_mm_weights().__getitem__, blocks)))
+    return _two_equal(_weight_sum(*bands))
 
 
 @cache

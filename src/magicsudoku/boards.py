@@ -9,11 +9,12 @@ is_sudoku gathers a board's 27 units once; each must hold the nine
 digits. Each variant's 72-block catalog is built here, and from it, in
 full and once, its band table: every three catalog blocks with pairwise
 disjoint mini-row sets, as the 27 bytes of the band they make, to their
-catalog indices and the band's column code. A variant predicate is
-three lookups in that table and one XOR of the column codes, which is
-all ones exactly when every column holds each digit once. The same
-reader gives check_two_equal and nests.canonicalize the nine catalog
-indices, and both read one table of modular-magic class weights.
+catalog indices, its column code and, if modular-magic, its blocks'
+class-weight sum. A variant predicate is three lookups in that table
+and one XOR of the column codes, which is all ones exactly when every
+column holds each digit once. The same reader gives check_two_equal and
+nests.canonicalize a board's three band entries, so the class-weight
+sum that both read is three band sums added.
 
 Board I/O shares one nibble-packing kernel (_pack_rows/_unpack_rows) and
 one digit translate table (_TO_ASCII/_FROM_ASCII). pack, unpack,
@@ -269,13 +270,17 @@ def _line_sets(blocks: np.ndarray) -> list[np.ndarray]:
     return [(bits.sum(axis=axis) << [0, 9, 18]).sum(axis=1) for axis in (2, 1)]
 
 
+_Band = tuple[tuple[int, int, int], int, int | None]  # a band table entry
+
+
 @cache
-def _bands(catalog_fn: _Catalog) -> dict[bytes, tuple[tuple[int, ...], int]]:
+def _bands(catalog_fn: _Catalog) -> dict[bytes, _Band]:
     """Every band of the catalog's variant, as 27 row-major bytes, to
-    its three catalog indices and its column code: bit 9k + d set when
-    column k of the band holds digit d. A band is three catalog blocks
-    with pairwise disjoint mini-row sets: 2,304 modular-magic and 5,184
-    semi-magic ones."""
+    its three catalog indices, its column code (bit 9k + d set when
+    column k of the band holds digit d) and, for modular-magic bands,
+    the sum of the _mm_weights of its three blocks. A band is three
+    catalog blocks with pairwise disjoint mini-row sets: 2,304
+    modular-magic and 5,184 semi-magic ones."""
     blocks = np.array(catalog_fn(), dtype=np.uint8)
     rows, cols = _line_sets(blocks)
     fit = rows[:, None] & rows == 0
@@ -283,32 +288,40 @@ def _bands(catalog_fn: _Catalog) -> dict[bytes, tuple[tuple[int, ...], int]]:
     # The gathered (n, block, r, c) cells, read as (n, r, block, c): row-major bands.
     data = blocks[triples].transpose(0, 2, 1, 3).tobytes()
     codes = cols.tolist()  # a block's mini-column c at bit 9c: column 3j + c at band slot j
-    return {data[27 * k : 27 * k + 27]: ((a, b, c), codes[a] | codes[b] << 27 | codes[c] << 54)
+    w = _mm_weights() if catalog_fn is modular_magic_blocks else None
+    return {data[27 * k : 27 * k + 27]: ((a, b, c), codes[a] | codes[b] << 27 | codes[c] << 54,
+                                         None if w is None else w[a] + w[b] + w[c])
             for k, (a, b, c) in enumerate(triples.tolist())}
 
 
-def _variant_blocks(catalog_fn: _Catalog, cells: bytes) -> tuple[int, ...] | None:
-    """The catalog indices of a board's nine blocks, or None unless the
-    board is of the catalog's variant: its three bands are bands of the
-    catalog, and their column codes XOR to all ones, which holds exactly
-    when every column holds each digit once."""
+def _variant_bands(catalog_fn: _Catalog, cells: bytes) -> tuple[_Band, _Band, _Band] | None:
+    """The band table entries of a board's three bands, or None unless
+    the board is of the catalog's variant: its three bands are bands of
+    the catalog, and their column codes XOR to all ones, which holds
+    exactly when every column holds each digit once."""
     bands = _bands(catalog_fn)
     top, mid, low = bands.get(cells[:27]), bands.get(cells[27:54]), bands.get(cells[54:])
     if top and mid and low and top[1] ^ mid[1] ^ low[1] == (1 << 81) - 1:
-        return top[0] + mid[0] + low[0]
+        return top, mid, low
     return None
+
+
+def _weight_sum(top: _Band, mid: _Band, low: _Band) -> int:
+    """The class-weight sum of a modular-magic board's nine blocks, from
+    its three band entries: it counts the board's classes in base 4."""
+    return top[2] + mid[2] + low[2]
 
 
 def is_modular_magic(board: Board) -> bool:
     """True iff the board is a Sudoku board and all blocks are magic
     mod 9: every mini-line of every block is a magic-mod-9 line."""
-    return _variant_blocks(modular_magic_blocks, board.cells) is not None
+    return _variant_bands(modular_magic_blocks, board.cells) is not None
 
 
 def is_semi_magic(board: Board) -> bool:
     """True iff the board is a Sudoku board and all blocks are semi-magic:
     every mini-row and mini-column of every block sums to 12."""
-    return _variant_blocks(semi_magic_blocks, board.cells) is not None
+    return _variant_bands(semi_magic_blocks, board.cells) is not None
 
 
 def off_diagonal_set(blk: Block) -> frozenset[int]:

@@ -21,16 +21,18 @@ for the labels.
 
 Both variants label a board by a table lookup of a block code. One code
 per variant reads block columns of catalog indices: numpy views for
-(n, 9) join chunks or band rows, or Python ints for one board, which
-canonicalize reads through the variant predicate's reader. Each code is
-a sum by band, a pair code of bands 0 and 1 plus a band code of band 2,
-so the census counts the join's band-2 ranges by band code and never
-builds a board row. The modular-magic code is the multiset of block
-classes (center and off-diagonal pair), which physical symmetries keep:
-one code per nest. The semi-magic code is the mini-line family of block
-0 and the cyclic step between neighbouring blocks of each band and
-pillar: eight codes per nest. One walk from the representatives under
-the nest-defining generators builds each table, with no scan.
+(n, 9) join chunks or band rows, or Python ints for one board. Each code
+is a sum by band, a pair code of bands 0 and 1 plus a band code of band
+2, so the census counts the join's band-2 ranges by band code and never
+builds a board row. canonicalize reads a board's code from the band
+entries the variant predicate's reader gives, as the variant's record
+states. The modular-magic code, three band sums there, is the multiset
+of block classes (center and off-diagonal pair), which physical
+symmetries keep: one code per nest. The semi-magic code is the
+mini-line family of block 0 and the cyclic step between neighbouring
+blocks of each band and pillar: eight codes per nest. One walk from
+the representatives under the nest-defining generators builds each
+table, with no scan.
 """
 
 from __future__ import annotations
@@ -39,22 +41,29 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from . import catalog
-from .boards import Board, _Catalog, _line_sets, _mm_weights, _variant_blocks, is_semi_magic
+from .boards import (
+    Board,
+    _Band,
+    _Catalog,
+    _line_sets,
+    _mm_weights,
+    _variant_bands,
+    _weight_sum,
+    is_semi_magic,
+)
 from .catalog import NamedGenerator, PhysicalGroup, _physical_group
 from .enumeration import (
     STANDARD_GNOMON_BLOCKS,
     _complete,
     _join_tables,
     _map_partitions,
-    _mm_join,
     _mm_ranges,
     _Ranges,
-    _sm_join,
     _sm_ranges,
     modular_magic_blocks,
     semi_magic_blocks,
@@ -84,6 +93,8 @@ MM = "MM"
 SM = "SM"
 
 def normalize_variant(variant: str) -> str:
+    if type(variant) is str and variant in _VARIANTS:  # a key as given: no lower()
+        return variant
     v = _VARIANT_ALIASES.get(str(variant).lower())
     if v is None:
         raise DomainError(f"unknown variant {variant!r}")
@@ -101,8 +112,10 @@ class NestLabel:
     def __post_init__(self) -> None:
         if self.variant not in _VARIANTS:
             raise DomainError(f"bad variant {self.variant!r}")
-        for digit in (self.first, self.second):
-            _in_range(digit, f"bad label digits ({self.first!r},{self.second!r})", 0, 8)
+        message = f"bad label digits ({self.first!r},{self.second!r})"
+        # Stored as the int _in_range returns: str and JSON then read a bool or numpy digit.
+        for field in ("first", "second"):
+            object.__setattr__(self, field, _in_range(getattr(self, field), message, 0, 8))
 
     def __str__(self) -> str:
         return f"[{self.first},{self.second}]"
@@ -225,10 +238,10 @@ def crosscheck_sm(board: Board) -> tuple[NestLabel, Board]:
 
 def canonicalize(variant: str, board: Board) -> tuple[NestLabel, Board]:
     """Canonical form of a board under the variant's physical group: the
-    census's label of its nine catalog blocks, and that nest's
-    representative. Raises DomainError unless the board is of the variant."""
+    census's label of its block code, and that nest's representative.
+    Raises DomainError unless the board is of the variant."""
     v = normalize_variant(variant)
-    nest = _nests(v).get(int(_VARIANTS[v].code(_board_blocks(v, board.cells))))
+    nest = _nests(v).get(_board_code(v, board.cells))
     if nest is None:
         raise IntegrityError(f"block codes match no {v} nest")
     return nest
@@ -244,13 +257,15 @@ def canonicalize_sm(board: Board) -> tuple[NestLabel, Board]:
     return canonicalize(SM, board)
 
 
-def _board_blocks(variant: str, cells: bytes) -> tuple[int, ...]:
-    """The catalog indices of a board's nine blocks. Raises DomainError
-    unless the board is of the variant."""
-    found = _variant_blocks(_VARIANTS[variant].catalog, cells)
-    if found is None:
-        raise DomainError(f"board is not {_VARIANTS[variant].name}")
-    return found
+def _board_code(variant: str, cells: bytes) -> int:
+    """The variant's block code of one board, read from its three band
+    entries as the variant's record states. Raises DomainError unless
+    the board is of the variant."""
+    spec = _VARIANTS[variant]
+    bands = _variant_bands(spec.catalog, cells)
+    if bands is None:
+        raise DomainError(f"board is not {spec.name}")
+    return spec.board_code(*bands)
 
 
 # --- representatives and label alphabets ---
@@ -298,41 +313,49 @@ def representative(label: NestLabel) -> Board:
 # --- labels and censuses ---
 
 
-def _indexable(tables, columns):
-    """The 64-bit int tables and block columns as given for one board's
-    nine ints; int64 views of the tables and intp columns for a chunk's."""
-    if isinstance(columns, np.ndarray):
-        return [np.frombuffer(table, np.int64) for table in tables], columns.astype(np.intp)
-    return tables, columns
-
-
 class _BandCode(NamedTuple):
     """A block code additive by band: pair(c), read from the six block
     columns of bands 0 and 1, plus band(c[6:9]), read from band 2's
-    three. Called on nine block columns, it gives the sum."""
+    three, both from the code's 64-bit int tables. Called on nine block
+    columns, it gives the sum, with the tables fetched once."""
 
-    pair: Callable
-    band: Callable
+    tables: Callable[[], tuple[array, ...]]
+    pair_of: Callable  # pair code of (tables, block columns of bands 0 and 1)
+    band_of: Callable  # band code of (tables, block columns of band 2)
+
+    def _indexable(self, columns):
+        """The tables and block columns as given for one board's nine
+        ints; int64 views of the tables and intp columns for a chunk's."""
+        if isinstance(columns, np.ndarray):
+            return [np.frombuffer(t, np.int64) for t in self.tables()], columns.astype(np.intp)
+        return self.tables(), columns
+
+    def pair(self, columns):
+        return self.pair_of(*self._indexable(columns))
+
+    def band(self, columns):
+        return self.band_of(*self._indexable(columns))
 
     def __call__(self, columns):
-        return self.pair(columns) + self.band(columns[6:9])
+        tables, c = self._indexable(columns)
+        return self.pair_of(tables, c) + self.band_of(tables, c[6:9])
 
 
-def _mm_pair(c):
+def _mm_pair(tables, c):
     """The class weight sum of the six block columns c of bands 0 and 1 of
     modular-magic catalog indices: physical symmetries move, transpose or
     rotate blocks, keeping classes."""
-    (w,), c = _indexable((_mm_weights(),), c)
+    (w,) = tables
     return w[c[0]] + w[c[1]] + w[c[2]] + w[c[3]] + w[c[4]] + w[c[5]]
 
 
-def _mm_band(c):
+def _mm_band(tables, c):
     """The class weight sum of the three block columns c of band 2."""
-    (w,), c = _indexable((_mm_weights(),), c)
+    (w,) = tables
     return w[c[0]] + w[c[1]] + w[c[2]]
 
 
-_mm_code = _BandCode(_mm_pair, _mm_band)
+_mm_code = _BandCode(lambda: (_mm_weights(),), _mm_pair, _mm_band)
 
 
 # The block whose mini-rows, in order, are the first family of
@@ -362,26 +385,31 @@ def _sm_code_tables() -> tuple[array, array, array]:
     return array("q", family[row0].tolist()), step(position[row0]), step(position[col0])
 
 
-def _sm_pair(c):
+def _sm_pair(tables, c):
     """729 t + sum of 3**I k_I + sum of 3**(3+J) m_J over bands 0 and 1 of
     block columns c of semi-magic catalog indices: t whether block 0's
     mini-rows are in the column family, k_I the row step from block 3I
     to 3I+1 and m_J the column step from block J to 3+J. On a board each
     step is 1 or 2, the same along every row of the band or column of
     the pillar."""
-    (flip, row, col), c = _indexable(_sm_code_tables(), c)
+    flip, row, col = tables
     return (729 * flip[c[0]] + row[72 * c[0] + c[1]] + 3 * row[72 * c[3] + c[4]]
             + 27 * col[72 * c[0] + c[3]] + 81 * col[72 * c[1] + c[4]]
             + 243 * col[72 * c[2] + c[5]])
 
 
-def _sm_band(c):
+def _sm_band(tables, c):
     """9 k_2 of the three block columns c of band 2: 9 or 18."""
-    (_, row, _), c = _indexable(_sm_code_tables(), c)
+    _, row, _ = tables
     return 9 * row[72 * c[0] + c[1]]
 
 
-_sm_code = _BandCode(_sm_pair, _sm_band)
+_sm_code = _BandCode(_sm_code_tables, _sm_pair, _sm_band)
+
+
+def _sm_board_code(top: _Band, mid: _Band, low: _Band) -> int:
+    """The semi-magic code of one board's nine catalog indices."""
+    return _sm_code(top[0] + mid[0] + low[0])
 
 
 @cache
@@ -392,14 +420,13 @@ def _label_table(variant: str) -> np.ndarray:
     Walked from each nest's representative under the variant's physical
     generators, with one witness board per code, until no new code
     appears. Raises IntegrityError if two nests reach one code."""
-    code_fn = _VARIANTS[variant].code
     symmetries = [gen.symmetry for gen in _VARIANTS[variant].nest_generators()]
     nest_of: dict[int, NestLabel] = {}
     for label in labels(variant):
         todo = [representative(label)]
         while todo:
             board = todo.pop()
-            code = int(code_fn(_board_blocks(variant, board.cells)))
+            code = _board_code(variant, board.cells)
             if code not in nest_of:
                 nest_of[code] = label
                 todo += [act(s, board) for s in symmetries]
@@ -416,12 +443,6 @@ def _nests(variant: str) -> dict[int, tuple[NestLabel, Board]]:
     nest = {9 * l.first + l.second: (l, b) for l, b in _representatives(variant).items()}
     table = _label_table(variant)
     return {int(code): nest[table[code]] for code in np.flatnonzero(table >= 0)}
-
-
-def _label_codes(variant: str, columns):
-    """9 * first + second of the nest labels of nine block columns of the
-    variant's catalog indices: nine ints for one board, or idx.T of a chunk."""
-    return _labels_of_codes(variant, _VARIANTS[variant].code(columns))
 
 
 def _labels_of_codes(variant: str, codes):
@@ -444,9 +465,9 @@ class _Variant(NamedTuple):
     label_cells: tuple[int, int]
     ties: Callable[[np.ndarray], np.ndarray] | None  # tie-break among the pattern's boards
     nest_count: int
-    join: Callable[[tuple[int, int] | None], Iterator[np.ndarray]]
     ranges: Callable[[tuple[int, int] | None], _Ranges]
     code: _BandCode  # block code of nine block columns
+    board_code: Callable[[_Band, _Band, _Band], int]  # code of one board's band entries
     nest_generators: Callable[[], list[NamedGenerator]]
     physical: Callable[[], list[NamedGenerator]]
     nest_extension: tuple[NamedGenerator, ...]
@@ -456,18 +477,19 @@ class _Variant(NamedTuple):
 _VARIANTS = {
     MM: _Variant(
         name="modular-magic", catalog=modular_magic_blocks, pattern=_MM_TEMPLATE,
-        label_cells=(_MM_ALPHA, _MM_GAMMA1), ties=_mm_ties, nest_count=9, join=_mm_join,
-        ranges=_mm_ranges, code=_mm_code, nest_generators=catalog.h_mm_generators,
-        physical=catalog.h_mm_generators, nest_extension=(), relabelings=catalog.s_mm_elements),
+        label_cells=(_MM_ALPHA, _MM_GAMMA1), ties=_mm_ties, nest_count=9,
+        ranges=_mm_ranges, code=_mm_code, board_code=_weight_sum,
+        nest_generators=catalog.h_mm_generators, physical=catalog.h_mm_generators,
+        nest_extension=(), relabelings=catalog.s_mm_elements),
     SM: _Variant(
         name="semi-magic", catalog=semi_magic_blocks, pattern=_SM_GNOMON_CELLS,
-        label_cells=(_SM_A, _SM_B), ties=None, nest_count=16, join=_sm_join,
-        ranges=_sm_ranges, code=_sm_code,
+        label_cells=(_SM_A, _SM_B), ties=None, nest_count=16,
+        ranges=_sm_ranges, code=_sm_code, board_code=_sm_board_code,
         nest_generators=catalog.h_gamma_generators, physical=catalog.h9_generators,
         nest_extension=(catalog.swap_bands(0, 1), catalog.swap_pillars(0, 1)),
         relabelings=catalog.s_sm_group),
 }
-# Each key, lower-cased, and name, with "-" or "_": one lookup per canonicalize call.
+# Each key, lower-cased, and name, with "-" or "_": one lookup for any other text.
 _VARIANT_ALIASES = {alias: key for key, spec in _VARIANTS.items()
                     for alias in (key.lower(), spec.name, spec.name.replace("-", "_"))}
 

@@ -1,7 +1,12 @@
 """The block-tuple predicates that the block-pass predicates replaced,
-kept as the oracle: one Block tuple per block, one Python sum per line."""
+kept as the oracle: one Block tuple per block, one Python sum per line.
+With them, the nine-weight sum that the band table's per-band sums
+replaced, and the chunk labels of the variants' block codes."""
 
-from magicsudoku.boards import blocks
+from functools import cache
+
+from magicsudoku import nests
+from magicsudoku.boards import _mm_weights, blocks, modular_magic_blocks
 from magicsudoku.errors import DomainError, StructureError
 
 _DIGITS = frozenset(range(9))
@@ -66,3 +71,22 @@ def oracle_check_two_equal(board):
     for blk in blocks(board):
         by_center[blk[1][1]].append(oracle_off_diagonal_set(blk))
     return all(len(sets) == 3 and len(set(sets)) <= 2 for sets in by_center.values())
+
+
+@cache
+def _mm_catalog_index():
+    return {blk: i for i, blk in enumerate(modular_magic_blocks())}
+
+
+def oracle_mm_weight_sum(board):
+    """The class-weight sum of a modular-magic board: the _mm_weights of
+    its nine blocks, each found in the catalog by its Block tuple, summed
+    one by one. KeyError for a block outside the catalog."""
+    weights, index = _mm_weights(), _mm_catalog_index()
+    return sum(weights[index[blk]] for blk in blocks(board))
+
+
+def _label_codes(variant, columns):
+    """9 * first + second of the nest labels of nine block columns of the
+    variant's catalog indices: nine ints for one board, or idx.T of a chunk."""
+    return nests._labels_of_codes(variant, nests._VARIANTS[variant].code(columns))

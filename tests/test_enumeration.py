@@ -505,7 +505,7 @@ def test_join_reads_no_predicate_table():
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
-    assert not names & {"_bands", "_variant_blocks"}
+    assert not names & {"_bands", "_variant_bands"}
 
 
 # Order pins: SHA-256 of the concatenated cells, computed once with the

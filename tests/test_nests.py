@@ -4,6 +4,7 @@ import ast
 import hashlib
 import importlib
 import itertools
+import json
 import random
 from collections import Counter
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magicsudoku import boards, catalog, nests
+from magicsudoku import analysis, boards, catalog, nests
 from magicsudoku import enumeration as en
 from magicsudoku.boards import Board, is_modular_magic, is_semi_magic
 from magicsudoku.enumeration import (
@@ -22,16 +23,27 @@ from magicsudoku.enumeration import (
 from magicsudoku.errors import DomainError, IntegrityError
 from magicsudoku.perms import act
 
-from oracles import oracle_is_modular_magic, oracle_is_semi_magic
+from oracles import (
+    _label_codes,
+    oracle_is_modular_magic,
+    oracle_is_semi_magic,
+    oracle_mm_weight_sum,
+)
+
+# The join of each variant's catalog, in (n, 9) chunks of catalog indices.
+_JOINS = {"MM": en._mm_join, "SM": en._sm_join}
 
 
 def test_normalize_variant():
-    for alias in ("MM", "mm", "modular-magic", "modular_magic", "Modular-Magic"):
-        assert nests.normalize_variant(alias) == "MM"
-    for alias in ("SM", "sm", "semi-magic", "semi_magic", "Semi-Magic"):
+    # The exact keys are looked up as given; any other object, a str
+    # subclass or an unhashable one too, through its lower-cased text.
+    for alias in ("MM", "mm", "modular-magic", "modular_magic", "Modular-Magic", np.str_("MM")):
+        v = nests.normalize_variant(alias)
+        assert type(v) is str and v == "MM"
+    for alias in ("SM", "sm", "semi-magic", "semi_magic", "Semi-Magic", np.str_("SM")):
         assert nests.normalize_variant(alias) == "SM"
-    for bad in ("", "magic", "mmx"):
-        with pytest.raises(DomainError):
+    for bad in ("", "magic", "mmx", ["MM"], ("SM",), None, 1):
+        with pytest.raises(DomainError, match="^unknown variant "):
             nests.normalize_variant(bad)
 
 
@@ -49,6 +61,12 @@ def test_nest_label_basics():
 
 def test_nest_label_digits_are_integers():
     assert nests.NestLabel("MM", np.int64(1), np.uint8(2)) == nests.NestLabel("MM", 1, 2)
+    # A bool or numpy digit is kept as the int it stands for.
+    for first, second in ((True, 2), (np.int64(1), np.uint8(1))):
+        label = nests.NestLabel("MM", first, second)
+        assert str(label) == f"[{int(first)},{int(second)}]"
+        assert type(label.first) is int and type(label.second) is int
+        assert json.loads(json.dumps([label.first, label.second])) == [int(first), int(second)]
     for first, second in ((1.5, 2), ("1", 2), (1, 2.0), (None, 2)):
         with pytest.raises(DomainError, match="bad label digits"):
             nests.NestLabel("MM", first, second)
@@ -176,9 +194,9 @@ def test_crosscheck_sm_checks_the_predicate_once(board_mm_72, board_sm_71, monke
         return wrapper
 
     monkeypatch.setattr(nests, "is_semi_magic", counted(is_semi_magic))
-    monkeypatch.setattr(nests, "_board_blocks", counted(nests._board_blocks))
+    monkeypatch.setattr(nests, "_board_code", counted(nests._board_code))
     assert nests.crosscheck_sm(board_sm_71) == nests.canonicalize_sm(board_sm_71)
-    assert calls == ["_board_blocks"] * 2
+    assert calls == ["_board_code"] * 2
     for fn in (nests.canonicalize_sm, nests.canonicalize_sm_by_scan, nests.crosscheck_sm):
         with pytest.raises(DomainError):
             fn(board_mm_72)
@@ -221,7 +239,7 @@ def test_mm_label_codes_equal_the_scan_oracle():
         boards = en._boards(en.modular_magic_blocks, [idx])
         canon = [nests._scan(group, nests._MM_TEMPLATE, b.cells, nests._mm_ties) for b in boards]
         want = [9 * c[nests._MM_ALPHA] + c[nests._MM_GAMMA1] for c in canon]
-        assert nests._label_codes("MM", idx.T).tolist() == want
+        assert _label_codes("MM", idx.T).tolist() == want
         assert [reps[code] for code in want] == canon
         total += len(idx)
     assert total == 32_256
@@ -240,7 +258,7 @@ def _reference_canonicalize(variant, board):
     if not (is_modular_magic if variant == "MM" else is_semi_magic)(board):
         raise DomainError(f"board is not {'modular-magic' if variant == 'MM' else 'semi-magic'}")
     catalog_fn = nests._VARIANTS[variant].catalog
-    code = int(nests._label_codes(variant, _block_indices(catalog_fn, board.cells).T)[0])
+    code = int(_label_codes(variant, _block_indices(catalog_fn, board.cells).T)[0])
     label = nests.NestLabel(variant, *divmod(code, 9))
     return label, nests.representative(label)
 
@@ -261,12 +279,12 @@ def test_canonicalize_equals_the_batch_labels(variant, partitions):
     # whose top-left block is read directly (17) and of one it is
     # transposed in (68): one board through canonicalize gives the label
     # the census gives its chunk.
-    catalog_fn, join = nests._VARIANTS[variant].catalog, nests._VARIANTS[variant].join
+    catalog_fn, join = nests._VARIANTS[variant].catalog, _JOINS[variant]
     nest = {9 * l.first + l.second: (l, nests.representative(l)) for l in nests.labels(variant)}
     total = 0
     for partition in partitions:
         for idx in join(partition):
-            want = [nest[code] for code in nests._label_codes(variant, idx.T).tolist()]
+            want = [nest[code] for code in _label_codes(variant, idx.T).tolist()]
             boards = en._boards(catalog_fn, [idx])
             assert [nests.canonicalize(variant, board) for board in boards] == want
             total += len(idx)
@@ -278,7 +296,8 @@ def test_board_blocks_accepts_exactly_the_boards_of_the_variant(variant):
     # Against the oracle predicate: seeded random 9-tuples of catalog
     # indices, and real boards with each block swapped for every catalog
     # block in turn, which breaks one band or pillar at a time.
-    catalog_fn, join = nests._VARIANTS[variant].catalog, nests._VARIANTS[variant].join
+    catalog_fn, join = nests._VARIANTS[variant].catalog, _JOINS[variant]
+    name = nests._VARIANTS[variant].name
     predicate = oracle_is_modular_magic if variant == "MM" else oracle_is_semi_magic
     rng = np.random.default_rng(15)
     real = np.concatenate([next(join((w, 9)))[[0, -1]] for w in (1, 5)])
@@ -288,11 +307,12 @@ def test_board_blocks_accepts_exactly_the_boards_of_the_variant(variant):
     tuples = np.concatenate([rng.integers(0, 72, (2000, 9)), swapped.reshape(-1, 9)])
     accepted = 0
     for row, board in zip(tuples.tolist(), en._boards(catalog_fn, [tuples.astype(np.uint8)])):
-        try:
-            got = nests._board_blocks(variant, board.cells)
-        except DomainError:
-            got = None
+        bands = boards._variant_bands(catalog_fn, board.cells)
+        got = None if bands is None else sum((band[0] for band in bands), ())
         assert (got is not None) == predicate(board)
+        if got is None:
+            with pytest.raises(DomainError, match=f"^board is not {name}$"):
+                nests._board_code(variant, board.cells)
         assert got in (None, tuple(row))
         accepted += got is not None
     assert accepted == len(real) * 9  # each real board, once per position
@@ -323,6 +343,25 @@ def test_h_mm_generators_keep_each_representatives_weight_sum():
             assert weight_sum(moved) == weight_sum(rep)
 
 
+def test_mm_band_sums_equal_the_nine_weight_sums():
+    # Over every modular-magic board: the code canonicalize and
+    # check_two_equal read, three band sums from the band table, is the
+    # pair code plus the band code of the nine catalog indices, and the
+    # sum of the nine blocks' weights one by one; both answers are those
+    # of that nine-weight sum.
+    code, nest = nests._mm_code, nests._nests("MM")
+    total = 0
+    for idx in en._mm_join():
+        for row, board in zip(idx.tolist(), en._boards(en.modular_magic_blocks, [idx])):
+            weight_sum = oracle_mm_weight_sum(board)
+            assert nests._board_code("MM", board.cells) == weight_sum
+            assert code.pair(row) + code.band(row[6:9]) == weight_sum
+            assert analysis.check_two_equal(board) == analysis._two_equal(weight_sum)
+            assert nests.canonicalize_mm(board) == nest[weight_sum]
+            total += 1
+    assert total == 32_256
+
+
 @pytest.mark.parametrize("variant, per_nest", [("MM", 1), ("SM", 8)])
 def test_label_table_walks_every_code(variant, per_nest):
     table = nests._label_table(variant)
@@ -333,19 +372,20 @@ def test_label_table_walks_every_code(variant, per_nest):
 
 def test_one_board_codes_are_python_ints_equal_to_the_chunk_codes():
     # Every board of one modular-magic slice and 300 semi-magic boards:
-    # the code of the nine catalog indices canonicalize reads is a Python
-    # int, the value the census's chunk path gives the same board.
+    # the code canonicalize reads from the board's band entries is a
+    # Python int, the value the census's chunk path gives the same board.
     rng = random.Random(12)
+    sm_rows = [_block_indices(en.semi_magic_blocks, random_semi_magic(rng).cells)
+               for _ in range(300)]
     chunks = {"MM": list(en._mm_join((1, 81))),
-              "SM": [np.array([nests._board_blocks("SM", random_semi_magic(rng).cells)
-                               for _ in range(300)], dtype=np.uint8)]}
+              "SM": [np.concatenate(sm_rows).astype(np.uint8)]}
     for variant, chunk_list in chunks.items():
         catalog_fn, code_fn = nests._VARIANTS[variant].catalog, nests._VARIANTS[variant].code
         checked = 0
         for idx in chunk_list:
             want = code_fn(idx.T).tolist()
             for board, code in zip(en._boards(catalog_fn, [idx]), want):
-                got = code_fn(nests._board_blocks(variant, board.cells))
+                got = nests._board_code(variant, board.cells)
                 assert type(got) is int and got == code
                 checked += 1
         assert checked == (896 if variant == "MM" else 300)
@@ -356,7 +396,7 @@ def test_label_codes_reject_codes_of_no_nest(variant, monkeypatch):
     # Nine copies of block 0: for MM one class nine times, which no board
     # holds; for SM step 0 in every band and pillar, which no nest reaches.
     with pytest.raises(IntegrityError, match=f"no {variant} nest"):
-        nests._label_codes(variant, np.zeros((1, 9), dtype=np.uint8).T)
+        _label_codes(variant, np.zeros((1, 9), dtype=np.uint8).T)
     # canonicalize looks the code up in its own map: code 0, the code of
     # those nine blocks, fails there with the same error.
     board = nests.representative(nests.labels(variant)[0])
@@ -371,15 +411,21 @@ def _constant_code(variant, monkeypatch):
         return 0 * columns[0]
 
     spec = nests._VARIANTS[variant]
-    monkeypatch.setitem(nests._VARIANTS, variant, spec._replace(code=constant))
+    monkeypatch.setitem(nests._VARIANTS, variant,
+                        spec._replace(code=constant, board_code=lambda *bands: 0))
 
 
 def _one_off_diagonal_pair(variant, monkeypatch):
     # With one off-diagonal pair for every block, a class is a center
-    # alone, and every board has three blocks of each center.
+    # alone, and every board has three blocks of each center. The band
+    # table is rebuilt from those classes' weights, not the cached one.
     classes = tuple((center, 1, 8) for center, *_ in boards._mm_classes())
     monkeypatch.setattr(boards, "_mm_classes", lambda: classes)
-    monkeypatch.setattr(nests, "_mm_weights", boards._mm_weights.__wrapped__)  # not the cache
+    weights = boards._mm_weights.__wrapped__()
+    monkeypatch.setattr(boards, "_mm_weights", lambda: weights)
+    monkeypatch.setattr(nests, "_mm_weights", lambda: weights)
+    bands = boards._bands.__wrapped__(boards.modular_magic_blocks)
+    monkeypatch.setattr(boards, "_bands", lambda catalog_fn: bands)
 
 
 @pytest.mark.parametrize(
@@ -396,8 +442,8 @@ def test_label_table_rejects_nests_sharing_a_code(variant, mutate, monkeypatch):
 # The names of the scan oracle, which crosscheck_sm checks the labels
 # against, and the label functions, which must reach none of them.
 _SCAN_NAMES = {"_scan", "_scan_tables", "_sm_scanned", "h_gamma_group", "PhysicalGroup"}
-_LABEL_PATH = ("_label_table", "_label_codes", "_mm_code", "_sm_code", "_indexable",
-               "_sm_code_tables", "_board_blocks")
+_LABEL_PATH = ("_label_table", "_labels_of_codes", "_mm_code", "_sm_code", "_BandCode",
+               "_sm_code_tables", "_board_code", "_sm_board_code")
 
 
 def _module_scope(name):
@@ -439,7 +485,8 @@ def test_label_path_names_no_scan():
             reached.add((module, name))
             todo += [(module, n) for n in _names(defs[name])]
     assert {("nests", name) for name in _LABEL_PATH} <= reached
-    assert {("boards", "_mm_weights"), ("boards", "_variant_blocks")} <= reached
+    assert {("boards", "_mm_weights"), ("boards", "_variant_bands"), ("boards", "_weight_sum"),
+            ("boards", "_bands")} <= reached
     used = set().union(*(_names(scopes[m][0][name]) for m, name in reached))
     assert not used & _SCAN_NAMES
 
@@ -517,7 +564,7 @@ def test_census_slice_matches_enumeration():
 
 def _row_census(variant, chunks):
     """The reference census of join chunks: every row labelled by _label_codes."""
-    codes = sum((np.bincount(nests._label_codes(variant, idx.T), minlength=81) for idx in chunks),
+    codes = sum((np.bincount(_label_codes(variant, idx.T), minlength=81) for idx in chunks),
                 np.zeros(81, dtype=np.int64))
     return {nests.NestLabel(variant, *divmod(code, 9)): int(n) for code, n in enumerate(codes) if n}
 
@@ -531,7 +578,7 @@ def test_census_equals_the_labels_of_the_materialized_rows(variant, partitions):
     # The census counts band-2 ranges; the reference labels every row of
     # the join chunks those ranges expand to.
     for partition in partitions:
-        want = _row_census(variant, nests._VARIANTS[variant].join(partition))
+        want = _row_census(variant, _JOINS[variant](partition))
         got = nests.census(variant, partition)
         assert got.counts == want and list(got.counts) == sorted(want)
         assert got.total == sum(want.values()) == (32_256 if variant == "MM" else 82_944)
@@ -559,7 +606,7 @@ def test_census_of_restricted_joins_equals_the_labels_of_the_rows(variant, monke
 @pytest.mark.parametrize("variant, partition", [("MM", (1, 81)), ("SM", (17, 72))])
 def test_census_rejects_a_reached_code_of_no_nest(variant, partition, monkeypatch):
     # One code that the slice reaches, read as no nest by a mutant table.
-    idx = next(nests._VARIANTS[variant].join(partition))
+    idx = next(_JOINS[variant](partition))
     table = nests._label_table(variant).copy()
     table[nests._VARIANTS[variant].code(idx.T)[-1]] = -1
     monkeypatch.setattr(nests, "_label_table", lambda v: table)
@@ -658,7 +705,7 @@ def test_batch_sm_label_equals_scalar(top_left):
     assert nests._sm_code_tables()[0][top_left] == (top_left == 68)  # flip
     for idx, boards in map(_index_rows_and_boards, en._sm_join((top_left, 72))):
         want = [9 * a + b for a, b in (_sm_label(board.cells) for board in boards)]
-        assert nests._label_codes("SM", idx.T).tolist() == want
+        assert _label_codes("SM", idx.T).tolist() == want
 
 
 def test_canonicalize_sm_equals_the_reference_reduction():

@@ -157,7 +157,8 @@ def test_check_two_equal_equals_the_grouping_by_center():
     # sum gives the per-center grouping's answer.
     count = 0
     for board in iter_modular_magic():
-        indices = boards._variant_blocks(modular_magic_blocks, board.cells)
+        indices = [i for band in boards._variant_bands(modular_magic_blocks, board.cells)
+                   for i in band[0]]
         assert an.check_two_equal(board) == _grouped_two_equal(indices)
         count += 1
     assert count == 32_256
@@ -212,12 +213,18 @@ def _bands(board):
 def test_band_tables_hold_every_band_of_the_catalog():
     # Each variant's table maps every band its catalog makes, as 27
     # row-major bytes, to the catalog indices of the three blocks cut
-    # from it and to its column code.
+    # from it, to its column code and, for modular-magic bands, to the
+    # sum of the three blocks' class weights.
+    weights = boards._mm_weights()
     for catalog_fn in (modular_magic_blocks, semi_magic_blocks):
         table = boards._bands(catalog_fn)
         catalog = [bytes(itertools.chain.from_iterable(blk)) for blk in catalog_fn()]
         assert len(table) == _band_count(catalog_fn)
-        for band, (indices, code) in table.items():
+        for band, (indices, code, weight_sum) in table.items():
+            if catalog_fn is modular_magic_blocks:
+                assert weight_sum == sum(weights[i] for i in indices)
+            else:
+                assert weight_sum is None
             assert len(band) == 27
             assert [catalog[i] for i in indices] == [
                 bytes(band[9 * r + 3 * j + c] for r in range(3) for c in range(3))
@@ -274,13 +281,16 @@ def _answers(board):
 
 def test_answers_do_not_depend_on_the_memos(sample_boards, wrapped_boards):
     # Cold: the cached band and class tables cleared, so the first board
-    # builds them. Then one pass with them warm.
+    # builds them, and the code-to-nest maps, whose walk reads the band
+    # table's weight sums. Then one pass with them warm.
     base, mutated = sample_boards
     corpus = base + mutated + wrapped_boards
     boards._bands.cache_clear()
     boards._mm_classes.cache_clear()
     boards._mm_weights.cache_clear()
     an._two_equal.cache_clear()
+    nests._label_table.cache_clear()
+    nests._nests.cache_clear()
     cold = [_answers(board) for board in corpus]
     warm = [_answers(board) for board in corpus]
     assert cold == warm
