@@ -7,9 +7,9 @@ moves. Each builder returns a NamedGenerator whose token round-trips
 through parse_generator.
 
 The physical groups are built once per generator list as the product
-they are, transpose x row moves x column moves (PhysicalGroup), and are
-materialized only for callers that compare or draw rows; breadth-first
-closure builds only the line groups and S_MM.
+they are, transpose x row moves x column moves (PhysicalGroup), whose
+elements are decoded from an index: a draw builds no element table.
+Breadth-first closure builds only the line groups and S_MM.
 """
 
 from __future__ import annotations
@@ -339,6 +339,23 @@ class PhysicalGroup:
     columns, so the group is every transpose^e after (rp, cp), with rp
     and cp drawn from one line group R closed from all the generators'
     line parts; its order is 2·|R|².
+
+    Why F = {T^e ∘ (rp, cp) : e in {0, 1}, rp, cp in R} is exactly the
+    group <gens> the generators span (T the transpose), so that no
+    element-by-element oracle is needed:
+    1. The constructor checks that each generator is T^e after a
+       row-only or column-only move, and that T itself is a generator.
+    2. F is a group, because R is one and T ∘ (rp, cp) ∘ T = (cp, rp).
+       It holds every generator, so <gens> ⊆ F.
+    3. Each line part p gives its row move or its column move in <gens>:
+       the generator itself, or T times it. Conjugating by T gives the
+       other axis. So (R, id), (id, R) and T lie in <gens>, and F ⊆ <gens>.
+    4. T is no line move, so |F| = 2·|R|².
+    What is left to check is the code of the index decoder: index
+    i = e·|R|² + a·|R| + b is T^e after row move _lines[a] and column
+    move _lines[b]. That is a bijection onto F, so uniform indices give
+    uniform elements, and each decoded element must split back to its
+    own (e, _lines[a], _lines[b]).
     """
 
     def __init__(self, generators: Sequence[NamedGenerator]):
@@ -360,24 +377,30 @@ class PhysicalGroup:
             raise IntegrityError("transpose is not among the generators")
         lines = closure([Symmetry.from_cell(_from_row_perm(p)) for p in parts])
         self._lines = lines.cell_images[:, ::9] // 9  # (|R|, 9) row perms
-        self._line_keys = frozenset(p.tobytes() for p in self._lines)
         self.order = 2 * len(self._lines) ** 2
+        # T^e after (rp, cp) sends cell (r, c) to 9·rp[r] + cp[c] if e = 0, rp[r] + 9·cp[c] if 1.
+        rows, cols = np.repeat(self._lines, 9, axis=1), np.tile(self._lines, 9)  # at cell (r, c)
+        self._row_parts = np.concatenate([9 * rows, rows])  # index e·|R| + a
+        self._col_parts = np.concatenate([cols, 9 * cols])  # index e·|R| + b
 
     def __contains__(self, s: Symmetry) -> bool:
         """Membership test: s splits into transpose^e after (rp, cp)
         with rp and cp both in the line group."""
         split = _split(s)
-        return split is not None and all(bytes(p) in self._line_keys for p in split[1:])
+        return split is not None and all((self._lines == p).all(axis=1).any() for p in split[1:])
+
+    def _decode(self, i):
+        """(e, a, b, cell images) of index i = e·|R|² + a·|R| + b, or of each index of
+        an array: transpose^e after row move _lines[a] and column move _lines[b]."""
+        n = len(self._lines)
+        e, ab = divmod(i, n * n)
+        a, b = divmod(ab, n)
+        return e, a, b, self._row_parts[e * n + a] + self._col_parts[e * n + b]
 
     def materialize(self) -> PermGroup:
-        """Every element, in the sorted row order closure gives."""
-        lines = self._lines
-        n = len(lines)
-        moves = (9 * lines[:, None, :, None] + lines[None, :, None, :]).reshape(n * n, 81)
-        rows = np.empty((2 * n * n, 90), dtype=np.uint8)
-        rows[: n * n, :81] = moves
-        rows[n * n :, :81] = np.array(_TRANSPOSE_CELL, dtype=np.uint8)[moves]
-        rows[:, 81:] = np.arange(9, dtype=np.uint8)
+        """Every decoded element, in the sorted row order closure gives."""
+        digits = np.broadcast_to(np.arange(9, dtype=np.uint8), (self.order, 9))
+        rows = np.hstack([self._decode(np.arange(self.order))[3], digits])
         return PermGroup([g.symmetry for g in self.generators], _sort_rows(rows))
 
 

@@ -110,7 +110,7 @@ class NestLabel:
     second: int
 
     def __post_init__(self) -> None:
-        if self.variant not in _VARIANTS:
+        if not isinstance(self.variant, str) or self.variant not in _VARIANTS:
             raise DomainError(f"bad variant {self.variant!r}")
         message = f"bad label digits ({self.first!r},{self.second!r})"
         # Stored as the int _in_range returns: str and JSON then read a bool or numpy digit.
@@ -304,6 +304,8 @@ def labels(variant: str) -> tuple[NestLabel, ...]:
 
 def representative(label: NestLabel) -> Board:
     """The canonical board of the given nest."""
+    if not isinstance(label, NestLabel):
+        raise DomainError(f"not a nest label: {label!r}")
     board = _representatives(label.variant).get(label)
     if board is None:
         raise DomainError(f"no {label.variant} nest {label}")

@@ -206,6 +206,32 @@ def test_factored_h_mm_membership():
     assert catalog.swap_rows(0, 1).symmetry not in hmm
 
 
+@pytest.mark.parametrize("generators", [catalog.h_mm_generators, catalog.h_gamma_generators])
+def test_decoded_group_equals_the_closure_of_its_generators(generators):
+    # The elementwise oracle of the factorization: the breadth-first
+    # closure and every decoded element, sorted, row for row.
+    group = catalog._physical_group(generators)
+    regrown = closure([g.symmetry for g in generators()])
+    assert regrown.order == group.order
+    assert np.array_equal(regrown._rows, group.materialize()._rows)
+
+
+@pytest.mark.parametrize("generators", [catalog.h_mm_generators, catalog.h_gamma_generators])
+def test_decoded_elements_split_back_to_their_parts(generators):
+    group = catalog._physical_group(generators)
+    n = len(group._lines)
+    rng = np.random.default_rng(32)
+    ends = [0, n * n - 1, n * n, group.order - 1]  # the first and last of each e
+    indices = np.concatenate([ends, rng.integers(group.order, size=300)])
+    cells = group._decode(indices)[3]
+    for i, row in zip(indices.tolist(), cells):
+        e, a, b, one = group._decode(i)
+        assert i == e * n * n + a * n + b and e in (0, 1)
+        assert np.array_equal(one, row)
+        parts = (e, tuple(group._lines[a].tolist()), tuple(group._lines[b].tolist()))
+        assert catalog._split(Symmetry.from_cell(row.tolist())) == parts
+
+
 def test_factored_group_rejects_bad_generators():
     with pytest.raises(IntegrityError, match="transpose is not among"):
         catalog.PhysicalGroup([catalog.swap_bands(0, 1), catalog.swap_pillars(0, 1)])

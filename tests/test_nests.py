@@ -59,6 +59,14 @@ def test_nest_label_basics():
         nests.NestLabel("QQ", 1, 1)
 
 
+@pytest.mark.parametrize("variant", [["MM"], {"SM"}, None, 1])
+def test_nest_label_rejects_a_variant_that_is_no_string(variant):
+    # Tested before the variant lookup, which an unhashable value would
+    # break with a bare TypeError.
+    with pytest.raises(DomainError, match="^bad variant "):
+        nests.NestLabel(variant, 1, 1)
+
+
 def test_nest_label_digits_are_integers():
     assert nests.NestLabel("MM", np.int64(1), np.uint8(2)) == nests.NestLabel("MM", 1, 2)
     # A bool or numpy digit is kept as the int it stands for.
@@ -169,6 +177,12 @@ def test_representative_rejects_unknown_labels():
         nests.representative(nests.NestLabel("MM", 3, 3))
     with pytest.raises(DomainError):
         nests.representative(nests.NestLabel("SM", 0, 0))
+
+
+@pytest.mark.parametrize("label", ["x", None, ("MM", 1, 1), 11])
+def test_representative_rejects_what_is_no_nest_label(label):
+    with pytest.raises(DomainError, match="^not a nest label"):
+        nests.representative(label)
 
 
 def test_sm_scan_agrees_with_constructive(board_sm_71):

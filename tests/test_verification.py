@@ -146,10 +146,14 @@ def test_timed_count_times_a_fresh_build():
 
 
 def test_group_orders_builds_no_h_gamma_table():
-    # A fresh process, so that no other test has filled the cache. The
-    # orders come from the factored groups; only rows need a table.
+    # A fresh process, so that no other test has filled the caches. The
+    # orders and the property draws come from the factored groups, so the
+    # property checks build neither table; group_orders still builds
+    # H_MM's, through g_mm_group.
     code = (
         "from magicsudoku import catalog, verification\n"
+        "assert verification.run_checks(['mm_properties', 'sm_properties']).overall\n"
+        "print(*(f.cache_info().currsize for f in (catalog.h_gamma_group, catalog.h_mm_group)))\n"
         "assert verification.run_checks(['group_orders']).overall\n"
         "print(catalog.h_gamma_group.cache_info().currsize)\n"
     )
@@ -159,4 +163,4 @@ def test_group_orders_builds_no_h_gamma_table():
     argv = [sys.executable, "-c", code]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "0\n"
+    assert done.stdout == "0 0\n0\n"
