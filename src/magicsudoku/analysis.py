@@ -47,7 +47,7 @@ def check_two_equal(board: Board) -> bool:
     blocks with that center share their off-diagonal set? Decoded from
     the weight sum of the board's block classes (center and off-diagonal
     pair), which encodes their multiset: three band sums added."""
-    bands = _variant_bands(modular_magic_blocks, board.cells)
+    bands = _variant_bands(modular_magic_blocks, board)
     if bands is None:
         raise DomainError("board is not modular-magic")
     return _two_equal(_weight_sum(*bands))

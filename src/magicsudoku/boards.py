@@ -21,13 +21,16 @@ one digit translate table (_TO_ASCII/_FROM_ASCII). pack, unpack,
 parse_board and format_board are the one-board case; the four stream
 functions run the same kernels over batches of _CHUNK boards, so the
 memory a stream holds at once stays bounded (read_mssb still returns
-every board as a list). The readers split a batch's cells into 81-byte
-boards with one numpy call. iter_text reads _CHUNK lines at a time: a
-batch of plain lines, each 81 digits and a newline, is translated whole,
-and any other batch (blank or padded lines, a kept "\r", a last line
-without a newline, a bad line) goes through parse_board line by line.
-Errors name the failing input: the line of a text stream, and the board
-index of an MSSB stream.
+every board as a list). A Board is its 81 cell bytes, which the
+predicates and writers read as they are. The readers split a batch into
+81-byte items with one numpy call and make each a Board with
+Board._wrap, bytes.__new__ bound to Board: no check and no Python frame
+per board. The writers refuse an item that is not a Board. iter_text
+reads _CHUNK lines at a time: a batch of plain lines, each 81 digits and
+a newline, is translated whole, and any other batch (blank or padded
+lines, a kept "\r", a last line without a newline, a bad line) goes
+through parse_board line by line. Errors name the failing input: the
+line of a text stream, and the board index of an MSSB stream.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import itertools
 import struct
 from array import array
-from functools import cache
+from functools import cache, partial
 from collections.abc import Iterable
 from typing import BinaryIO, Callable, Iterator, TextIO
 
@@ -76,72 +79,60 @@ _FROM_ASCII = bytes.maketrans(b"012345678", bytes(range(9)))
 _CENTER_SET = frozenset((0, 3, 6))
 
 
-class Board:
-    """An immutable 9x9 grid of digits 0..8.
+class Board(bytes):
+    """An immutable 9x9 grid of digits 0..8: a bytes subclass whose value
+    is its 81 cells in row-major order, so it equals, hashes and orders
+    as them (``board == board.cells``), and a slice of it is plain bytes.
 
     Only cell count and digit range are enforced; uniqueness is left to
     the predicates so that partial or invalid grids can be represented
     while boards are being built.
     """
 
-    __slots__ = ("_cells",)
+    __slots__ = ()
 
-    def __init__(self, cells: bytes | Iterable[int]):
+    def __new__(cls, cells: bytes | Iterable[int]) -> "Board":
         if isinstance(cells, np.ndarray):  # bytes() would read its raw buffer
             cells = cells.ravel().tolist()
         elif isinstance(cells, str) or not isinstance(cells, Iterable):
             # bytes() would read 81 as 81 zeros, or ask a str for an encoding
             raise BoardFormatError(f"expected 81 cells, got {type(cells).__name__}")
         try:
-            data = bytes(cells)
+            board = super().__new__(cls, cells)
         except (ValueError, TypeError) as exc:
             if any(isinstance(c, Iterable) and not isinstance(c, str) for c in cells):
                 raise BoardFormatError("expected 81 cells, got a sequence of rows") from exc
             raise DigitError("cell values must lie in 0..8") from exc
-        if len(data) != 81:
-            raise BoardFormatError(f"expected 81 cells, got {len(data)}")
-        if max(data) > 8:
+        if len(board) != 81:
+            raise BoardFormatError(f"expected 81 cells, got {len(board)}")
+        if max(board) > 8:
             raise DigitError("cell values must lie in 0..8")
-        self._cells = data
-
-    @classmethod
-    def _wrap(cls, data: bytes) -> "Board":
-        """Wrap already-validated cell bytes without rechecking (internal)."""
-        board = cls.__new__(cls)
-        board._cells = data
         return board
 
     @property
     def cells(self) -> bytes:
-        """The 81 cell values in row-major order."""
-        return self._cells
+        """The 81 cell values in row-major order, as plain bytes."""
+        return bytes(self)
 
     def cell(self, r: int, c: int) -> int:
         """The digit at row r, column c."""
-        return self._cells[9 * r + c]
+        return self[9 * r + c]
 
     def row(self, r: int) -> tuple[int, ...]:
-        return tuple(self._cells[9 * r : 9 * r + 9])
-
-    def __getitem__(self, k: int) -> int:
-        return self._cells[k]
-
-    def __len__(self) -> int:
-        return 81
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Board):
-            return self._cells == other._cells
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._cells)
+        return tuple(self[9 * r : 9 * r + 9])
 
     def __repr__(self) -> str:
         return f"Board({format_board(self)!r})"
 
+    __str__ = __repr__
+
     def __reduce__(self):
-        return (Board._wrap, (self._cells,))
+        return (Board._wrap, (self.cells,))
+
+
+# Board of already-validated cells, unchecked and with no Python frame
+# (internal); a class attribute that callers look up at call time.
+Board._wrap = partial(bytes.__new__, Board)
 
 
 def parse_board(text: str) -> Board:
@@ -157,7 +148,9 @@ def parse_board(text: str) -> Board:
 
 def format_board(board: Board) -> str:
     """Render a board as one 81-character line."""
-    return board.cells.translate(_TO_ASCII).decode("ascii")
+    if not isinstance(board, Board):
+        raise BoardFormatError(f"expected a Board, got {type(board).__name__}")
+    return board.translate(_TO_ASCII).decode("ascii")
 
 
 # The mini-rows, mini-columns, main and anti mini-diagonal of a block
@@ -178,7 +171,7 @@ _SORTED_UNITS = np.tile(np.arange(9, dtype=np.uint8), (27, 1))
 def block(board: Board, I: int, J: int) -> Block:
     """The 3x3 block at block coordinates (I, J)."""
     base = 27 * I + 3 * J
-    return tuple(tuple(board.cells[base + 9 * r : base + 9 * r + 3]) for r in range(3))
+    return tuple(tuple(board[base + 9 * r : base + 9 * r + 3]) for r in range(3))
 
 
 def blocks(board: Board) -> list[Block]:
@@ -188,7 +181,7 @@ def blocks(board: Board) -> list[Block]:
 
 def is_sudoku(board: Board) -> bool:
     """True iff every row, column, and block holds each digit exactly once."""
-    units = np.frombuffer(board.cells, dtype=np.uint8)[_UNIT_CELLS].reshape(27, 9)
+    units = np.frombuffer(board, dtype=np.uint8)[_UNIT_CELLS].reshape(27, 9)
     units.sort(axis=1)
     return bool((units == _SORTED_UNITS).all())
 
@@ -315,13 +308,13 @@ def _weight_sum(top: _Band, mid: _Band, low: _Band) -> int:
 def is_modular_magic(board: Board) -> bool:
     """True iff the board is a Sudoku board and all blocks are magic
     mod 9: every mini-line of every block is a magic-mod-9 line."""
-    return _variant_bands(modular_magic_blocks, board.cells) is not None
+    return _variant_bands(modular_magic_blocks, board) is not None
 
 
 def is_semi_magic(board: Board) -> bool:
     """True iff the board is a Sudoku board and all blocks are semi-magic:
     every mini-row and mini-column of every block sums to 12."""
-    return _variant_bands(semi_magic_blocks, board.cells) is not None
+    return _variant_bands(semi_magic_blocks, board) is not None
 
 
 def off_diagonal_set(blk: Block) -> frozenset[int]:
@@ -399,16 +392,25 @@ def _unpack_rows(data: bytes, first: int = 0) -> bytes:
     return grid.tobytes()
 
 
-def _cell_chunks(boards: Iterable[Board]) -> Iterator[list[bytes]]:
-    """The cells of ``boards``, at most _CHUNK boards per list."""
+def _board_chunks(boards: Iterable[Board]) -> Iterator[list[Board]]:
+    """``boards``, at most _CHUNK per list. An item that is no Board,
+    which the writers would otherwise take as raw cells, raises and
+    names its index in the stream."""
     it = iter(boards)
-    while chunk := [board.cells for board in itertools.islice(it, _CHUNK)]:
+    start = 0
+    while chunk := list(itertools.islice(it, _CHUNK)):
+        if not all(map(isinstance, chunk, itertools.repeat(Board))):
+            k, item = next((k, x) for k, x in enumerate(chunk) if not isinstance(x, Board))
+            raise BoardFormatError(f"item {start + k}: expected a Board, got {type(item).__name__}")
         yield chunk
+        start += len(chunk)
 
 
 def pack(board: Board) -> bytes:
     """Pack a board into 41 bytes, two 4-bit cells per byte."""
-    return _pack_rows(board.cells)
+    if not isinstance(board, Board):
+        raise BoardFormatError(f"expected a Board, got {type(board).__name__}")
+    return _pack_rows(board)
 
 
 def unpack(data: bytes) -> Board:
@@ -421,7 +423,7 @@ def unpack(data: bytes) -> Board:
 def write_text(fh: TextIO, boards: Iterable[Board]) -> int:
     """Write boards one 81-character line each; returns the count."""
     count = 0
-    for chunk in _cell_chunks(boards):
+    for chunk in _board_chunks(boards):
         fh.write((b"\n".join(chunk) + b"\n").translate(_TO_ASCII).decode("ascii"))
         count += len(chunk)
     return count
@@ -468,7 +470,7 @@ def write_mssb(fh: BinaryIO, boards: Iterable[Board]) -> int:
     fh.write(bytes((MSSB_VERSION,)))
     fh.write(b"\x00\x00\x00\x00")
     count = 0
-    for chunk in _cell_chunks(boards):
+    for chunk in _board_chunks(boards):
         fh.write(_pack_rows(b"".join(chunk)))
         count += len(chunk)
     end = fh.tell()

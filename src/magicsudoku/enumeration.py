@@ -250,11 +250,6 @@ def _visit(
     return count
 
 
-def _sorted(catalog_fn: _Catalog, chunks: Iterable[np.ndarray]) -> list[Board]:
-    """The boards of the index chunks, sorted by cells."""
-    return list(map(Board._wrap, sorted(_cells(catalog_fn, chunks))))
-
-
 def _complete(catalog_fn: _Catalog, assignments: Mapping[int, int]) -> list[Board]:
     """The boards built from the catalog that extend the given cell
     assignments, sorted by cells."""
@@ -264,7 +259,7 @@ def _complete(catalog_fn: _Catalog, assignments: Mapping[int, int]) -> list[Boar
         bad = f"bad assignment {cell!r}: {digit!r}"
         r, c = divmod(_in_range(cell, bad, 0, 80), 9)
         cand[3 * (r // 3) + c // 3] &= cat[:, 3 * (r % 3) + c % 3] == _in_range(digit, bad, 0, 8)
-    return _sorted(catalog_fn, _join(catalog_fn, cand))
+    return sorted(_boards(catalog_fn, _join(catalog_fn, cand)))
 
 
 # --- modular-magic enumeration ---
@@ -290,12 +285,13 @@ def enumerate_modular_magic(
     partition into n slices gets the boards whose first two cells d0, d1
     satisfy (9 * d0 + d1) % n == w.
     """
-    return _visit(_mm_ranges(partition), partial(_sorted, modular_magic_blocks), visitor)
+    return _visit(_mm_ranges(partition),
+                  lambda rows: sorted(_boards(modular_magic_blocks, rows)), visitor)
 
 
 def iter_modular_magic() -> Iterator[Board]:
     """Yield every modular-magic board in enumeration order."""
-    return iter(_sorted(modular_magic_blocks, _mm_join()))
+    return iter(sorted(_boards(modular_magic_blocks, _mm_join())))
 
 
 def complete_modular_magic(assignments: Mapping[int, int]) -> list[Board]:

@@ -221,7 +221,7 @@ def canonicalize_sm_by_scan(board: Board) -> tuple[NestLabel, Board]:
 
 def _sm_scanned(board: Board) -> tuple[NestLabel, Board]:
     """canonicalize_sm_by_scan of a board known to be semi-magic."""
-    canon = _scan(_physical_group(_VARIANTS[SM].nest_generators), _SM_GNOMON_CELLS, board.cells)
+    canon = _scan(_physical_group(_VARIANTS[SM].nest_generators), _SM_GNOMON_CELLS, board)
     return NestLabel(SM, canon[_SM_A], canon[_SM_B]), Board._wrap(canon)
 
 
@@ -241,7 +241,7 @@ def canonicalize(variant: str, board: Board) -> tuple[NestLabel, Board]:
     census's label of its block code, and that nest's representative.
     Raises DomainError unless the board is of the variant."""
     v = normalize_variant(variant)
-    nest = _nests(v).get(_board_code(v, board.cells))
+    nest = _nests(v).get(_board_code(v, board))
     if nest is None:
         raise IntegrityError(f"block codes match no {v} nest")
     return nest
@@ -278,7 +278,7 @@ def _representatives(variant: str) -> dict[NestLabel, Board]:
     spec = _VARIANTS[variant]
     boards = _complete(spec.catalog, dict(spec.pattern))
     if spec.ties is not None:
-        cells = np.frombuffer(b"".join(b.cells for b in boards), dtype=np.uint8)
+        cells = np.frombuffer(b"".join(boards), dtype=np.uint8)
         boards = [b for b, ok in zip(boards, spec.ties(cells.reshape(-1, 81))) if ok]
     first, second = spec.label_cells
     reps = {NestLabel(variant, b[first], b[second]): b for b in boards}
@@ -428,7 +428,7 @@ def _label_table(variant: str) -> np.ndarray:
         todo = [representative(label)]
         while todo:
             board = todo.pop()
-            code = _board_code(variant, board.cells)
+            code = _board_code(variant, board)
             if code not in nest_of:
                 nest_of[code] = label
                 todo += [act(s, board) for s in symmetries]

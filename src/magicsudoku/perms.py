@@ -107,10 +107,8 @@ def inverse(s: Symmetry) -> Symmetry:
 
 def act(s: Symmetry, board: Board) -> Board:
     """Apply a symmetry to a board."""
-    inv = inverse_perm(s.cell)
-    cells = board.cells
     digit = s.digit
-    return Board._wrap(bytes(digit[cells[i]] for i in inv))
+    return Board._wrap(digit[board[i]] for i in inverse_perm(s.cell))
 
 
 class PermGroup:

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import itertools
+import pickle
 import random
 import struct
 
@@ -67,6 +68,9 @@ def test_board_constructor_validates():
     digits = np.arange(81) % 9
     assert Board(digits) == Board(digits.tolist())
     assert Board(digits.astype(np.int32).reshape(9, 9)) == Board(digits.tolist())
+    board = Board(digits.tolist())
+    for same in (Board(board), Board(bytearray(board)), Board(memoryview(board.cells))):
+        assert type(same) is Board and same == board
 
 
 def test_cell_accessors(board_mm_72):
@@ -83,6 +87,30 @@ def test_board_equality_and_hash(board_mm_72, board_mm_11):
     assert hash(board_mm_72) == hash(again)
     assert board_mm_72 != board_mm_11
     assert len({board_mm_72, again, board_mm_11}) == 2
+
+
+def test_board_is_its_cells(board_mm_72):
+    board = board_mm_72
+    assert repr(board) == str(board) == f"Board({CANON_MM_72!r})"
+    again = pickle.loads(pickle.dumps(board))
+    assert type(again) is Board and again == board
+    assert type(board.cells) is bytes and board.cells == bytes(board)
+    assert hash(board) == hash(board.cells)
+    assert board == board.cells
+    boards = list(iter_modular_magic())
+    assert boards == sorted(boards)
+
+
+def test_writers_refuse_what_is_not_a_board(board_mm_72):
+    cells = board_mm_72.cells
+    for raw in (cells, cells[:80], cells[:80] + b"\x09", cells * 2):
+        for write_one in (pack, format_board):
+            with pytest.raises(BoardFormatError, match="^expected a Board, got bytes$"):
+                write_one(raw)
+        items = [board_mm_72] * (_CHUNK + 2) + [raw, board_mm_72]
+        for write, fh in ((write_mssb, io.BytesIO()), (write_text, io.StringIO())):
+            with pytest.raises(BoardFormatError, match=f"^item {_CHUNK + 2}: expected a Board"):
+                write(fh, iter(items))
 
 
 def test_block_extraction(board_mm_72):
