@@ -180,8 +180,12 @@ def blocks(board: Board) -> list[Block]:
 
 
 def is_sudoku(board: Board) -> bool:
-    """True iff every row, column, and block holds each digit exactly once."""
-    units = np.frombuffer(board, dtype=np.uint8)[_UNIT_CELLS].reshape(27, 9)
+    """True iff the board is 81 cells and every row, column, and block
+    holds each digit exactly once."""
+    cells = np.frombuffer(board, dtype=np.uint8)
+    if cells.size != 81:
+        return False
+    units = cells[_UNIT_CELLS].reshape(27, 9)
     units.sort(axis=1)
     return bool((units == _SORTED_UNITS).all())
 
@@ -215,30 +219,19 @@ def _block_catalog(lines: tuple[slice, ...], allowed: frozenset[bytes]) -> tuple
     bytes) are ``allowed`` lines, the board reader's own test, sorted by
     flattened entries.
 
-    Only blocks of nine distinct digits whose mini-rows and mini-columns
-    share one sum s mod 9 are tested, which both variants imply (s = 12
-    and s = 0). The nine digits sum to 36, so 3s = 0 mod 9. The row sum
-    forces the last digit of the second row, and the column sums force
-    the third row, which must hold the three digits left.
+    Mini-rows 0 and 1 are drawn from the allowed lines. Both variants
+    give every mini-row and mini-column one sum s mod 9 (s = 12 and
+    s = 0), so the column sums force mini-row 2; a candidate is kept
+    when it holds the nine digits and all its ``lines`` are allowed.
+    The pairs are drawn in sorted order, so the blocks come out sorted.
     """
     found = []
-    digits = frozenset(range(9))
-    for r0 in itertools.permutations(range(9), 3):
-        s = sum(r0) % 9
-        if s % 3:
-            continue
-        rest = digits - set(r0)
-        for a, b in itertools.permutations(sorted(rest), 2):
-            c = (s - a - b) % 9
-            if c not in rest or c in (a, b):
-                continue
-            r1 = (a, b, c)
-            r2 = tuple((s - x - y) % 9 for x, y in zip(r0, r1))
-            if set(r2) == rest - set(r1):
-                flat = bytes(r0 + r1 + r2)
-                if all(flat[s] in allowed for s in lines):
-                    found.append((r0, r1, r2))
-    return tuple(sorted(found))
+    for r0, r1 in itertools.product(sorted(allowed), repeat=2):
+        r2 = bytes((sum(r0) - x - y) % 9 for x, y in zip(r0, r1))
+        flat = r0 + r1 + r2
+        if set(flat) == _DIGITS and all(flat[s] in allowed for s in lines):
+            found.append((tuple(r0), tuple(r1), tuple(r2)))
+    return tuple(found)
 
 
 @cache

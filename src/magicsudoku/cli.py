@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from functools import partial
 from typing import Sequence
@@ -79,25 +80,9 @@ def _emit_json(args: argparse.Namespace, payload: object) -> None:
 
 
 def _split_tokens(text: str) -> list[str]:
-    """Split a comma-separated token list, ignoring commas inside
-    parentheses so mu(4,0) stays one token."""
-    out: list[str] = []
-    depth = 0
-    current = ""
-    for ch in text:
-        if ch == "," and depth == 0:
-            if current.strip():
-                out.append(current.strip())
-            current = ""
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        current += ch
-    if current.strip():
-        out.append(current.strip())
-    return out
+    """Split a comma-separated token list at the commas outside
+    parentheses, so mu(4,0) stays one token."""
+    return [t.strip() for t in re.split(r",(?![^(]*\))", text) if t.strip()]
 
 
 # --- subcommand handlers ---

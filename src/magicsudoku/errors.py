@@ -32,7 +32,7 @@ class CapacityError(MagicSudokuError):
     """A computation exceeded a configured size cap."""
 
 
-def _in_range(value: object, message: str, low: int = 0, high: float = math.inf) -> int:
+def _in_range(value: object, message: str, low: float = 0, high: float = math.inf) -> int:
     """value as an int, if operator.index takes it (a numpy integer too)
     and it lies in low..high; else DomainError(message)."""
     try:

@@ -8,11 +8,12 @@ Z3 then classify the board by how many of them are quasi-linear.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .boards import Block, Board, block, is_sudoku
-from .errors import DomainError
+from .boards import Block, Board, blocks, is_sudoku
+from .errors import DomainError, _in_range
 
 __all__ = [
     "ExponentMatrices",
@@ -29,13 +30,13 @@ __all__ = [
 Matrix = tuple[tuple[int, int, int], ...]
 
 
-def _as_matrix(m: Sequence[Sequence[int]], name: str) -> Matrix:
-    rows = tuple(tuple(int(x) for x in row) for row in m)
+def _as_matrix(m: Sequence[Sequence[int]], name: str, low: float = 0, high: float = 2) -> Matrix:
+    """m as a 3x3 tuple of ints in low..high; else DomainError."""
+    rows = tuple(tuple(row) for row in m)
     if len(rows) != 3 or any(len(row) != 3 for row in rows):
         raise DomainError(f"{name} is not 3x3")
-    if any(x not in (0, 1, 2) for row in rows for x in row):
-        raise DomainError(f"{name} has entries outside Z3")
-    return rows
+    bad = f"{name} has entries outside Z3"
+    return tuple(tuple(_in_range(x, bad, low, high) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -71,22 +72,27 @@ def apply_beta(blk: Block, e: int) -> Block:
     return tuple(tuple(row[(c - e) % 3] for c in range(3)) for row in blk)
 
 
+def _swapped(a: int, b: int, what: str) -> list[int]:
+    """0, 1, 2 with a and b swapped; DomainError unless a and b are two
+    distinct indices in 0..2."""
+    bad = f"bad {what} pair ({a},{b})"
+    a, b = _in_range(a, bad, 0, 2), _in_range(b, bad, 0, 2)
+    if a == b:
+        raise DomainError(bad)
+    perm = [0, 1, 2]
+    perm[a], perm[b] = b, a
+    return perm
+
+
 def swap_block_rows(blk: Block, a: int, b: int) -> Block:
     """Transpose two mini-rows of a block."""
-    if not (0 <= a <= 2 and 0 <= b <= 2 and a != b):
-        raise DomainError(f"bad row pair ({a},{b})")
-    perm = list(range(3))
-    perm[a], perm[b] = perm[b], perm[a]
-    return tuple(blk[perm[r]] for r in range(3))
+    return tuple(blk[r] for r in _swapped(a, b, "row"))
 
 
 def swap_block_columns(blk: Block, a: int, b: int) -> Block:
     """Transpose two mini-columns of a block."""
-    if not (0 <= a <= 2 and 0 <= b <= 2 and a != b):
-        raise DomainError(f"bad column pair ({a},{b})")
-    perm = list(range(3))
-    perm[a], perm[b] = perm[b], perm[a]
-    return tuple(tuple(row[perm[c]] for c in range(3)) for row in blk)
+    perm = _swapped(a, b, "column")
+    return tuple(tuple(row[c] for c in perm) for row in blk)
 
 
 def keedwell_decompose(board: Board) -> KeedwellDecomposition | None:
@@ -98,37 +104,19 @@ def keedwell_decompose(board: Board) -> KeedwellDecomposition | None:
     """
     if not is_sudoku(board):
         raise DomainError("board is not a Sudoku board")
-    K = block(board, 0, 0)
-    k00 = K[0][0]
-    c_rows = []
-    d_rows = []
-    for i in range(3):
-        c_row = []
-        d_row = []
-        for j in range(3):
-            target = block(board, i, j)
-            c, d = next(
-                (r, col)
-                for r in range(3)
-                for col in range(3)
-                if target[r][col] == k00
-            )
-            if apply_beta(apply_alpha(K, c), d) != target:
-                return None
-            c_row.append(c)
-            d_row.append(d)
-        c_rows.append(tuple(c_row))
-        d_rows.append(tuple(d_row))
-    return KeedwellDecomposition(
-        K, ExponentMatrices(tuple(c_rows), tuple(d_rows))
-    )
+    blks = blocks(board)
+    K = blks[0]
+    exps = [divmod(sum(target, ()).index(K[0][0]), 3) for target in blks]
+    for (c, d), target in zip(exps, blks):
+        if apply_beta(apply_alpha(K, c), d) != target:
+            return None
+    c, d = (tuple(tuple(e[k] for e in exps[i : i + 3]) for i in (0, 3, 6)) for k in (0, 1))
+    return KeedwellDecomposition(K, ExponentMatrices(c, d))
 
 
 def is_quasi_linear(m: Sequence[Sequence[int]]) -> bool:
     """True when m[i][j] = m[i][0] + m[0][j] (mod 3) for all i, j."""
-    rows = tuple(tuple(int(x) for x in row) for row in m)
-    if len(rows) != 3 or any(len(row) != 3 for row in rows):
-        raise DomainError("matrix is not 3x3")
+    rows = _as_matrix(m, "matrix", -math.inf, math.inf)
     return all(
         (rows[i][j] - rows[i][0] - rows[0][j]) % 3 == 0
         for i in range(3)
@@ -142,6 +130,4 @@ def linearity_degree(board: Board) -> int | None:
     dec = keedwell_decompose(board)
     if dec is None:
         return None
-    return int(is_quasi_linear(dec.exponents.c)) + int(
-        is_quasi_linear(dec.exponents.d)
-    )
+    return is_quasi_linear(dec.exponents.c) + is_quasi_linear(dec.exponents.d)

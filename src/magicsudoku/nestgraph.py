@@ -21,7 +21,7 @@ from typing import Iterable
 
 from . import catalog
 from .catalog import NamedGenerator, parse_generator
-from .errors import DomainError
+from .errors import DomainError, _in_range
 from .nests import (
     _VARIANTS,
     Census,
@@ -168,6 +168,8 @@ def orbit_sizes(variant: str, nest_census: Census | None = None) -> tuple[int, .
     v = normalize_variant(variant)
     if nest_census is None:
         nest_census = census(v)
+    elif not isinstance(nest_census, Census):
+        raise DomainError(f"nest_census must be a Census, got {type(nest_census).__name__}")
     counts = nest_census.counts
     for label in labels(v):
         if label not in counts:
@@ -186,18 +188,20 @@ def minimality(
     Complete means its nest graph splits into the true orbit count of
     components. Minimal additionally requires the group order to equal
     lcm of the true orbit sizes, the smallest order any complete group
-    can have.
+    can have. phys_group is the physical group, or its order: a
+    positive int or an object with one as its ``order``.
     """
     v = normalize_variant(variant)
     if phys_group is None:
         phys_group = catalog._physical_group(_VARIANTS[v].physical)
-    phys_order = phys_group if isinstance(phys_group, int) else phys_group.order
+    bad = "phys_group must be a group or its order, a positive integer"
+    phys_order = _in_range(getattr(phys_group, "order", phys_group), bad, 1)
     rel = _as_generators(rel_generators)
+    sizes = orbit_sizes(v, nest_census=nest_census)
     rel_order = closure([g.symmetry for g in rel]).order
     group_order = phys_order * rel_order
     graph = build_nest_graph(v, rel)
     component_count = len(weak_components(graph))
-    sizes = orbit_sizes(v, nest_census=nest_census)
     orbit_lcm = math.lcm(*sizes)
     complete = component_count == len(sizes)
     return MinimalityReport(

@@ -130,6 +130,13 @@ def test_sudoku_predicate(board_mm_72, board_sm_71):
     assert not is_sudoku(Board(bytes(cells)))
 
 
+def test_sudoku_predicate_is_false_for_any_other_length(board_mm_72):
+    # A valid board with a byte added or taken away is not 81 cells.
+    for cells in (board_mm_72 + b"\x05", board_mm_72[:80], b"", board_mm_72 * 2):
+        assert not is_sudoku(cells)
+        assert not is_modular_magic(cells)
+
+
 def test_magic_predicates(board_mm_72, board_sm_71):
     assert is_modular_magic(board_mm_72)
     assert not is_semi_magic(board_mm_72)

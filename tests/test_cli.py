@@ -287,6 +287,30 @@ def test_nest_graph_rejects_bad_generator(capsys):
     assert "usage error" in captured.out + captured.err
 
 
+@pytest.mark.parametrize(
+    "text, tokens",
+    [
+        (" rho , mu(4,0) ,(12)(45)(78) ", ["rho", "mu(4,0)", "(12)(45)(78)"]),
+        ("swap_bands(0,1),swap_pillars(0,1)", ["swap_bands(0,1)", "swap_pillars(0,1)"]),
+        ("triple_rows(0,1,2),triple_cols(2,1,0),rho",
+         ["triple_rows(0,1,2)", "triple_cols(2,1,0)", "rho"]),
+        ("a,,b", ["a", "b"]),
+        (",", []),
+        ("", []),
+    ],
+)
+def test_token_lists_split_at_the_commas_outside_parentheses(text, tokens):
+    assert cli._split_tokens(text) == tokens
+
+
+@pytest.mark.parametrize("relabelings", ["mu(4,0", "(12)(,", "mu(4,0),rho)"])
+def test_nest_graph_rejects_a_malformed_token_list(relabelings, capsys):
+    code = run(["nest-graph", "--variant", "modular-magic", "--relabelings", relabelings, "--quiet"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "usage error" in captured.out + captured.err
+
+
 def test_keedwell_json(tmp_path, capsys):
     out = tmp_path / "kw.json"
     code = run(

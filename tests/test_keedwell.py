@@ -107,6 +107,14 @@ def test_decompose_rejects_non_sudoku():
         kw.keedwell_decompose(Board(bytes(81)))
 
 
+def test_decompose_rejects_a_value_of_another_length(board_sm_71):
+    for cells in (board_sm_71 + b"\x05", board_sm_71[:80]):
+        with pytest.raises(DomainError, match="not a Sudoku board"):
+            kw.keedwell_decompose(cells)
+        with pytest.raises(DomainError, match="not a Sudoku board"):
+            kw.linearity_degree(cells)
+
+
 def test_exponent_matrices_validation():
     rows = ((0, 1, 2), (0, 1, 2), (0, 1, 2))
     kw.ExponentMatrices(rows, rows)
@@ -118,6 +126,26 @@ def test_exponent_matrices_validation():
         kw.ExponentMatrices(rows[:2], rows)
 
 
+@pytest.mark.parametrize("entry", [1.9, 1.0, "1", None])
+def test_exponent_entries_must_be_integers(entry):
+    rows = ((0, 1, 2), (0, 1, 2), (0, 1, 2))
+    bad = ((0, entry, 2),) + rows[1:]
+    with pytest.raises(DomainError, match="^c has entries outside Z3$"):
+        kw.ExponentMatrices(bad, rows)
+    with pytest.raises(DomainError, match="^d has entries outside Z3$"):
+        kw.ExponentMatrices(rows, bad)
+    with pytest.raises(DomainError, match="^matrix has entries outside Z3$"):
+        kw.is_quasi_linear(bad)
+
+
+@pytest.mark.parametrize("pair", [(0.0, 1), ("0", 1), (0, 1.5), (None, 2), (-1, 0), (True, True)])
+def test_swaps_take_two_distinct_integer_indices(pair):
+    with pytest.raises(DomainError, match="^bad row pair"):
+        kw.swap_block_rows(K, *pair)
+    with pytest.raises(DomainError, match="^bad column pair"):
+        kw.swap_block_columns(K, *pair)
+
+
 def test_is_quasi_linear():
     assert kw.is_quasi_linear([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
     assert kw.is_quasi_linear([[0, 1, 2], [0, 1, 2], [0, 1, 2]])
@@ -125,6 +153,9 @@ def test_is_quasi_linear():
     assert not kw.is_quasi_linear([[0, 1, 2], [0, 2, 1], [0, 1, 2]])
     with pytest.raises(DomainError):
         kw.is_quasi_linear([[0, 1], [2, 0]])
+    # Any integer is read mod 3.
+    assert kw.is_quasi_linear([[0, 4, -1], [3, 7, 2], [0, 1, 5]])
+    assert not kw.is_quasi_linear([[0, 4, -1], [3, 7, 2], [0, 1, 4]])
 
 
 def test_linearity_degree_census():

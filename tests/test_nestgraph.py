@@ -205,6 +205,19 @@ def test_minimality_accepts_plain_order(mm_census):
     assert via_int == via_group
 
 
+@pytest.mark.parametrize("phys_group", ["abc", -5, 0, 4608.0, object()])
+def test_minimality_takes_only_a_positive_group_order(phys_group, mm_census):
+    with pytest.raises(DomainError, match="^phys_group must be a group or its order"):
+        ng.minimality("MM", phys_group, RHO_MU, mm_census)
+
+
+def test_a_nest_census_that_is_not_a_census_is_a_domain_error():
+    for call in (ng.orbit_sizes, ng.minimality):
+        for given in ("x", {}, 5):
+            with pytest.raises(DomainError, match="^nest_census must be a Census"):
+                call("MM", nest_census=given)
+
+
 def test_sm_minimality(sm_census):
     report = ng.minimality("SM", catalog.h9_group(), [SM_MU], sm_census)
     assert report.group_order == 2 * 3359232 == 18 * 72**3
