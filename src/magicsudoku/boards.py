@@ -284,9 +284,13 @@ def _variant_bands(catalog_fn: _Catalog, cells: bytes) -> tuple[_Band, _Band, _B
     """The band table entries of a board's three bands, or None unless
     the board is of the catalog's variant: its three bands are bands of
     the catalog, and their column codes XOR to all ones, which holds
-    exactly when every column holds each digit once."""
+    exactly when every column holds each digit once. Any bytes-like
+    cells are read, as is_sudoku reads them."""
     bands = _bands(catalog_fn)
-    top, mid, low = bands.get(cells[:27]), bands.get(cells[27:54]), bands.get(cells[54:])
+    try:
+        top, mid, low = bands.get(cells[:27]), bands.get(cells[27:54]), bands.get(cells[54:])
+    except (TypeError, ValueError):  # slices that are no dict key, as of a bytearray
+        return _variant_bands(catalog_fn, memoryview(cells).tobytes())
     if top and mid and low and top[1] ^ mid[1] ^ low[1] == (1 << 81) - 1:
         return top, mid, low
     return None

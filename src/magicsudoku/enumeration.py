@@ -14,11 +14,11 @@ The join is a join of bands, each three catalog blocks with pairwise
 disjoint mini-row sets: bands 0 and 1 have disjoint mini-column sets in
 every pillar, and band 2 is any band with the column triples they leave,
 whose range of the key-sorted bands is read from a start table over
-every key. The join yields ranges: per admissible pair of blocks at
-positions 0 and 1, the band-0/band-1 rows and each one's range of band
-2. Counts and the census read the ranges alone. Rows are built only for
-visitors, the iterators and completions: C-contiguous (n, 9) uint8
-chunks of catalog indices, one per pair, and Board objects from those.
+every key. The join yields ranges in one batch per top-left block: its
+band-0/band-1 rows and each one's range of band 2. Counts and the census
+read the ranges alone. Rows are built only for visitors, the iterators
+and completions: C-contiguous (n, 9) uint8 chunks of catalog indices,
+one per pair of blocks at positions 0 and 1, and Board objects from those.
 Chunks and their rows come in lexicographic order, so earlier positions
 vary slowest.
 
@@ -126,8 +126,9 @@ def _band_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, ...]:
 
 class _Ranges(NamedTuple):
     """low: the admissible band-2 bands, (k, 3) uint8 rows in key order;
-    pairs: per admissible pair of blocks at positions 0 and 1, its (n, 6)
-    band-0/band-1 rows and the start lo and length n of each one's range of low."""
+    pairs: per top-left block of the admissible top bands, in ascending
+    order, its (n, 6) band-0/band-1 rows and the start lo and length n of
+    each one's range of low."""
 
     low: np.ndarray
     pairs: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -138,13 +139,16 @@ def _ranges(catalog_fn: _Catalog, cand: np.ndarray) -> _Ranges:
     its catalog index in the mask cand[p], as band-2 ranges.
 
     A board is three bands whose blocks have disjoint mini-column sets
-    in each pillar. Each band-0 row pairs with the band-1 rows
-    that fit it in all three pillars, and each pair with the bands that
-    have the column triples it leaves: the range first[key] to
+    in each pillar. The band-0 rows of one top-left block pair with the
+    band-1 rows that fit them in all three pillars: the block's fits in
+    pillar 0 filter the band-1 rows once, and one boolean matrix of the
+    fits in pillars 1 and 2 gives every pair. Each pair takes the bands
+    that have the column triples it leaves: the range first[key] to
     first[key + 1] of a start table over every key. Ranges stay in
-    lexicographic order, as np.nonzero lists pairs in order and the
-    stable sort keeps a key's bands in order. Every gather takes whole
-    rows or single items, far faster than a 2-D fancy index of 3-byte rows."""
+    lexicographic order, as the band-0 rows are sorted, np.nonzero lists
+    a matrix row by row and the stable sort keeps a key's bands in order.
+    Every gather takes whole rows or single items, far faster than a 2-D
+    fancy index of 3-byte rows."""
     bands, by_key, keys, rest, m = _band_tables(catalog_fn)
     col_ok = _join_tables(catalog_fn)[2]
 
@@ -157,14 +161,15 @@ def _ranges(catalog_fn: _Catalog, cand: np.ndarray) -> _Ranges:
     first = np.searchsorted(keys.compress(ok), np.arange(m**3 + 1))
 
     def pairs():
-        # top is lexicographic, so each (b0, b1) pair is one run of its rows.
-        starts = np.flatnonzero(np.diff(top[:, 0].astype(int) * 256 + top[:, 1])) + 1
+        # top is lexicographic, so each top-left block b0 is one run of its rows.
+        starts = np.flatnonzero(np.diff(top[:, 0])) + 1
         for head in np.split(top, starts) if len(top) else []:
-            b0, b1 = head[0, :2]
-            fit = mid.compress(col_ok[b0].take(mid[:, 0]) & col_ok[b1].take(mid[:, 1]), 0)
-            i, j = np.nonzero(col_ok.take(head[:, 2], 0).take(fit[:, 2], 1))
+            b0 = head[0, 0]
+            fit = mid.compress(col_ok[b0].take(mid[:, 0]), 0)
+            i, j = np.nonzero(col_ok.take(head[:, 1], 0).take(fit[:, 1], 1)
+                              & col_ok.take(head[:, 2], 0).take(fit[:, 2], 1))
             pair = np.column_stack((head.take(i, 0), fit.take(j, 0)))
-            want = rest[b0].take(pair[:, 3]) * m + rest[b1].take(pair[:, 4])
+            want = rest[b0].take(pair[:, 3]) * m + rest[pair[:, 1], pair[:, 4]]
             want = want * m + rest[pair[:, 2], pair[:, 5]]
             lo = first.take(want)
             yield pair, lo, first.take(want + 1) - lo
@@ -176,13 +181,17 @@ def _rows(ranges: _Ranges) -> Iterator[np.ndarray]:
     """The boards of the ranges as C-contiguous (n, 9) uint8 chunks of
     catalog indices, one per pair of blocks at positions 0 and 1 that
     has boards, rows in lexicographic order."""
-    for pair, lo, n in ranges.pairs:
-        total = n.sum()
-        if total:
-            rows = np.empty((total, 9), dtype=np.uint8)
-            rows[:, :6] = np.repeat(pair, n, 0)
-            rows[:, 6:] = ranges.low.take(np.arange(total) + np.repeat(lo - np.cumsum(n) + n, n), 0)
-            yield rows
+    for batch in ranges.pairs:
+        # A batch's pairs are sorted, so each block at position 1 is one run of them.
+        cuts = np.flatnonzero(np.diff(batch[0][:, 1])) + 1
+        for pair, lo, n in zip(*(np.split(a, cuts) for a in batch)):
+            total = n.sum()
+            if total:
+                rows = np.empty((total, 9), dtype=np.uint8)
+                rows[:, :6] = np.repeat(pair, n, 0)
+                at = np.arange(total) + np.repeat(lo - np.cumsum(n) + n, n)
+                rows[:, 6:] = ranges.low.take(at, 0)
+                yield rows
 
 
 def _join(catalog_fn: _Catalog, cand: np.ndarray) -> Iterator[np.ndarray]:

@@ -32,7 +32,10 @@ Matrix = tuple[tuple[int, int, int], ...]
 
 def _as_matrix(m: Sequence[Sequence[int]], name: str, low: float = 0, high: float = 2) -> Matrix:
     """m as a 3x3 tuple of ints in low..high; else DomainError."""
-    rows = tuple(tuple(row) for row in m)
+    try:
+        rows = tuple(map(tuple, m))
+    except TypeError:  # m or one of its rows cannot be iterated
+        rows = ()
     if len(rows) != 3 or any(len(row) != 3 for row in rows):
         raise DomainError(f"{name} is not 3x3")
     bad = f"{name} has entries outside Z3"

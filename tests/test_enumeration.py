@@ -400,6 +400,53 @@ def test_band_join_matches_the_reference_join(board_mm_72):
         assert nonempty > 40
 
 
+def _assert_batches_match_the_reference(catalog_fn, cand, levels=None):
+    # The range batches against the reference levels: one batch per
+    # top-left block of the top bands, in ascending order; the batches'
+    # pairs are the reference assemblies of depth 6, each once and in
+    # order, and each pair's range of low holds the band 2 of exactly
+    # its reference rows.
+    levels = _reference_levels(catalog_fn, cand) if levels is None else levels
+    ranges = en._ranges(catalog_fn, cand)
+    batches = list(ranges.pairs)
+    heads = np.unique(levels[2][:, 0])
+    assert len(batches) == len(heads)
+    for b0, (pair, lo, n) in zip(heads, batches):
+        assert len(pair) == len(lo) == len(n)
+        assert (pair[:, 0] == b0).all()
+    if not batches:
+        assert len(levels[5]) == 0
+        return 0
+    pair, lo, n = (np.concatenate(parts) for parts in zip(*batches))
+    assert np.array_equal(pair, levels[5])
+    rows = levels[8]
+    weights = 72 ** np.arange(5, -1, -1)
+    prefixes, counts = np.unique(rows[:, :6].astype(np.int64) @ weights, return_counts=True)
+    want = np.zeros(len(pair), dtype=np.int64)
+    want[np.searchsorted(pair.astype(np.int64) @ weights, prefixes)] = counts
+    assert np.array_equal(n, want)
+    at = np.concatenate([np.arange(a, a + k) for a, k in zip(lo, n)]).astype(np.int64)
+    assert np.array_equal(ranges.low.take(at, 0), rows[:, 6:])
+    return len(rows)
+
+
+def test_range_batches_match_the_reference_join():
+    sm, mm = en.semi_magic_blocks, en.modular_magic_blocks
+    cand = en._slice(np.arange(72), (17, 72))
+    assert _assert_batches_match_the_reference(sm, cand, _sm_slice_levels(17)) == 82944
+    assert _assert_batches_match_the_reference(mm, np.ones((9, 72), dtype=bool)) == 32256
+    # The seeded masks of the reference-join test.
+    rng = np.random.default_rng(19)
+    for catalog_fn in (sm, mm):
+        nonempty = 0
+        for _ in range(50):
+            cand = rng.random((9, 72)) < rng.choice([0.5, 0.8, 0.95, 1.0], size=(9, 1))
+            if catalog_fn is sm:
+                cand[0] &= rng.random(72) < 0.05
+            nonempty += _assert_batches_match_the_reference(catalog_fn, cand) > 0
+        assert nonempty > 40
+
+
 @pytest.mark.parametrize("catalog_fn", [en.semi_magic_blocks, en.modular_magic_blocks])
 def test_count_only_sums_the_ranges_of_the_rows(catalog_fn):
     # The count-only path sums range lengths, never building a row; it

@@ -126,6 +126,17 @@ def test_exponent_matrices_validation():
         kw.ExponentMatrices(rows[:2], rows)
 
 
+def test_matrices_that_cannot_be_iterated_are_not_3x3():
+    rows = ((0, 1, 2), (0, 1, 2), (0, 1, 2))
+    for bad in (5, None, (rows[0], rows[1], 5)):
+        with pytest.raises(DomainError, match="^matrix is not 3x3$"):
+            kw.is_quasi_linear(bad)
+        with pytest.raises(DomainError, match="^c is not 3x3$"):
+            kw.ExponentMatrices(bad, rows)
+        with pytest.raises(DomainError, match="^d is not 3x3$"):
+            kw.ExponentMatrices(rows, bad)
+
+
 @pytest.mark.parametrize("entry", [1.9, 1.0, "1", None])
 def test_exponent_entries_must_be_integers(entry):
     rows = ((0, 1, 2), (0, 1, 2), (0, 1, 2))

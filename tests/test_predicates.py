@@ -105,6 +105,18 @@ def test_board_predicates_match_the_oracle(sample_boards, fast, oracle):
     assert {fast(board) for board in mutated} == {True, False}
 
 
+@pytest.mark.parametrize("fast", [is_sudoku, is_modular_magic, is_semi_magic],
+                         ids=lambda f: f.__name__)
+def test_board_predicates_read_any_bytes_like_value(sample_boards, fast):
+    # A bytearray or memoryview of a board's cells gets the board's
+    # answer, as np.frombuffer reads it for is_sudoku.
+    base, mutated = sample_boards
+    for board in base[::10] + mutated[::10]:
+        want = fast(board)
+        for cells in (bytearray(board), memoryview(board), memoryview(bytearray(board))):
+            assert fast(cells) == want, board
+
+
 def test_block_predicates_match_the_oracle(sample_boards):
     base, mutated = sample_boards
     rng = random.Random(7)
