@@ -179,9 +179,20 @@ def blocks(board: Board) -> list[Block]:
     return [block(board, I, J) for I in range(3) for J in range(3)]
 
 
+def _cell_bytes(board: object) -> bytes:
+    """A bytes copy of a bytes-like board argument, else BoardFormatError.
+    Callers test isinstance(board, bytes) first, so a Board pays no call."""
+    try:
+        return memoryview(board).tobytes()
+    except (TypeError, ValueError):  # not bytes-like, or a released memoryview
+        raise BoardFormatError(f"expected cell bytes, got {type(board).__name__}") from None
+
+
 def is_sudoku(board: Board) -> bool:
     """True iff the board is 81 cells and every row, column, and block
     holds each digit exactly once."""
+    if not isinstance(board, bytes):
+        board = _cell_bytes(board)
     cells = np.frombuffer(board, dtype=np.uint8)
     if cells.size != 81:
         return False
@@ -286,11 +297,10 @@ def _variant_bands(catalog_fn: _Catalog, cells: bytes) -> tuple[_Band, _Band, _B
     the catalog, and their column codes XOR to all ones, which holds
     exactly when every column holds each digit once. Any bytes-like
     cells are read, as is_sudoku reads them."""
+    if not isinstance(cells, bytes):
+        cells = _cell_bytes(cells)
     bands = _bands(catalog_fn)
-    try:
-        top, mid, low = bands.get(cells[:27]), bands.get(cells[27:54]), bands.get(cells[54:])
-    except (TypeError, ValueError):  # slices that are no dict key, as of a bytearray
-        return _variant_bands(catalog_fn, memoryview(cells).tobytes())
+    top, mid, low = bands.get(cells[:27]), bands.get(cells[27:54]), bands.get(cells[54:])
     if top and mid and low and top[1] ^ mid[1] ^ low[1] == (1 << 81) - 1:
         return top, mid, low
     return None

@@ -20,7 +20,8 @@ read the ranges alone. Rows are built only for visitors, the iterators
 and completions: C-contiguous (n, 9) uint8 chunks of catalog indices,
 one per pair of blocks at positions 0 and 1, and Board objects from those.
 Chunks and their rows come in lexicographic order, so earlier positions
-vary slowest.
+vary slowest. The sampler draws the board at a uniform index of the
+whole join, held as one index of its pairs and their ranges.
 
 Both enumerators are deterministic: semi-magic boards come in join
 order, modular-magic boards in lexicographic row-major order. An
@@ -48,7 +49,7 @@ from .boards import (
     modular_magic_blocks,
     semi_magic_blocks,
 )
-from .errors import DomainError, IntegrityError, _in_range
+from .errors import DomainError, _in_range
 
 __all__ = [
     "semi_magic_blocks",
@@ -271,6 +272,30 @@ def _complete(catalog_fn: _Catalog, assignments: Mapping[int, int]) -> list[Boar
     return sorted(_boards(catalog_fn, _join(catalog_fn, cand)))
 
 
+@cache
+def _index(catalog_fn: _Catalog) -> tuple[np.ndarray, ...]:
+    """The catalog's whole join as one index: low as in _Ranges, and per
+    band-0/band-1 pair, in join order, its (n, 6) row, the start of its
+    range of low and the join index of its first board, then the count.
+    Each batch's int32 starts and lengths are joined once."""
+    ranges = _ranges(catalog_fn, np.ones((9, len(catalog_fn())), dtype=bool))
+    pairs, lo, n = zip(*((pair, lo.astype(np.int32), n.astype(np.int32))
+                         for pair, lo, n in ranges.pairs))
+    first = np.concatenate((np.zeros(1, dtype=np.int32), *n))
+    return ranges.low, np.concatenate(pairs), np.concatenate(lo), first.cumsum(out=first)
+
+
+def _random_board(catalog_fn: _Catalog, rng) -> Board:
+    """The board at rng.randrange(count) of the catalog's join, in join
+    order: uniform over the boards, as each index is one board. Index i
+    lies in the last pair whose first is at most i, which has boards."""
+    low, pairs, lo, first = _index(catalog_fn)
+    i = rng.randrange(int(first[-1]))
+    k = first.searchsorted(np.int32(i), "right") - 1  # a wider key would cast all of first
+    row = np.concatenate((pairs[k], low[lo[k] + i - first[k]]))
+    return next(_boards(catalog_fn, [row[None]]))
+
+
 # --- modular-magic enumeration ---
 
 
@@ -341,29 +366,9 @@ def iter_semi_magic() -> Iterator[Board]:
 
 
 def random_semi_magic(rng) -> Board:
-    """A uniformly random semi-magic board, via randomized block assembly.
-
-    Each block position takes rng.choice over the ascending catalog
-    indices that fit: the nonzero entries of the join's row_ok rows of
-    the earlier blocks in its band ANDed with the col_ok rows of those
-    in its pillar. At every depth all partial assemblies have equally
-    many completions, so the board is exactly uniform. A dead end, which
-    the catalog never produces, raises IntegrityError.
-    """
-    _, row_ok, col_ok = _join_tables(semi_magic_blocks)
-    anywhere = np.ones(len(row_ok), dtype=bool)
-    picks: list[int] = []
-    for p in range(9):
-        fit = anywhere
-        for q in range(p - p % 3, p):
-            fit = fit & row_ok[picks[q]]
-        for q in range(p % 3, p, 3):
-            fit = fit & col_ok[picks[q]]
-        choices = fit.nonzero()[0].tolist()
-        if not choices:
-            raise IntegrityError("a partial semi-magic assembly has no completion")
-        picks.append(rng.choice(choices))
-    return next(_boards(semi_magic_blocks, [np.array([picks], dtype=np.uint8)]))
+    """A uniformly random semi-magic board: the board at rng.randrange
+    of the count, in join order."""
+    return _random_board(semi_magic_blocks, rng)
 
 
 @cache

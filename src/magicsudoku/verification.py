@@ -9,8 +9,9 @@ each registered entry passes its pinned values as arguments. A variant's
 census (over all 32,256 or 5,971,968 boards) is shared through a
 VerifyContext by its count, census, minimality and orbit-size checks,
 and one sweep re-checks each modular-magic board for the off-diagonal
-check. The property checks decode each physical draw from its factored
-group and split it back to its parts, building no element table.
+check. Both property checks draw each board at a uniform index of its
+variant's join, and decode each physical draw from its factored group
+and split it back to its parts, building no element table.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import random
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 from typing import Callable, Iterable
 
 from . import catalog, nestgraph, nests
@@ -27,9 +27,9 @@ from .analysis import check_two_equal, g9_minimality_certificate
 from .boards import Board, format_board
 from .enumeration import (
     _map_partitions,
+    _random_board,
     complete_standard_gnomon,
     enumerate_modular_magic,
-    iter_modular_magic,
     random_semi_magic,
     semi_magic_blocks,
 )
@@ -181,12 +181,6 @@ class VerifyContext:
             return self._summed(partial(_sm_crosscheck_slice, boards))
 
         return self._once("sm_crosscheck", crosscheck)
-
-    def mm_sample_boards(self) -> tuple[Board, ...]:
-        """Every 31st modular-magic board in enumeration order."""
-        return self._once(
-            "mm_sample", lambda: tuple(islice(iter_modular_magic(), None, None, 31))
-        )
 
 
 # --- individual checks ---
@@ -443,15 +437,11 @@ def _check_g9_certificate(ctx: VerifyContext):
     return expected, actual
 
 
-def _check_properties(
-    ctx: VerifyContext,
-    variant: str,
-    seed_offset: int,
-    draw: Callable[[VerifyContext, random.Random], Board],
-):
+def _check_properties(ctx: VerifyContext, variant: str, seed_offset: int):
     rng = random.Random(DEFAULT_SEED + seed_offset)
-    group = catalog._physical_group(nests._VARIANTS[variant].nest_generators)
-    relabelings = nests._VARIANTS[variant].relabelings()
+    spec = nests._VARIANTS[variant]
+    group = catalog._physical_group(spec.nest_generators)
+    relabelings = spec.relabelings()
     split_failures = 0
 
     def draw_physical(r):
@@ -470,7 +460,7 @@ def _check_properties(
     axiom_failures = 0
     invariance_failures = 0
     for _ in range(1000):
-        board = draw(ctx, rng)
+        board = _random_board(spec.catalog, rng)
         s1 = draw_symmetry(rng)
         s2 = draw_symmetry(rng)
         axiom_failures += act(identity(), board) != board
@@ -515,14 +505,8 @@ CHECKS: dict[str, Callable[[VerifyContext], tuple[object, object]]] = {
     "keedwell_suite": _check_keedwell_suite,
     "off_diagonal_sweep": _check_off_diagonal_sweep,
     "g9_certificate": _check_g9_certificate,
-    "mm_properties": partial(
-        _check_properties, variant=MM, seed_offset=1,
-        draw=lambda ctx, rng: rng.choice(ctx.mm_sample_boards()),
-    ),
-    "sm_properties": partial(
-        _check_properties, variant=SM, seed_offset=2,
-        draw=lambda ctx, rng: random_semi_magic(rng),
-    ),
+    "mm_properties": partial(_check_properties, variant=MM, seed_offset=1),
+    "sm_properties": partial(_check_properties, variant=SM, seed_offset=2),
 }
 
 #: Acceptance criterion number -> check names covering it.

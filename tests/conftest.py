@@ -1,9 +1,12 @@
 """Shared fixtures: one verification context per session so the big
 censuses run once, plus pinned canonical-board literals."""
 
+from itertools import islice
+
 import pytest
 
 from magicsudoku.boards import parse_board
+from magicsudoku.enumeration import iter_modular_magic
 from magicsudoku.verification import VerifyContext
 
 # Canonical representative of modular-magic nest [7,2] (its own canonical form).
@@ -30,8 +33,9 @@ def ctx():
 
 
 @pytest.fixture(scope="session")
-def mm_sample(ctx):
-    return ctx.mm_sample_boards()
+def mm_sample():
+    # Every 31st modular-magic board in enumeration order.
+    return tuple(islice(iter_modular_magic(), None, None, 31))
 
 
 @pytest.fixture(scope="session")

@@ -30,10 +30,12 @@ from magicsudoku.boards import (
     write_mssb,
     write_text,
 )
+from magicsudoku.analysis import check_two_equal
 from magicsudoku.enumeration import enumerate_semi_magic, iter_modular_magic, random_semi_magic
+from magicsudoku.nests import canonicalize_mm, canonicalize_sm
 from magicsudoku.errors import BoardFormatError, DigitError, StructureError
 
-from conftest import CANON_MM_72
+from conftest import CANON_MM_72, CANON_SM_71
 
 
 def test_parse_round_trip(board_mm_72):
@@ -135,6 +137,24 @@ def test_sudoku_predicate_is_false_for_any_other_length(board_mm_72):
     for cells in (board_mm_72 + b"\x05", board_mm_72[:80], b"", board_mm_72 * 2):
         assert not is_sudoku(cells)
         assert not is_modular_magic(cells)
+
+
+@pytest.mark.parametrize("fn, text", [pytest.param(fn, text, id=fn.__name__) for fn, text in (
+    (is_sudoku, CANON_MM_72), (is_modular_magic, CANON_MM_72), (is_semi_magic, CANON_SM_71),
+    (check_two_equal, CANON_MM_72), (canonicalize_mm, CANON_MM_72), (canonicalize_sm, CANON_SM_71),
+)])
+def test_a_board_argument_that_is_not_bytes_like_raises(fn, text):
+    # A board argument is a Board or a bytes-like value; a sequence of
+    # ints or digits, even of a valid board, goes through Board first.
+    board = parse_board(text)
+    released = memoryview(bytearray(board))
+    released.release()
+    for value in (tuple(board), list(board), text, None, 5, released):
+        with pytest.raises(BoardFormatError):
+            fn(value)
+    # A uint8 array is bytes-like, also as a view with negative strides.
+    cells = np.frombuffer(board, dtype=np.uint8)
+    assert fn(cells) == fn(board) == fn(cells[::-1].copy()[::-1])
 
 
 def test_magic_predicates(board_mm_72, board_sm_71):

@@ -257,7 +257,7 @@ def test_random_semi_magic_pinned_draws():
     rng = random.Random(99)
     boards = [en.random_semi_magic(rng) for _ in range(5)]
     assert _digest(boards) == (
-        "4a5e939a0f7fae79cce9060980354178d09fdd65f0975dcd77e79eece05c46ac"
+        "6b2ee81414e38b5b6dcf50edbcdfa39c78c1efaa78155b97b230d46521fda2d5"
     )
 
 
@@ -272,6 +272,51 @@ def test_random_draws_fit_the_join():
         cand = en._slice(np.arange(72), (picks[0], 72))
         rows = np.concatenate(list(en._join(en.semi_magic_blocks, cand)))
         assert (rows == picks).all(axis=1).any()
+
+
+class _At:
+    # A stub rng whose randrange gives index i of a range of count.
+    def __init__(self, i, count):
+        self.i, self.count = i, count
+
+    def randrange(self, n):
+        assert n == self.count
+        return self.i
+
+
+def test_sampler_gives_every_modular_magic_board_at_its_join_index():
+    mm = en.modular_magic_blocks
+    boards = list(en._boards(mm, en._join(mm, np.ones((9, 72), dtype=bool))))
+    assert len(boards) == 32256
+    assert [en._random_board(mm, _At(i, 32256)) for i in range(32256)] == boards
+
+
+def test_sampler_gives_the_semi_magic_board_at_seeded_join_indices():
+    # The semi-magic join is the slices of the top-left blocks in
+    # ascending order, 82,944 boards each.
+    sm = en.semi_magic_blocks
+    rng = random.Random(5)
+    indices = sorted(rng.randrange(5_971_968) for _ in range(3000))
+    for top_left, run in itertools.groupby(indices, lambda i: i // 82944):
+        rows = np.concatenate(list(en._join(sm, en._slice(np.arange(72), (top_left, 72)))))
+        assert len(rows) == 82944
+        run = list(run)
+        want = list(en._boards(sm, [rows[[i % 82944 for i in run]]]))
+        assert [en._random_board(sm, _At(i, 5_971_968)) for i in run] == want
+
+
+@pytest.mark.parametrize("catalog_fn, count", [
+    (en.modular_magic_blocks, 32256), (en.semi_magic_blocks, 5_971_968),
+], ids=["MM", "SM"])
+def test_sampler_reaches_both_ends_of_the_join(catalog_fn, count):
+    # Index 0 is the first board of top-left block 0, and count - 1 the
+    # last board of top-left block 71.
+    for i, top_left, at in ((0, 0, 0), (count - 1, 71, -1)):
+        cand = np.ones((9, 72), dtype=bool)
+        cand[0] = np.arange(72) == top_left
+        rows = np.concatenate(list(en._join(catalog_fn, cand)))
+        want = next(en._boards(catalog_fn, [rows[[at]]]))
+        assert en._random_board(catalog_fn, _At(i, count)) == want
 
 
 def _admissible(tables, allowed, idx):
@@ -321,12 +366,31 @@ def _sm_slice_levels(top_left):
     return _reference_levels(en.semi_magic_blocks, en._slice(np.arange(72), (top_left, 72)))
 
 
+@functools.cache
+def _seeded_references():
+    # Seeded random masks, 50 per variant, each with the reference levels
+    # of depths 3, 6 and 9 that the two join tests read, built once for
+    # both. Semi-magic masks keep a few top-left blocks, so that each
+    # join stays small.
+    rng = np.random.default_rng(19)
+    found = {}
+    for catalog_fn in (en.semi_magic_blocks, en.modular_magic_blocks):
+        found[catalog_fn] = []
+        for _ in range(50):
+            cand = rng.random((9, 72)) < rng.choice([0.5, 0.8, 0.95, 1.0], size=(9, 1))
+            if catalog_fn is en.semi_magic_blocks:
+                cand[0] &= rng.random(72) < 0.05
+            levels = _reference_levels(catalog_fn, cand)
+            found[catalog_fn].append((cand, {d: levels[d] for d in (2, 5, 8)}))
+    return found
+
+
 _SM_LEVELS = [1, 12, 72, 864, 3456, 6912, 41472, 82944, 82944]
 
 
 def test_sm_join_level_sizes():
     # Every partial assembly of a given depth has as many completions as
-    # any other, which makes random_semi_magic exactly uniform. Every
+    # any other, a property of the join that no sampler relies on. Every
     # semi-magic assembly of eight blocks has its forced last block in
     # the catalog; 4,608 modular-magic ones do not.
     for top_left in (0, 17, 71):
@@ -387,16 +451,9 @@ def test_band_join_matches_the_reference_join(board_mm_72):
             assert 0 < _assert_joins_equal(catalog_fn, restricted) < full
         cand[8] = False
         assert list(en._join(catalog_fn, cand)) == []
-    # Seeded random masks; semi-magic ones keep a few top-left blocks,
-    # so that each join stays small.
-    rng = np.random.default_rng(19)
-    for catalog_fn in (sm, mm):
-        nonempty = 0
-        for _ in range(50):
-            cand = rng.random((9, 72)) < rng.choice([0.5, 0.8, 0.95, 1.0], size=(9, 1))
-            if catalog_fn is sm:
-                cand[0] &= rng.random(72) < 0.05
-            nonempty += _assert_joins_equal(catalog_fn, cand) > 0
+    for catalog_fn, cases in _seeded_references().items():
+        nonempty = sum(_assert_joins_equal(catalog_fn, cand, _head_chunks(levels[8])) > 0
+                       for cand, levels in cases)
         assert nonempty > 40
 
 
@@ -435,15 +492,9 @@ def test_range_batches_match_the_reference_join():
     cand = en._slice(np.arange(72), (17, 72))
     assert _assert_batches_match_the_reference(sm, cand, _sm_slice_levels(17)) == 82944
     assert _assert_batches_match_the_reference(mm, np.ones((9, 72), dtype=bool)) == 32256
-    # The seeded masks of the reference-join test.
-    rng = np.random.default_rng(19)
-    for catalog_fn in (sm, mm):
-        nonempty = 0
-        for _ in range(50):
-            cand = rng.random((9, 72)) < rng.choice([0.5, 0.8, 0.95, 1.0], size=(9, 1))
-            if catalog_fn is sm:
-                cand[0] &= rng.random(72) < 0.05
-            nonempty += _assert_batches_match_the_reference(catalog_fn, cand) > 0
+    for catalog_fn, cases in _seeded_references().items():
+        nonempty = sum(_assert_batches_match_the_reference(catalog_fn, cand, levels) > 0
+                       for cand, levels in cases)
         assert nonempty > 40
 
 

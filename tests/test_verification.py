@@ -83,10 +83,6 @@ def test_run_checks_rejects_an_empty_selection():
         verification.run_checks([])
 
 
-def test_mm_sample_does_not_depend_on_threads(mm_sample):
-    assert VerifyContext(threads=2).mm_sample_boards() == mm_sample
-
-
 def test_mm_census_and_sweep_do_not_depend_on_threads(ctx):
     # Two forked workers run the census and the sweep on the tables
     # already built in this process.
