@@ -180,12 +180,16 @@ def blocks(board: Board) -> list[Block]:
 
 
 def _cell_bytes(board: object) -> bytes:
-    """A bytes copy of a bytes-like board argument, else BoardFormatError.
+    """A bytes copy of a bytes-like board argument of single-byte items,
+    else BoardFormatError: an int64 array's raw buffer is not its cells.
     Callers test isinstance(board, bytes) first, so a Board pays no call."""
     try:
-        return memoryview(board).tobytes()
+        view = memoryview(board)
     except (TypeError, ValueError):  # not bytes-like, or a released memoryview
         raise BoardFormatError(f"expected cell bytes, got {type(board).__name__}") from None
+    if view.itemsize != 1:
+        raise BoardFormatError(f"expected cell bytes, got {view.itemsize}-byte items")
+    return view.tobytes()
 
 
 def is_sudoku(board: Board) -> bool:

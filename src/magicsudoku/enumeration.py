@@ -14,14 +14,18 @@ The join is a join of bands, each three catalog blocks with pairwise
 disjoint mini-row sets: bands 0 and 1 have disjoint mini-column sets in
 every pillar, and band 2 is any band with the column triples they leave,
 whose range of the key-sorted bands is read from a start table over
-every key. The join yields ranges in one batch per top-left block: its
-band-0/band-1 rows and each one's range of band 2. Counts and the census
-read the ranges alone. Rows are built only for visitors, the iterators
-and completions: C-contiguous (n, 9) uint8 chunks of catalog indices,
-one per pair of blocks at positions 0 and 1, and Board objects from those.
-Chunks and their rows come in lexicographic order, so earlier positions
-vary slowest. The sampler draws the board at a uniform index of the
-whole join, held as one index of its pairs and their ranges.
+every key. Each catalog's tables are built once per process: its bands
+and their column fits, and, read-only, the half of the join that open
+masks of bands 1 and 2 give, as every partition slice has them: the
+band-1 rows, the band-2 bands and their start table. The join yields
+ranges in one batch per top-left block: its band-0/band-1 rows and each
+one's range of band 2. Counts and the census read the ranges alone.
+Rows are built only for visitors, the iterators and completions:
+C-contiguous (n, 9) uint8 chunks of catalog indices, one per pair of
+blocks at positions 0 and 1, and Board objects from those. Chunks and
+their rows come in lexicographic order, so earlier positions vary
+slowest. The sampler draws the board at a uniform index of the whole
+join, held as one index of its pairs and their ranges.
 
 Both enumerators are deterministic: semi-magic boards come in join
 order, modular-magic boards in lexicographic row-major order. An
@@ -135,6 +139,36 @@ class _Ranges(NamedTuple):
     pairs: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only, for a cache that every caller shares."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _allowed(cand: np.ndarray, rows: np.ndarray, r: int) -> np.ndarray:
+    """Which band rows have each block in its mask of band r of cand."""
+    a, b, c = cand[3 * r : 3 * r + 3]
+    return a.take(rows[:, 0]) & b.take(rows[:, 1]) & c.take(rows[:, 2])
+
+
+def _lower(catalog_fn: _Catalog, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The half of the join that mask rows 3-8 set: the admissible band-1
+    rows mid, in lexicographic order; low as in _Ranges; and the start
+    table first, where the bands of key k are low[first[k]:first[k + 1]]."""
+    bands, by_key, keys, _, m = _band_tables(catalog_fn)
+    ok = _allowed(cand, by_key, 2)
+    first = np.searchsorted(keys.compress(ok), np.arange(m**3 + 1))
+    return bands.compress(_allowed(cand, bands, 1), 0), by_key.compress(ok, 0), first
+
+
+@cache
+def _open_lower(catalog_fn: _Catalog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_lower of open rows 3-8, read-only: the lower half of every
+    partition slice, the full join and the index."""
+    return _read_only(*_lower(catalog_fn, np.ones((9, len(catalog_fn())), dtype=bool)))
+
+
 def _ranges(catalog_fn: _Catalog, cand: np.ndarray) -> _Ranges:
     """The boards built from the catalog whose block at position p has
     its catalog index in the mask cand[p], as band-2 ranges.
@@ -149,17 +183,13 @@ def _ranges(catalog_fn: _Catalog, cand: np.ndarray) -> _Ranges:
     lexicographic order, as the band-0 rows are sorted, np.nonzero lists
     a matrix row by row and the stable sort keeps a key's bands in order.
     Every gather takes whole rows or single items, far faster than a 2-D
-    fancy index of 3-byte rows."""
-    bands, by_key, keys, rest, m = _band_tables(catalog_fn)
+    fancy index of 3-byte rows. Band-1 rows, low and the start table
+    depend on rows 3-8 alone: open ones, as in every partition slice,
+    read them from the catalog's _open_lower, built once per process."""
+    bands, _, _, rest, m = _band_tables(catalog_fn)
     col_ok = _join_tables(catalog_fn)[2]
-
-    def allowed(rows, r):
-        a, b, c = cand[3 * r : 3 * r + 3]
-        return a.take(rows[:, 0]) & b.take(rows[:, 1]) & c.take(rows[:, 2])
-
-    top, mid = bands.compress(allowed(bands, 0), 0), bands.compress(allowed(bands, 1), 0)
-    ok = allowed(by_key, 2)
-    first = np.searchsorted(keys.compress(ok), np.arange(m**3 + 1))
+    mid, low, first = _open_lower(catalog_fn) if cand[3:].all() else _lower(catalog_fn, cand)
+    top = bands.compress(_allowed(cand, bands, 0), 0)
 
     def pairs():
         # top is lexicographic, so each top-left block b0 is one run of its rows.
@@ -175,7 +205,7 @@ def _ranges(catalog_fn: _Catalog, cand: np.ndarray) -> _Ranges:
             lo = first.take(want)
             yield pair, lo, first.take(want + 1) - lo
 
-    return _Ranges(by_key.compress(ok, 0), pairs())
+    return _Ranges(low, pairs())
 
 
 def _rows(ranges: _Ranges) -> Iterator[np.ndarray]:
@@ -277,12 +307,13 @@ def _index(catalog_fn: _Catalog) -> tuple[np.ndarray, ...]:
     """The catalog's whole join as one index: low as in _Ranges, and per
     band-0/band-1 pair, in join order, its (n, 6) row, the start of its
     range of low and the join index of its first board, then the count.
-    Each batch's int32 starts and lengths are joined once."""
+    Each batch's int32 starts and lengths are joined once; all read-only."""
     ranges = _ranges(catalog_fn, np.ones((9, len(catalog_fn())), dtype=bool))
     pairs, lo, n = zip(*((pair, lo.astype(np.int32), n.astype(np.int32))
                          for pair, lo, n in ranges.pairs))
     first = np.concatenate((np.zeros(1, dtype=np.int32), *n))
-    return ranges.low, np.concatenate(pairs), np.concatenate(lo), first.cumsum(out=first)
+    return _read_only(ranges.low, np.concatenate(pairs), np.concatenate(lo),
+                      first.cumsum(out=first))
 
 
 def _random_board(catalog_fn: _Catalog, rng) -> Board:

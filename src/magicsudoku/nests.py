@@ -63,7 +63,9 @@ from .enumeration import (
     _join_tables,
     _map_partitions,
     _mm_ranges,
+    _open_lower,
     _Ranges,
+    _read_only,
     _sm_ranges,
     modular_magic_blocks,
     semi_magic_blocks,
@@ -440,9 +442,16 @@ def _label_table(variant: str) -> np.ndarray:
 
 
 @cache
+def _label_nests(variant: str) -> dict[int, tuple[NestLabel, Board]]:
+    """9 * first + second of each nest label of the variant to the label
+    and its representative."""
+    return {9 * l.first + l.second: (l, b) for l, b in _representatives(variant).items()}
+
+
+@cache
 def _nests(variant: str) -> dict[int, tuple[NestLabel, Board]]:
     """Each block code of the variant's label table to its nest's label and representative."""
-    nest = {9 * l.first + l.second: (l, b) for l, b in _representatives(variant).items()}
+    nest = _label_nests(variant)
     table = _label_table(variant)
     return {int(code): nest[table[code]] for code in np.flatnonzero(table >= 0)}
 
@@ -504,21 +513,41 @@ def census(variant: str, partition: tuple[int, int] | None = None) -> Census:
     band-2 ranges, with no board row or Board built: the boards of a
     pair's range whose band 2 has band code v all have block code pair
     code + v, and a prefix count of band code v over band 2 counts them.
+    A partition restricts the top-left block alone, so every slice's
+    band 2 is the open one, whose prefix counts are built once per
+    variant; ranges of a restricted band 2 get theirs from the same
+    _band_counts. The labels are the variant's own NestLabels.
     """
     v = normalize_variant(variant)
     spec = _VARIANTS[v]
     low, pairs = spec.ranges(partition)
-    values, which = np.unique(spec.code.band(low.T), return_inverse=True)
-    prefix = np.zeros((len(low) + 1, len(values)), dtype=np.int64)
-    np.cumsum(which[:, None] == np.arange(len(values)), axis=0, out=prefix[1:])
+    values, prefix = (_open_band_counts(v) if low is _open_lower(spec.catalog)[1]
+                      else _band_counts(spec.code, low))
     counts = np.zeros(81, dtype=np.int64)
     for pair, lo, n in pairs:
         per = prefix.take(lo + n, 0) - prefix.take(lo, 0)
         at, value = np.nonzero(per)
         found = _labels_of_codes(v, spec.code.pair(pair.T).take(at) + values.take(value))
         counts += np.bincount(found, per[at, value], minlength=81).astype(np.int64)
-    mapping = {NestLabel(v, *divmod(code, 9)): int(n) for code, n in enumerate(counts) if n}
+    nest = _label_nests(v)
+    mapping = {nest[code][0]: int(n) for code, n in enumerate(counts) if n}
     return Census(v, mapping, sum(mapping.values()))
+
+
+def _band_counts(code: _BandCode, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted band codes of the band-2 rows low and their prefix
+    counts: row i counts each code over low[:i]."""
+    values, which = np.unique(code.band(low.T), return_inverse=True)
+    prefix = np.zeros((len(low) + 1, len(values)), dtype=np.int64)
+    np.cumsum(which[:, None] == np.arange(len(values)), axis=0, out=prefix[1:])
+    return values, prefix
+
+
+@cache
+def _open_band_counts(variant: str) -> tuple[np.ndarray, ...]:
+    """_band_counts of the variant's open band 2, read-only."""
+    spec = _VARIANTS[variant]
+    return _read_only(*_band_counts(spec.code, _open_lower(spec.catalog)[1]))
 
 
 def _threaded_census(variant: str, threads: int) -> Census:
@@ -526,6 +555,7 @@ def _threaded_census(variant: str, threads: int) -> Census:
     counts stay in label order."""
     v = normalize_variant(variant)
     _label_table(v)  # build once, before any fork
+    _open_band_counts(v)
     parts = _map_partitions(partial(census, v), threads)
     counts = sum((Counter(part.counts) for part in parts), Counter())
     return Census(v, dict(sorted(counts.items())), sum(part.total for part in parts))

@@ -144,17 +144,23 @@ def test_sudoku_predicate_is_false_for_any_other_length(board_mm_72):
     (check_two_equal, CANON_MM_72), (canonicalize_mm, CANON_MM_72), (canonicalize_sm, CANON_SM_71),
 )])
 def test_a_board_argument_that_is_not_bytes_like_raises(fn, text):
-    # A board argument is a Board or a bytes-like value; a sequence of
-    # ints or digits, even of a valid board, goes through Board first.
+    # A board argument is a Board or a bytes-like value of single-byte
+    # items; a sequence of ints or digits, even of a valid board, goes
+    # through Board first, and so does an array of wider items, whose
+    # raw buffer is not its cells.
     board = parse_board(text)
     released = memoryview(bytearray(board))
     released.release()
-    for value in (tuple(board), list(board), text, None, 5, released):
+    wide = [np.array(list(board), dtype=t) for t in (np.int64, np.int32, np.uint16, np.float64)]
+    for value in (tuple(board), list(board), text, None, 5, released, *wide):
         with pytest.raises(BoardFormatError):
             fn(value)
     # A uint8 array is bytes-like, also as a view with negative strides.
     cells = np.frombuffer(board, dtype=np.uint8)
     assert fn(cells) == fn(board) == fn(cells[::-1].copy()[::-1])
+    assert fn(np.array(list(board), dtype=np.uint8)) == fn(board)
+    if fn.__name__.startswith("is_"):
+        assert fn(cells) is True
 
 
 def test_magic_predicates(board_mm_72, board_sm_71):

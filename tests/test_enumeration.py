@@ -499,6 +499,40 @@ def test_range_batches_match_the_reference_join():
 
 
 @pytest.mark.parametrize("catalog_fn", [en.semi_magic_blocks, en.modular_magic_blocks])
+def test_open_slices_read_the_lower_half_built_once(catalog_fn):
+    # Every partition slice leaves rows 3-8 open, so its ranges read the
+    # cached lower half, which equals _lower of open masks; the cache
+    # rebuilt after cache_clear gives the same ranges.
+    mid, low, first = en._open_lower(catalog_fn)
+    for got, want in zip((mid, low, first), en._lower(catalog_fn, np.ones((9, 72), dtype=bool))):
+        assert np.array_equal(got, want)
+    cand = en._slice(np.arange(72), (17, 72))
+    ranges = en._ranges(catalog_fn, cand)
+    assert ranges.low is low
+    warm = list(ranges.pairs)
+    en._open_lower.cache_clear()
+    cold = en._ranges(catalog_fn, cand)
+    assert cold.low is not low and np.array_equal(cold.low, low)
+    batches = list(cold.pairs)
+    assert len(batches) == len(warm) > 0
+    assert all(np.array_equal(a, b) for x, y in zip(batches, warm) for a, b in zip(x, y))
+
+
+def test_a_restricted_join_between_open_ones_equals_the_reference_join():
+    # A mask that restricts rows 3-8 builds its own lower half: it gives
+    # the reference join, and the open slice around it is unchanged.
+    for catalog_fn, cases in _seeded_references().items():
+        cand = en._slice(np.arange(72), (17, 72))
+        before = list(en._join(catalog_fn, cand))
+        restricted = [(mask, levels) for mask, levels in cases if not mask[3:].all()]
+        assert len(restricted) > 40
+        for mask, levels in restricted:
+            _assert_joins_equal(catalog_fn, mask, _head_chunks(levels[8]))
+            _assert_joins_equal(catalog_fn, cand, before)
+        assert sum(map(len, before)) == (82944 if catalog_fn is en.semi_magic_blocks else 448)
+
+
+@pytest.mark.parametrize("catalog_fn", [en.semi_magic_blocks, en.modular_magic_blocks])
 def test_count_only_sums_the_ranges_of_the_rows(catalog_fn):
     # The count-only path sums range lengths, never building a row; it
     # equals the rows of the join on seeded restricted masks, on masks

@@ -628,6 +628,52 @@ def test_census_rejects_a_reached_code_of_no_nest(variant, partition, monkeypatc
         nests.census(variant, partition)
 
 
+def test_census_slices_sum_to_the_published_censuses():
+    # 72 semi-magic and 81 modular-magic slices, each reading the tables
+    # built once per variant, add up to the paper's nests.
+    small = {(1, 1), (2, 2), (7, 7)}
+    for variant, parts in (("SM", 72), ("MM", 81)):
+        counts = Counter()
+        for worker in range(parts):
+            counts.update(nests.census(variant, (worker, parts)).counts)
+        if variant == "SM":
+            assert list(counts.values()) == [373_248] * 16
+        else:
+            assert {(l.first, l.second): n for l, n in counts.items()} == {
+                (l.first, l.second): 1536 if (l.first, l.second) in small else 4608
+                for l in nests.labels(variant)}
+
+
+@pytest.mark.parametrize("variant, partition", [("MM", (5, 81)), ("SM", (5, 72))])
+def test_census_slice_after_cache_clear_equals_the_warm_slice(variant, partition):
+    warm = nests.census(variant, partition)
+    for fn in (en._open_lower, nests._open_band_counts, nests._label_nests):
+        fn.cache_clear()
+    cold = nests.census(variant, partition)
+    assert cold == warm and list(cold.counts) == list(warm.counts)
+    assert nests.census(variant, partition) == warm
+
+
+@pytest.mark.parametrize("variant", ["MM", "SM"])
+def test_census_labels_are_the_variants_own(variant):
+    # The census reads its labels from the variant's, building none.
+    got = nests.census(variant)
+    assert list(got.counts) == list(nests.labels(variant))
+    assert all(a is b for a, b in zip(got.counts, nests.labels(variant)))
+
+
+@pytest.mark.parametrize("variant", ["MM", "SM"])
+def test_cached_tables_are_read_only(variant):
+    # Every caller shares these arrays, so none of them can be written.
+    catalog_fn = nests._VARIANTS[variant].catalog
+    tables = (*en._open_lower(catalog_fn), *en._index(catalog_fn),
+              *nests._open_band_counts(variant))
+    assert len(tables) == 9
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[:1] = 0
+
+
 def test_census_rejects_bad_variant():
     with pytest.raises(DomainError):
         nests.census("nope")
