@@ -44,7 +44,7 @@ from typing import BinaryIO, Callable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import BoardFormatError, DigitError, StructureError
+from .errors import BoardFormatError, DigitError, StructureError, _in_range
 
 __all__ = [
     "Block",
@@ -115,10 +115,13 @@ class Board(bytes):
         return bytes(self)
 
     def cell(self, r: int, c: int) -> int:
-        """The digit at row r, column c."""
-        return self[9 * r + c]
+        """The digit at row r, column c, each in 0..8, else DomainError."""
+        bad = f"bad cell ({r!r}, {c!r})"
+        return self[9 * _in_range(r, bad, 0, 8) + _in_range(c, bad, 0, 8)]
 
     def row(self, r: int) -> tuple[int, ...]:
+        """The digits of row r in 0..8, else DomainError."""
+        r = _in_range(r, f"bad row {r!r}", 0, 8)
         return tuple(self[9 * r : 9 * r + 9])
 
     def __repr__(self) -> str:
@@ -169,13 +172,16 @@ _SORTED_UNITS = np.tile(np.arange(9, dtype=np.uint8), (27, 1))
 
 
 def block(board: Board, I: int, J: int) -> Block:
-    """The 3x3 block at block coordinates (I, J)."""
-    base = 27 * I + 3 * J
+    """The 3x3 block at block coordinates (I, J), each in 0..2, else DomainError."""
+    bad = f"bad block coordinates ({I!r}, {J!r})"
+    base = 27 * _in_range(I, bad, 0, 2) + 3 * _in_range(J, bad, 0, 2)
+    board = _board(board)
     return tuple(tuple(board[base + 9 * r : base + 9 * r + 3]) for r in range(3))
 
 
 def blocks(board: Board) -> list[Block]:
     """All nine blocks in row-major block order (0,0), (0,1), ..., (2,2)."""
+    board = _board(board)
     return [block(board, I, J) for I in range(3) for J in range(3)]
 
 
@@ -190,6 +196,12 @@ def _cell_bytes(board: object) -> bytes:
     if view.itemsize != 1:
         raise BoardFormatError(f"expected cell bytes, got {view.itemsize}-byte items")
     return view.tobytes()
+
+
+def _board(board: object) -> Board:
+    """A board argument as a Board, itself with no copy if one, else its
+    _cell_bytes checked as Board checks cells: 81 of them, digits 0..8."""
+    return board if isinstance(board, Board) else Board(_cell_bytes(board))
 
 
 def is_sudoku(board: Board) -> bool:

@@ -14,18 +14,18 @@ The join is a join of bands, each three catalog blocks with pairwise
 disjoint mini-row sets: bands 0 and 1 have disjoint mini-column sets in
 every pillar, and band 2 is any band with the column triples they leave,
 whose range of the key-sorted bands is read from a start table over
-every key. Each catalog's tables are built once per process: its bands
-and their column fits, and, read-only, the half of the join that open
-masks of bands 1 and 2 give, as every partition slice has them: the
-band-1 rows, the band-2 bands and their start table. The join yields
-ranges in one batch per top-left block: its band-0/band-1 rows and each
-one's range of band 2. Counts and the census read the ranges alone.
-Rows are built only for visitors, the iterators and completions:
-C-contiguous (n, 9) uint8 chunks of catalog indices, one per pair of
-blocks at positions 0 and 1, and Board objects from those. Chunks and
-their rows come in lexicographic order, so earlier positions vary
-slowest. The sampler draws the board at a uniform index of the whole
-join, held as one index of its pairs and their ranges.
+every key. Each catalog's tables are built once per process, read-only:
+its bands and their column fits, and band 2 of every join, the whole
+band table in key order, with its start table. The join yields ranges
+in one batch per top-left block: its band-0/band-1 rows and each one's
+range of band 2. Counts and the census read the ranges alone. Rows are
+built only for visitors, the iterators and completions: C-contiguous
+(n, 9) uint8 chunks of catalog indices, one per pair of blocks at
+positions 0 and 1, and Board objects from those; a completion's mask of
+band 2 filters its rows. Chunks and their rows come in lexicographic
+order, so earlier positions vary slowest. The sampler draws the board
+at a uniform index of the whole join, held as one index of its pairs
+and their ranges.
 
 Both enumerators are deterministic: semi-magic boards come in join
 order, modular-magic boards in lexicographic row-major order. An
@@ -95,6 +95,13 @@ def standard_gnomon_cells() -> list[tuple[int, int]]:
 # --- the block join ---
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only, for a cache that every caller shares."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @cache
 def _join_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The catalog as a (72, 9) uint8 array of flattened blocks, and
@@ -107,16 +114,18 @@ def _join_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 @cache
 def _band_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, ...]:
-    """The catalog's bands and the lookup of band 2. A band is three
-    blocks with pairwise disjoint mini-row sets, an (n, 3) uint8 row of
-    catalog indices; bands lists them in lexicographic order. A band's
-    key is the base-m number of its blocks' mini-column triple ids (the
-    ordered column digit sets, m - 1 of them), and by_key holds the bands
-    stably sorted by key, beside the sorted keys. rest[a, b] is the id of
-    the triple that completes a pillar holding blocks a and b; m - 1, a
-    triple no block has, stands for none."""
+    """The catalog's bands and the lookup of band 2, all read-only. A
+    band is three blocks with pairwise disjoint mini-row sets, an (n, 3)
+    uint8 row of catalog indices; bands lists them in lexicographic
+    order, C-contiguous so that a gather of its rows reads whole rows. A
+    band's key is the base-m number of its blocks' mini-column triple ids
+    (the ordered column digit sets, m - 1 of them); by_key holds the
+    bands stably sorted by key, and first is the start table over every
+    key: the bands of key k are by_key[first[k]:first[k + 1]]. rest[a, b]
+    is the id of the triple that completes a pillar holding blocks a and
+    b; m - 1, a triple no block has, stands for none."""
     blocks, row_ok, _ = _join_tables(catalog_fn)
-    bands = np.argwhere(row_ok[:, :, None] & row_ok[:, None, :] & row_ok[None]).astype(np.uint8)
+    bands = np.argwhere(row_ok[:, :, None] & row_ok[:, None] & row_ok).astype(np.uint8, order="C")
     codes = _line_sets(blocks.reshape(-1, 3, 3))[1]
     triples, col_id = np.unique(codes, return_inverse=True)
     # Blocks that overlap in a mini-column leave over three digits there: no triple.
@@ -126,11 +135,12 @@ def _band_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, ...]:
     m = len(triples) + 1
     keys = col_id[bands] @ [m * m, m, 1]
     order = np.argsort(keys, kind="stable")
-    return bands, bands[order], keys[order], rest, m
+    first = np.searchsorted(keys[order], np.arange(m**3 + 1))
+    return (*_read_only(bands, bands[order], first, rest), m)
 
 
 class _Ranges(NamedTuple):
-    """low: the admissible band-2 bands, (k, 3) uint8 rows in key order;
+    """low: band 2 of every join, the catalog's bands in key order;
     pairs: per top-left block of the admissible top bands, in ascending
     order, its (n, 6) band-0/band-1 rows and the start lo and length n of
     each one's range of low."""
@@ -139,39 +149,16 @@ class _Ranges(NamedTuple):
     pairs: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, made read-only, for a cache that every caller shares."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
 def _allowed(cand: np.ndarray, rows: np.ndarray, r: int) -> np.ndarray:
     """Which band rows have each block in its mask of band r of cand."""
     a, b, c = cand[3 * r : 3 * r + 3]
     return a.take(rows[:, 0]) & b.take(rows[:, 1]) & c.take(rows[:, 2])
 
 
-def _lower(catalog_fn: _Catalog, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The half of the join that mask rows 3-8 set: the admissible band-1
-    rows mid, in lexicographic order; low as in _Ranges; and the start
-    table first, where the bands of key k are low[first[k]:first[k + 1]]."""
-    bands, by_key, keys, _, m = _band_tables(catalog_fn)
-    ok = _allowed(cand, by_key, 2)
-    first = np.searchsorted(keys.compress(ok), np.arange(m**3 + 1))
-    return bands.compress(_allowed(cand, bands, 1), 0), by_key.compress(ok, 0), first
-
-
-@cache
-def _open_lower(catalog_fn: _Catalog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_lower of open rows 3-8, read-only: the lower half of every
-    partition slice, the full join and the index."""
-    return _read_only(*_lower(catalog_fn, np.ones((9, len(catalog_fn())), dtype=bool)))
-
-
 def _ranges(catalog_fn: _Catalog, cand: np.ndarray) -> _Ranges:
-    """The boards built from the catalog whose block at position p has
-    its catalog index in the mask cand[p], as band-2 ranges.
+    """The boards built from the catalog whose block at position p < 6
+    has its catalog index in the mask cand[p], as ranges of the whole
+    band table: _join applies mask rows 6-8.
 
     A board is three bands whose blocks have disjoint mini-column sets
     in each pillar. The band-0 rows of one top-left block pair with the
@@ -179,16 +166,15 @@ def _ranges(catalog_fn: _Catalog, cand: np.ndarray) -> _Ranges:
     pillar 0 filter the band-1 rows once, and one boolean matrix of the
     fits in pillars 1 and 2 gives every pair. Each pair takes the bands
     that have the column triples it leaves: the range first[key] to
-    first[key + 1] of a start table over every key. Ranges stay in
-    lexicographic order, as the band-0 rows are sorted, np.nonzero lists
-    a matrix row by row and the stable sort keeps a key's bands in order.
-    Every gather takes whole rows or single items, far faster than a 2-D
-    fancy index of 3-byte rows. Band-1 rows, low and the start table
-    depend on rows 3-8 alone: open ones, as in every partition slice,
-    read them from the catalog's _open_lower, built once per process."""
-    bands, _, _, rest, m = _band_tables(catalog_fn)
+    first[key + 1] of the start table. Ranges stay in lexicographic
+    order, as the band-0 rows are sorted, np.nonzero lists a matrix row
+    by row and the stable sort keeps a key's bands in order. Every
+    gather takes whole rows or single items, far faster than a 2-D fancy
+    index of 3-byte rows. Open rows 3-5, as in every partition slice,
+    take every band as a band-1 row."""
+    bands, low, first, rest, m = _band_tables(catalog_fn)
     col_ok = _join_tables(catalog_fn)[2]
-    mid, low, first = _open_lower(catalog_fn) if cand[3:].all() else _lower(catalog_fn, cand)
+    mid = bands if cand[3:6].all() else bands.compress(_allowed(cand, bands, 1), 0)
     top = bands.compress(_allowed(cand, bands, 0), 0)
 
     def pairs():
@@ -226,8 +212,12 @@ def _rows(ranges: _Ranges) -> Iterator[np.ndarray]:
 
 
 def _join(catalog_fn: _Catalog, cand: np.ndarray) -> Iterator[np.ndarray]:
-    """The rows of _ranges(catalog_fn, cand)."""
-    return _rows(_ranges(catalog_fn, cand))
+    """The rows of _ranges(catalog_fn, cand) whose band 2 has each block
+    in its mask, chunks that this leaves empty dropped."""
+    for rows in _rows(_ranges(catalog_fn, cand)):
+        rows = rows.compress(_allowed(cand, rows[:, 6:], 2), 0)
+        if len(rows):
+            yield rows
 
 
 def _slice(keys: np.ndarray, partition: tuple[int, int] | None) -> np.ndarray:

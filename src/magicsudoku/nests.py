@@ -59,11 +59,11 @@ from .boards import (
 from .catalog import NamedGenerator, PhysicalGroup, _physical_group
 from .enumeration import (
     STANDARD_GNOMON_BLOCKS,
+    _band_tables,
     _complete,
     _join_tables,
     _map_partitions,
     _mm_ranges,
-    _open_lower,
     _Ranges,
     _read_only,
     _sm_ranges,
@@ -513,18 +513,14 @@ def census(variant: str, partition: tuple[int, int] | None = None) -> Census:
     band-2 ranges, with no board row or Board built: the boards of a
     pair's range whose band 2 has band code v all have block code pair
     code + v, and a prefix count of band code v over band 2 counts them.
-    A partition restricts the top-left block alone, so every slice's
-    band 2 is the open one, whose prefix counts are built once per
-    variant; ranges of a restricted band 2 get theirs from the same
-    _band_counts. The labels are the variant's own NestLabels.
+    Band 2 of every join is the whole band table, whose prefix counts are
+    built once per variant. The labels are the variant's own NestLabels.
     """
     v = normalize_variant(variant)
     spec = _VARIANTS[v]
-    low, pairs = spec.ranges(partition)
-    values, prefix = (_open_band_counts(v) if low is _open_lower(spec.catalog)[1]
-                      else _band_counts(spec.code, low))
+    values, prefix = _band_counts(v)
     counts = np.zeros(81, dtype=np.int64)
-    for pair, lo, n in pairs:
+    for pair, lo, n in spec.ranges(partition).pairs:
         per = prefix.take(lo + n, 0) - prefix.take(lo, 0)
         at, value = np.nonzero(per)
         found = _labels_of_codes(v, spec.code.pair(pair.T).take(at) + values.take(value))
@@ -534,20 +530,17 @@ def census(variant: str, partition: tuple[int, int] | None = None) -> Census:
     return Census(v, mapping, sum(mapping.values()))
 
 
-def _band_counts(code: _BandCode, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted band codes of the band-2 rows low and their prefix
-    counts: row i counts each code over low[:i]."""
-    values, which = np.unique(code.band(low.T), return_inverse=True)
+@cache
+def _band_counts(variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted band codes of the variant's band table in key order,
+    band 2 of every join, and their prefix counts: row i counts each
+    code over its first i bands; read-only."""
+    spec = _VARIANTS[variant]
+    low = _band_tables(spec.catalog)[1]
+    values, which = np.unique(spec.code.band(low.T), return_inverse=True)
     prefix = np.zeros((len(low) + 1, len(values)), dtype=np.int64)
     np.cumsum(which[:, None] == np.arange(len(values)), axis=0, out=prefix[1:])
-    return values, prefix
-
-
-@cache
-def _open_band_counts(variant: str) -> tuple[np.ndarray, ...]:
-    """_band_counts of the variant's open band 2, read-only."""
-    spec = _VARIANTS[variant]
-    return _read_only(*_band_counts(spec.code, _open_lower(spec.catalog)[1]))
+    return _read_only(values, prefix)
 
 
 def _threaded_census(variant: str, threads: int) -> Census:
@@ -555,7 +548,7 @@ def _threaded_census(variant: str, threads: int) -> Census:
     counts stay in label order."""
     v = normalize_variant(variant)
     _label_table(v)  # build once, before any fork
-    _open_band_counts(v)
+    _band_counts(v)
     parts = _map_partitions(partial(census, v), threads)
     counts = sum((Counter(part.counts) for part in parts), Counter())
     return Census(v, dict(sorted(counts.items())), sum(part.total for part in parts))

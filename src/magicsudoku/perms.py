@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .boards import Board
+from .boards import Board, _board
 from .errors import CapacityError, DomainError, _in_range
 
 __all__ = [
@@ -106,8 +106,8 @@ def inverse(s: Symmetry) -> Symmetry:
 
 
 def act(s: Symmetry, board: Board) -> Board:
-    """Apply a symmetry to a board."""
-    digit = s.digit
+    """Apply a symmetry to a board, read as boards._board reads it."""
+    board, digit = _board(board), s.digit
     return Board._wrap(digit[board[i]] for i in inverse_perm(s.cell))
 
 

@@ -31,9 +31,12 @@ from magicsudoku.boards import (
     write_text,
 )
 from magicsudoku.analysis import check_two_equal
+from magicsudoku.catalog import transpose
 from magicsudoku.enumeration import enumerate_semi_magic, iter_modular_magic, random_semi_magic
+from magicsudoku.keedwell import keedwell_decompose, linearity_degree
 from magicsudoku.nests import canonicalize_mm, canonicalize_sm
-from magicsudoku.errors import BoardFormatError, DigitError, StructureError
+from magicsudoku.errors import BoardFormatError, DigitError, DomainError, StructureError
+from magicsudoku.perms import act
 
 from conftest import CANON_MM_72, CANON_SM_71
 
@@ -124,6 +127,19 @@ def test_block_extraction(board_mm_72):
     assert got[8] == block(board_mm_72, 2, 2)
 
 
+@pytest.mark.parametrize("read", [
+    lambda b: block(b, 5, 5), lambda b: block(b, -1, 0), lambda b: block(b, 1.5, 0),
+    lambda b: block(b, 0, "1"), lambda b: b.cell(0, 9), lambda b: b.cell(-1, 0),
+    lambda b: b.cell(9, 0), lambda b: b.cell(0, None), lambda b: b.row(9), lambda b: b.row(-1),
+], ids=["block(5,5)", "block(-1,0)", "block(1.5,0)", "block(0,'1')", "cell(0,9)", "cell(-1,0)",
+        "cell(9,0)", "cell(0,None)", "row(9)", "row(-1)"])
+def test_a_coordinate_out_of_range_raises(board_mm_72, read):
+    # Each coordinate is an integer in range, not a negative index or an
+    # offset that wraps into the next row or block.
+    with pytest.raises(DomainError):
+        read(board_mm_72)
+
+
 def test_sudoku_predicate(board_mm_72, board_sm_71):
     assert is_sudoku(board_mm_72)
     assert is_sudoku(board_sm_71)
@@ -139,16 +155,38 @@ def test_sudoku_predicate_is_false_for_any_other_length(board_mm_72):
         assert not is_modular_magic(cells)
 
 
-@pytest.mark.parametrize("fn, text", [pytest.param(fn, text, id=fn.__name__) for fn, text in (
-    (is_sudoku, CANON_MM_72), (is_modular_magic, CANON_MM_72), (is_semi_magic, CANON_SM_71),
-    (check_two_equal, CANON_MM_72), (canonicalize_mm, CANON_MM_72), (canonicalize_sm, CANON_SM_71),
-)])
-def test_a_board_argument_that_is_not_bytes_like_raises(fn, text):
+def act_transpose(board):
+    # act with one symmetry, as a callable of the board alone.
+    return act(transpose().symmetry, board)
+
+
+# What each callable gives for bytes that are not a board: a predicate
+# answers False, a reader that needs a board of a kind (a variant, or a
+# Sudoku board) raises DomainError, and None stands for the Board errors
+# of 80 or 82 cells and of a digit 9.
+@pytest.mark.parametrize("fn, text, not_a_board", [
+    pytest.param(fn, text, not_a_board, id=fn.__name__) for fn, text, not_a_board in (
+        (is_sudoku, CANON_MM_72, False), (is_modular_magic, CANON_MM_72, False),
+        (is_semi_magic, CANON_SM_71, False), (check_two_equal, CANON_MM_72, DomainError),
+        (canonicalize_mm, CANON_MM_72, DomainError), (canonicalize_sm, CANON_SM_71, DomainError),
+        (blocks, CANON_MM_72, None), (act_transpose, CANON_MM_72, None),
+        (keedwell_decompose, CANON_SM_71, DomainError),
+        (linearity_degree, CANON_SM_71, DomainError),
+    )])
+def test_a_board_argument_that_is_not_bytes_like_raises(fn, text, not_a_board):
     # A board argument is a Board or a bytes-like value of single-byte
     # items; a sequence of ints or digits, even of a valid board, goes
     # through Board first, and so does an array of wider items, whose
     # raw buffer is not its cells.
     board = parse_board(text)
+    malformed = ((board[:80], BoardFormatError), (board + b"\x00", BoardFormatError),
+                 (b"\x09" + board[1:], DigitError))
+    for value, error in malformed:
+        if not_a_board is False:
+            assert fn(value) is False
+        else:
+            with pytest.raises(not_a_board or error):
+                fn(value)
     released = memoryview(bytearray(board))
     released.release()
     wide = [np.array(list(board), dtype=t) for t in (np.int64, np.int32, np.uint16, np.float64)]

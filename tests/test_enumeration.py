@@ -336,14 +336,17 @@ def _admissible(tables, allowed, idx):
     return mask
 
 
-def _reference_levels(catalog_fn, cand):
-    # The join position by position: the partial assemblies of depth
-    # 1..9, each level the one before extended by one block position
-    # with the 72-wide _admissible mask.
+def _reference_levels(catalog_fn, cand, start=np.zeros((1, 0), dtype=np.uint8)):
+    # The join position by position: the partial assemblies of each depth
+    # after those of start (by default depths 1..9), each level the one
+    # before extended by one block position with the 72-wide _admissible
+    # mask.
     tables = en._join_tables(catalog_fn)
-    levels = [np.zeros((1, 0), dtype=np.uint8)]
-    for p in range(9):
-        rows, picks = np.nonzero(_admissible(tables, cand[p], levels[-1]))
+    levels = [start]
+    for p in range(start.shape[1], 9):
+        # flatnonzero, then divmod: twice as fast as a 2-D np.nonzero.
+        found = np.flatnonzero(_admissible(tables, cand[p], levels[-1]))
+        rows, picks = np.divmod(found, cand.shape[1])
         levels.append(np.column_stack((levels[-1][rows], picks.astype(np.uint8))))
     return levels[1:]
 
@@ -382,6 +385,21 @@ def _seeded_references():
                 cand[0] &= rng.random(72) < 0.05
             levels = _reference_levels(catalog_fn, cand)
             found[catalog_fn].append((cand, {d: levels[d] for d in (2, 5, 8)}))
+    return found
+
+
+@functools.cache
+def _seeded_open_references():
+    # The seeded masks with rows 6-8 opened, which _ranges reads alike,
+    # and their reference levels of depths 3, 6 and 9; depths 3 and 6
+    # are the seeded masks' own, so only positions 6-8 are built again.
+    found = {}
+    for catalog_fn, cases in _seeded_references().items():
+        found[catalog_fn] = []
+        for cand, levels in cases:
+            cand = np.vstack((cand[:6], np.ones((3, 72), dtype=bool)))
+            last = _reference_levels(catalog_fn, cand, levels[5])[-1]
+            found[catalog_fn].append((cand, {2: levels[2], 5: levels[5], 8: last}))
     return found
 
 
@@ -492,25 +510,22 @@ def test_range_batches_match_the_reference_join():
     cand = en._slice(np.arange(72), (17, 72))
     assert _assert_batches_match_the_reference(sm, cand, _sm_slice_levels(17)) == 82944
     assert _assert_batches_match_the_reference(mm, np.ones((9, 72), dtype=bool)) == 32256
-    for catalog_fn, cases in _seeded_references().items():
+    for catalog_fn, cases in _seeded_open_references().items():
         nonempty = sum(_assert_batches_match_the_reference(catalog_fn, cand, levels) > 0
                        for cand, levels in cases)
         assert nonempty > 40
 
 
 @pytest.mark.parametrize("catalog_fn", [en.semi_magic_blocks, en.modular_magic_blocks])
-def test_open_slices_read_the_lower_half_built_once(catalog_fn):
-    # Every partition slice leaves rows 3-8 open, so its ranges read the
-    # cached lower half, which equals _lower of open masks; the cache
-    # rebuilt after cache_clear gives the same ranges.
-    mid, low, first = en._open_lower(catalog_fn)
-    for got, want in zip((mid, low, first), en._lower(catalog_fn, np.ones((9, 72), dtype=bool))):
-        assert np.array_equal(got, want)
+def test_open_slices_read_the_band_tables_built_once(catalog_fn):
+    # Band 2 of every join is the cached band table in key order; the
+    # tables rebuilt after cache_clear give the same ranges.
+    low = en._band_tables(catalog_fn)[1]
     cand = en._slice(np.arange(72), (17, 72))
     ranges = en._ranges(catalog_fn, cand)
     assert ranges.low is low
     warm = list(ranges.pairs)
-    en._open_lower.cache_clear()
+    en._band_tables.cache_clear()
     cold = en._ranges(catalog_fn, cand)
     assert cold.low is not low and np.array_equal(cold.low, low)
     batches = list(cold.pairs)
@@ -519,8 +534,8 @@ def test_open_slices_read_the_lower_half_built_once(catalog_fn):
 
 
 def test_a_restricted_join_between_open_ones_equals_the_reference_join():
-    # A mask that restricts rows 3-8 builds its own lower half: it gives
-    # the reference join, and the open slice around it is unchanged.
+    # A mask that restricts rows 3-8 gives the reference join, and the
+    # open slice around it is unchanged.
     for catalog_fn, cases in _seeded_references().items():
         cand = en._slice(np.arange(72), (17, 72))
         before = list(en._join(catalog_fn, cand))
@@ -535,13 +550,16 @@ def test_a_restricted_join_between_open_ones_equals_the_reference_join():
 @pytest.mark.parametrize("catalog_fn", [en.semi_magic_blocks, en.modular_magic_blocks])
 def test_count_only_sums_the_ranges_of_the_rows(catalog_fn):
     # The count-only path sums range lengths, never building a row; it
-    # equals the rows of the join on seeded restricted masks, on masks
-    # with one position empty, and on a join whose band 2 is empty.
+    # equals the rows of the join on seeded masks restricted in bands 0
+    # and 1, as the ranges read no band-2 mask, and on masks with one
+    # position of those bands empty.
     rng = np.random.default_rng(31)
     masks = [rng.random((9, 72)) < rng.choice([0.5, 0.9, 1.0], size=(9, 1)) for _ in range(20)]
     for m in masks[:9]:
         m[0] &= rng.random(72) < 0.1
-    for p in (0, 4, 8):
+    for m in masks:
+        m[6:] = True
+    for p in (0, 4, 5):
         masks.append(np.ones((9, 72), dtype=bool))
         masks[-1][p] = False
     counts = []
