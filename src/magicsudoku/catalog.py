@@ -251,8 +251,9 @@ def _parse_cycles(text: str) -> NamedGenerator:
 
 def parse_generator(token: str) -> NamedGenerator:
     """Parse a generator token ("rho", "mu(4,0)", "swap_bands(0,1)",
-    digit cycle notation, and so on) into a NamedGenerator."""
-    text = token.strip()
+    digit cycle notation, and so on) into a NamedGenerator. Any other
+    value, a str or not, raises DomainError."""
+    text = str(token).strip()
     m = _TOKEN_RE.fullmatch(text)
     if m and m.group(1) in _BUILDERS:
         builder, arity = _BUILDERS[m.group(1)]

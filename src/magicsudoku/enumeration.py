@@ -16,16 +16,17 @@ every pillar, and band 2 is any band with the column triples they leave,
 whose range of the key-sorted bands is read from a start table over
 every key. Each catalog's tables are built once per process, read-only:
 its bands and their column fits, and band 2 of every join, the whole
-band table in key order, with its start table. The join yields ranges
-in one batch per top-left block: its band-0/band-1 rows and each one's
-range of band 2. Counts and the census read the ranges alone. Rows are
-built only for visitors, the iterators and completions: C-contiguous
-(n, 9) uint8 chunks of catalog indices, one per pair of blocks at
-positions 0 and 1, and Board objects from those; a completion's mask of
-band 2 filters its rows. Chunks and their rows come in lexicographic
-order, so earlier positions vary slowest. The sampler draws the board
-at a uniform index of the whole join, held as one index of its pairs
-and their ranges.
+band table in key order, with its start table. A join is its range
+batches, one per top-left block: its band-0/band-1 pairs and the start
+and length of each one's range of band 2, which every reader takes from
+the catalog's band table. Counts and the census read the batches alone.
+Rows are built only for visitors, the iterators and completions:
+C-contiguous (n, 9) uint8 chunks of catalog indices, one per pair of
+blocks at positions 0 and 1, and Board objects from those; a
+completion's mask of band 2 filters its rows. Chunks and their rows come
+in lexicographic order, so earlier positions vary slowest. The sampler
+draws the board at a uniform index of the whole join, held as one index
+of its pairs and their ranges.
 
 Both enumerators are deterministic: semi-magic boards come in join
 order, modular-magic boards in lexicographic row-major order. An
@@ -39,8 +40,8 @@ from __future__ import annotations
 import multiprocessing
 import operator
 import os
-from functools import cache, partial
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from functools import cache
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
@@ -70,6 +71,7 @@ __all__ = [
 
 Visitor = Callable[[Board], None]
 _T = TypeVar("_T")
+_Batch = tuple[np.ndarray, np.ndarray, np.ndarray]  # (pair, lo, n) of a join's range batch
 
 #: Blocks of the standard gnomon (first band and first pillar), keyed by
 #: block coordinates.
@@ -106,10 +108,10 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def _join_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The catalog as a (72, 9) uint8 array of flattened blocks, and
     (72, 72) matrices of which block pairs have disjoint mini-row sets
-    and which have disjoint mini-column sets."""
+    and which have disjoint mini-column sets; all read-only."""
     blocks = np.array(catalog_fn(), dtype=np.uint8)
     rows, cols = _line_sets(blocks)
-    return blocks.reshape(-1, 9), rows[:, None] & rows == 0, cols[:, None] & cols == 0
+    return _read_only(blocks.reshape(-1, 9), rows[:, None] & rows == 0, cols[:, None] & cols == 0)
 
 
 @cache
@@ -139,26 +141,19 @@ def _band_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, ...]:
     return (*_read_only(bands, bands[order], first, rest), m)
 
 
-class _Ranges(NamedTuple):
-    """low: band 2 of every join, the catalog's bands in key order;
-    pairs: per top-left block of the admissible top bands, in ascending
-    order, its (n, 6) band-0/band-1 rows and the start lo and length n of
-    each one's range of low."""
-
-    low: np.ndarray
-    pairs: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-
 def _allowed(cand: np.ndarray, rows: np.ndarray, r: int) -> np.ndarray:
     """Which band rows have each block in its mask of band r of cand."""
     a, b, c = cand[3 * r : 3 * r + 3]
     return a.take(rows[:, 0]) & b.take(rows[:, 1]) & c.take(rows[:, 2])
 
 
-def _ranges(catalog_fn: _Catalog, cand: np.ndarray) -> _Ranges:
+def _ranges(catalog_fn: _Catalog, cand: np.ndarray) -> Iterator[_Batch]:
     """The boards built from the catalog whose block at position p < 6
-    has its catalog index in the mask cand[p], as ranges of the whole
-    band table: _join applies mask rows 6-8.
+    has its catalog index in the mask cand[p], as ranges of band 2, the
+    catalog's band table in key order (_band_tables(catalog_fn)[1]):
+    _join applies mask rows 6-8. One batch per top-left block of the
+    admissible top bands, in ascending order: its (n, 6) band-0/band-1
+    rows and the start lo and length n of each one's range of band 2.
 
     A board is three bands whose blocks have disjoint mini-column sets
     in each pillar. The band-0 rows of one top-left block pair with the
@@ -172,33 +167,30 @@ def _ranges(catalog_fn: _Catalog, cand: np.ndarray) -> _Ranges:
     gather takes whole rows or single items, far faster than a 2-D fancy
     index of 3-byte rows. Open rows 3-5, as in every partition slice,
     take every band as a band-1 row."""
-    bands, low, first, rest, m = _band_tables(catalog_fn)
+    bands, _, first, rest, m = _band_tables(catalog_fn)
     col_ok = _join_tables(catalog_fn)[2]
     mid = bands if cand[3:6].all() else bands.compress(_allowed(cand, bands, 1), 0)
     top = bands.compress(_allowed(cand, bands, 0), 0)
-
-    def pairs():
-        # top is lexicographic, so each top-left block b0 is one run of its rows.
-        starts = np.flatnonzero(np.diff(top[:, 0])) + 1
-        for head in np.split(top, starts) if len(top) else []:
-            b0 = head[0, 0]
-            fit = mid.compress(col_ok[b0].take(mid[:, 0]), 0)
-            i, j = np.nonzero(col_ok.take(head[:, 1], 0).take(fit[:, 1], 1)
-                              & col_ok.take(head[:, 2], 0).take(fit[:, 2], 1))
-            pair = np.column_stack((head.take(i, 0), fit.take(j, 0)))
-            want = rest[b0].take(pair[:, 3]) * m + rest[pair[:, 1], pair[:, 4]]
-            want = want * m + rest[pair[:, 2], pair[:, 5]]
-            lo = first.take(want)
-            yield pair, lo, first.take(want + 1) - lo
-
-    return _Ranges(low, pairs())
+    # top is lexicographic, so each top-left block b0 is one run of its rows.
+    starts = np.flatnonzero(np.diff(top[:, 0])) + 1
+    for head in np.split(top, starts) if len(top) else []:
+        b0 = head[0, 0]
+        fit = mid.compress(col_ok[b0].take(mid[:, 0]), 0)
+        i, j = np.nonzero(col_ok.take(head[:, 1], 0).take(fit[:, 1], 1)
+                          & col_ok.take(head[:, 2], 0).take(fit[:, 2], 1))
+        pair = np.column_stack((head.take(i, 0), fit.take(j, 0)))
+        want = rest[b0].take(pair[:, 3]) * m + rest[pair[:, 1], pair[:, 4]]
+        want = want * m + rest[pair[:, 2], pair[:, 5]]
+        lo = first.take(want)
+        yield pair, lo, first.take(want + 1) - lo
 
 
-def _rows(ranges: _Ranges) -> Iterator[np.ndarray]:
-    """The boards of the ranges as C-contiguous (n, 9) uint8 chunks of
-    catalog indices, one per pair of blocks at positions 0 and 1 that
-    has boards, rows in lexicographic order."""
-    for batch in ranges.pairs:
+def _rows(catalog_fn: _Catalog, batches: Iterable[_Batch]) -> Iterator[np.ndarray]:
+    """The boards of the catalog's range batches as C-contiguous (n, 9)
+    uint8 chunks of catalog indices, one per pair of blocks at positions
+    0 and 1 that has boards, rows in lexicographic order."""
+    low = _band_tables(catalog_fn)[1]
+    for batch in batches:
         # A batch's pairs are sorted, so each block at position 1 is one run of them.
         cuts = np.flatnonzero(np.diff(batch[0][:, 1])) + 1
         for pair, lo, n in zip(*(np.split(a, cuts) for a in batch)):
@@ -207,14 +199,14 @@ def _rows(ranges: _Ranges) -> Iterator[np.ndarray]:
                 rows = np.empty((total, 9), dtype=np.uint8)
                 rows[:, :6] = np.repeat(pair, n, 0)
                 at = np.arange(total) + np.repeat(lo - np.cumsum(n) + n, n)
-                rows[:, 6:] = ranges.low.take(at, 0)
+                rows[:, 6:] = low.take(at, 0)
                 yield rows
 
 
 def _join(catalog_fn: _Catalog, cand: np.ndarray) -> Iterator[np.ndarray]:
     """The rows of _ranges(catalog_fn, cand) whose band 2 has each block
     in its mask, chunks that this leaves empty dropped."""
-    for rows in _rows(_ranges(catalog_fn, cand)):
+    for rows in _rows(catalog_fn, _ranges(catalog_fn, cand)):
         rows = rows.compress(_allowed(cand, rows[:, 6:], 2), 0)
         if len(rows):
             yield rows
@@ -264,17 +256,17 @@ def _map_partitions(fn: Callable[[tuple[int, int] | None], _T], threads: int) ->
 
 
 def _visit(
-    ranges: _Ranges,
-    boards: Callable[[Iterable[np.ndarray]], Iterable[Board]],
+    batches: Iterable[_Batch],
+    boards: Callable[[Iterable[_Batch]], Iterable[Board]],
     visitor: Visitor | None,
 ) -> int:
-    """The number of boards of the ranges, summed from their lengths;
-    with a visitor, each board of boards(_rows(ranges)) is visited in
+    """The number of boards of the range batches, summed from their
+    lengths; with a visitor, each board of boards(batches) is visited in
     order first."""
     if visitor is None:
-        return sum(int(n.sum()) for _, _, n in ranges.pairs)
+        return sum(int(n.sum()) for _, _, n in batches)
     count = 0
-    for board in boards(_rows(ranges)):
+    for board in boards(batches):
         visitor(board)
         count += 1
     return count
@@ -294,41 +286,40 @@ def _complete(catalog_fn: _Catalog, assignments: Mapping[int, int]) -> list[Boar
 
 @cache
 def _index(catalog_fn: _Catalog) -> tuple[np.ndarray, ...]:
-    """The catalog's whole join as one index: low as in _Ranges, and per
-    band-0/band-1 pair, in join order, its (n, 6) row, the start of its
-    range of low and the join index of its first board, then the count.
-    Each batch's int32 starts and lengths are joined once; all read-only."""
-    ranges = _ranges(catalog_fn, np.ones((9, len(catalog_fn())), dtype=bool))
+    """The catalog's whole join as one index: per band-0/band-1 pair, in
+    join order, its (n, 6) row, the start of its range of band 2 and the
+    join index of its first board, then the count. Each batch's int32
+    starts and lengths are joined once; all read-only."""
+    batches = _ranges(catalog_fn, np.ones((9, len(catalog_fn())), dtype=bool))
     pairs, lo, n = zip(*((pair, lo.astype(np.int32), n.astype(np.int32))
-                         for pair, lo, n in ranges.pairs))
+                         for pair, lo, n in batches))
     first = np.concatenate((np.zeros(1, dtype=np.int32), *n))
-    return _read_only(ranges.low, np.concatenate(pairs), np.concatenate(lo),
-                      first.cumsum(out=first))
+    return _read_only(np.concatenate(pairs), np.concatenate(lo), first.cumsum(out=first))
 
 
 def _random_board(catalog_fn: _Catalog, rng) -> Board:
     """The board at rng.randrange(count) of the catalog's join, in join
     order: uniform over the boards, as each index is one board. Index i
     lies in the last pair whose first is at most i, which has boards."""
-    low, pairs, lo, first = _index(catalog_fn)
+    pairs, lo, first = _index(catalog_fn)
     i = rng.randrange(int(first[-1]))
     k = first.searchsorted(np.int32(i), "right") - 1  # a wider key would cast all of first
-    row = np.concatenate((pairs[k], low[lo[k] + i - first[k]]))
+    row = np.concatenate((pairs[k], _band_tables(catalog_fn)[1][lo[k] + i - first[k]]))
     return next(_boards(catalog_fn, [row[None]]))
 
 
 # --- modular-magic enumeration ---
 
 
-def _mm_ranges(partition: tuple[int, int] | None = None) -> _Ranges:
-    """The join ranges of a partition slice of the modular-magic boards."""
+def _mm_ranges(partition: tuple[int, int] | None = None) -> Iterator[_Batch]:
+    """The join range batches of a partition slice of the modular-magic boards."""
     cat = _join_tables(modular_magic_blocks)[0].astype(int)
     return _ranges(modular_magic_blocks, _slice(9 * cat[:, 0] + cat[:, 1], partition))
 
 
 def _mm_join(partition: tuple[int, int] | None = None) -> Iterator[np.ndarray]:
     """The join chunks of a partition slice of the modular-magic boards."""
-    return _rows(_mm_ranges(partition))
+    return _rows(modular_magic_blocks, _mm_ranges(partition))
 
 
 def enumerate_modular_magic(
@@ -340,8 +331,8 @@ def enumerate_modular_magic(
     partition into n slices gets the boards whose first two cells d0, d1
     satisfy (9 * d0 + d1) % n == w.
     """
-    return _visit(_mm_ranges(partition),
-                  lambda rows: sorted(_boards(modular_magic_blocks, rows)), visitor)
+    mm = modular_magic_blocks
+    return _visit(_mm_ranges(partition), lambda b: sorted(_boards(mm, _rows(mm, b))), visitor)
 
 
 def iter_modular_magic() -> Iterator[Board]:
@@ -358,14 +349,14 @@ def complete_modular_magic(assignments: Mapping[int, int]) -> list[Board]:
 # --- semi-magic enumeration ---
 
 
-def _sm_ranges(partition: tuple[int, int] | None = None) -> _Ranges:
-    """The join ranges of a partition slice of the semi-magic boards."""
+def _sm_ranges(partition: tuple[int, int] | None = None) -> Iterator[_Batch]:
+    """The join range batches of a partition slice of the semi-magic boards."""
     return _ranges(semi_magic_blocks, _slice(np.arange(len(semi_magic_blocks())), partition))
 
 
 def _sm_join(partition: tuple[int, int] | None = None) -> Iterator[np.ndarray]:
     """The join chunks of a partition slice of the semi-magic boards."""
-    return _rows(_sm_ranges(partition))
+    return _rows(semi_magic_blocks, _sm_ranges(partition))
 
 
 def enumerate_semi_magic(
@@ -378,7 +369,8 @@ def enumerate_semi_magic(
     of a partition into n slices gets the top-left catalog indices
     congruent to w mod n.
     """
-    return _visit(_sm_ranges(partition), partial(_boards, semi_magic_blocks), visitor)
+    sm = semi_magic_blocks
+    return _visit(_sm_ranges(partition), lambda b: _boards(sm, _rows(sm, b)), visitor)
 
 
 def iter_semi_magic() -> Iterator[Board]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .boards import Block, Board, blocks, is_sudoku
+from .boards import Block, Board, _board, blocks, is_sudoku
 from .errors import DomainError, _in_range
 
 __all__ = [
@@ -103,8 +103,11 @@ def keedwell_decompose(board: Board) -> KeedwellDecomposition | None:
     some block is not a cycle image of it.
 
     The block entries are distinct, so the position of K[0][0] in a
-    target block pins the only candidate exponent pair.
+    target block pins the only candidate exponent pair. The board is read
+    as Board reads cells; an 81-cell board that is not a Sudoku board
+    raises DomainError.
     """
+    board = _board(board)
     if not is_sudoku(board):
         raise DomainError("board is not a Sudoku board")
     blks = blocks(board)

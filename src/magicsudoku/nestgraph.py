@@ -66,7 +66,7 @@ class MinimalityReport:
 
 
 def _as_generators(gens: Iterable[NamedGenerator | str]) -> tuple[NamedGenerator, ...]:
-    return tuple(g if isinstance(g, NamedGenerator) else parse_generator(str(g)) for g in gens)
+    return tuple(g if isinstance(g, NamedGenerator) else parse_generator(g) for g in gens)
 
 
 def default_physical_generators(variant: str) -> tuple[NamedGenerator, ...]:

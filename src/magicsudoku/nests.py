@@ -41,7 +41,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -60,11 +60,11 @@ from .catalog import NamedGenerator, PhysicalGroup, _physical_group
 from .enumeration import (
     STANDARD_GNOMON_BLOCKS,
     _band_tables,
+    _Batch,
     _complete,
     _join_tables,
     _map_partitions,
     _mm_ranges,
-    _Ranges,
     _read_only,
     _sm_ranges,
     modular_magic_blocks,
@@ -442,16 +442,9 @@ def _label_table(variant: str) -> np.ndarray:
 
 
 @cache
-def _label_nests(variant: str) -> dict[int, tuple[NestLabel, Board]]:
-    """9 * first + second of each nest label of the variant to the label
-    and its representative."""
-    return {9 * l.first + l.second: (l, b) for l, b in _representatives(variant).items()}
-
-
-@cache
 def _nests(variant: str) -> dict[int, tuple[NestLabel, Board]]:
     """Each block code of the variant's label table to its nest's label and representative."""
-    nest = _label_nests(variant)
+    nest = {9 * l.first + l.second: (l, b) for l, b in _representatives(variant).items()}
     table = _label_table(variant)
     return {int(code): nest[table[code]] for code in np.flatnonzero(table >= 0)}
 
@@ -476,7 +469,7 @@ class _Variant(NamedTuple):
     label_cells: tuple[int, int]
     ties: Callable[[np.ndarray], np.ndarray] | None  # tie-break among the pattern's boards
     nest_count: int
-    ranges: Callable[[tuple[int, int] | None], _Ranges]
+    ranges: Callable[[tuple[int, int] | None], Iterator[_Batch]]
     code: _BandCode  # block code of nine block columns
     board_code: Callable[[_Band, _Band, _Band], int]  # code of one board's band entries
     nest_generators: Callable[[], list[NamedGenerator]]
@@ -510,23 +503,24 @@ def census(variant: str, partition: tuple[int, int] | None = None) -> Census:
 
     A partition restricts the underlying enumeration slice; partial
     censuses merge by adding counts. The counts come from the join's
-    band-2 ranges, with no board row or Board built: the boards of a
+    range batches, with no board row or Board built: the boards of a
     pair's range whose band 2 has band code v all have block code pair
     code + v, and a prefix count of band code v over band 2 counts them.
     Band 2 of every join is the whole band table, whose prefix counts are
-    built once per variant. The labels are the variant's own NestLabels.
+    built once per variant. Each label code 9 * first + second maps to
+    the variant's own NestLabel.
     """
     v = normalize_variant(variant)
     spec = _VARIANTS[v]
     values, prefix = _band_counts(v)
     counts = np.zeros(81, dtype=np.int64)
-    for pair, lo, n in spec.ranges(partition).pairs:
+    for pair, lo, n in spec.ranges(partition):
         per = prefix.take(lo + n, 0) - prefix.take(lo, 0)
         at, value = np.nonzero(per)
         found = _labels_of_codes(v, spec.code.pair(pair.T).take(at) + values.take(value))
         counts += np.bincount(found, per[at, value], minlength=81).astype(np.int64)
-    nest = _label_nests(v)
-    mapping = {nest[code][0]: int(n) for code, n in enumerate(counts) if n}
+    label = {9 * l.first + l.second: l for l in labels(v)}
+    mapping = {label[code]: int(n) for code, n in enumerate(counts) if n}
     return Census(v, mapping, sum(mapping.values()))
 
 

@@ -160,18 +160,23 @@ def act_transpose(board):
     return act(transpose().symmetry, board)
 
 
+def block_at_origin(board):
+    # block at (0, 0), as a callable of the board alone.
+    return block(board, 0, 0)
+
+
 # What each callable gives for bytes that are not a board: a predicate
-# answers False, a reader that needs a board of a kind (a variant, or a
-# Sudoku board) raises DomainError, and None stands for the Board errors
-# of 80 or 82 cells and of a digit 9.
+# answers False, a reader that needs a board of a variant raises
+# DomainError, and None stands for the Board errors of 80 or 82 cells
+# and of a digit 9.
 @pytest.mark.parametrize("fn, text, not_a_board", [
     pytest.param(fn, text, not_a_board, id=fn.__name__) for fn, text, not_a_board in (
         (is_sudoku, CANON_MM_72, False), (is_modular_magic, CANON_MM_72, False),
         (is_semi_magic, CANON_SM_71, False), (check_two_equal, CANON_MM_72, DomainError),
         (canonicalize_mm, CANON_MM_72, DomainError), (canonicalize_sm, CANON_SM_71, DomainError),
         (blocks, CANON_MM_72, None), (act_transpose, CANON_MM_72, None),
-        (keedwell_decompose, CANON_SM_71, DomainError),
-        (linearity_degree, CANON_SM_71, DomainError),
+        (keedwell_decompose, CANON_SM_71, None), (linearity_degree, CANON_SM_71, None),
+        (block_at_origin, CANON_MM_72, None),
     )])
 def test_a_board_argument_that_is_not_bytes_like_raises(fn, text, not_a_board):
     # A board argument is a Board or a bytes-like value of single-byte

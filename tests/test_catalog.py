@@ -50,7 +50,7 @@ def test_parse_specific_tokens():
 
 
 def test_parse_rejects_bad_tokens():
-    for token in ("bogus", "mu(3,0)", "mu(4,1)", "swap_rows(0,0)", "swap_rows(0,9)", ""):
+    for token in ("bogus", "mu(3,0)", "mu(4,1)", "swap_rows(0,0)", "swap_rows(0,9)", "", None, 5):
         with pytest.raises(DomainError):
             catalog.parse_generator(token)
 

@@ -479,11 +479,10 @@ def _assert_batches_match_the_reference(catalog_fn, cand, levels=None):
     # The range batches against the reference levels: one batch per
     # top-left block of the top bands, in ascending order; the batches'
     # pairs are the reference assemblies of depth 6, each once and in
-    # order, and each pair's range of low holds the band 2 of exactly
-    # its reference rows.
+    # order, and each pair's range of the band table holds the band 2 of
+    # exactly its reference rows.
     levels = _reference_levels(catalog_fn, cand) if levels is None else levels
-    ranges = en._ranges(catalog_fn, cand)
-    batches = list(ranges.pairs)
+    batches = list(en._ranges(catalog_fn, cand))
     heads = np.unique(levels[2][:, 0])
     assert len(batches) == len(heads)
     for b0, (pair, lo, n) in zip(heads, batches):
@@ -501,7 +500,7 @@ def _assert_batches_match_the_reference(catalog_fn, cand, levels=None):
     want[np.searchsorted(pair.astype(np.int64) @ weights, prefixes)] = counts
     assert np.array_equal(n, want)
     at = np.concatenate([np.arange(a, a + k) for a, k in zip(lo, n)]).astype(np.int64)
-    assert np.array_equal(ranges.low.take(at, 0), rows[:, 6:])
+    assert np.array_equal(en._band_tables(catalog_fn)[1].take(at, 0), rows[:, 6:])
     return len(rows)
 
 
@@ -520,15 +519,10 @@ def test_range_batches_match_the_reference_join():
 def test_open_slices_read_the_band_tables_built_once(catalog_fn):
     # Band 2 of every join is the cached band table in key order; the
     # tables rebuilt after cache_clear give the same ranges.
-    low = en._band_tables(catalog_fn)[1]
     cand = en._slice(np.arange(72), (17, 72))
-    ranges = en._ranges(catalog_fn, cand)
-    assert ranges.low is low
-    warm = list(ranges.pairs)
+    warm = list(en._ranges(catalog_fn, cand))
     en._band_tables.cache_clear()
-    cold = en._ranges(catalog_fn, cand)
-    assert cold.low is not low and np.array_equal(cold.low, low)
-    batches = list(cold.pairs)
+    batches = list(en._ranges(catalog_fn, cand))
     assert len(batches) == len(warm) > 0
     assert all(np.array_equal(a, b) for x, y in zip(batches, warm) for a, b in zip(x, y))
 

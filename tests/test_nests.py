@@ -649,7 +649,7 @@ def test_census_slices_sum_to_the_published_censuses():
 @pytest.mark.parametrize("variant, partition", [("MM", (5, 81)), ("SM", (5, 72))])
 def test_census_slice_after_cache_clear_equals_the_warm_slice(variant, partition):
     warm = nests.census(variant, partition)
-    for fn in (en._band_tables, nests._band_counts, nests._label_nests):
+    for fn in (en._band_tables, nests._band_counts):
         fn.cache_clear()
     cold = nests.census(variant, partition)
     assert cold == warm and list(cold.counts) == list(warm.counts)
@@ -669,8 +669,8 @@ def test_cached_tables_are_read_only(variant):
     # Every caller shares these arrays, so none of them can be written.
     catalog_fn = nests._VARIANTS[variant].catalog
     tables = (*en._band_tables(catalog_fn)[:4], *en._index(catalog_fn),
-              *nests._band_counts(variant))
-    assert len(tables) == 10
+              *nests._band_counts(variant), *en._join_tables(catalog_fn))
+    assert len(tables) == 12
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[:1] = 0
