@@ -139,7 +139,10 @@ Board._wrap = partial(bytes.__new__, Board)
 
 
 def parse_board(text: str) -> Board:
-    """Parse 81 digit characters (whitespace ignored) into a Board."""
+    """Parse 81 digit characters (whitespace ignored) into a Board; any
+    value that is no str raises BoardFormatError."""
+    if not isinstance(text, str):
+        raise BoardFormatError(f"expected board text, got {type(text).__name__}")
     stripped = "".join(text.split())
     if len(stripped) != 81:
         raise BoardFormatError(f"expected 81 digits, got {len(stripped)}")
@@ -437,7 +440,9 @@ def pack(board: Board) -> bytes:
 
 
 def unpack(data: bytes) -> Board:
-    """Unpack 41 bytes produced by pack back into a Board."""
+    """Unpack 41 bytes produced by pack back into a Board; any value that
+    is not bytes-like raises BoardFormatError."""
+    data = _cell_bytes(data)
     if len(data) != PACKED_SIZE:
         raise BoardFormatError(f"expected {PACKED_SIZE} packed bytes, got {len(data)}")
     return Board._wrap(_unpack_rows(data))

@@ -18,7 +18,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -201,8 +201,9 @@ def digit_cycles(image: Sequence[int]) -> str:
 
     Raises DomainError unless ``image`` is a permutation of 0..8.
     """
-    if sorted(image) != list(range(9)):
-        raise DomainError(f"not a permutation of 0..8: {list(image)}")
+    bad = f"not a permutation of 0..8: {image!r}"
+    if not isinstance(image, Iterable) or sorted(_in_range(d, bad) for d in image) != [*range(9)]:
+        raise DomainError(bad)
     seen: set[int] = set()
     cycles = []
     for start in range(9):
@@ -218,7 +219,7 @@ def digit_cycles(image: Sequence[int]) -> str:
 
 def relabeling(image: Sequence[int]) -> NamedGenerator:
     """Wrap an arbitrary digit permutation, named by its cycle notation."""
-    sym = Symmetry.from_digit(tuple(image))
+    sym = Symmetry.from_digit(image)
     return NamedGenerator(digit_cycles(sym.digit), sym)
 
 

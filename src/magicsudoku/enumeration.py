@@ -16,17 +16,17 @@ every pillar, and band 2 is any band with the column triples they leave,
 whose range of the key-sorted bands is read from a start table over
 every key. Each catalog's tables are built once per process, read-only:
 its bands and their column fits, and band 2 of every join, the whole
-band table in key order, with its start table. A join is its range
-batches, one per top-left block: its band-0/band-1 pairs and the start
-and length of each one's range of band 2, which every reader takes from
-the catalog's band table. Counts and the census read the batches alone.
-Rows are built only for visitors, the iterators and completions:
-C-contiguous (n, 9) uint8 chunks of catalog indices, one per pair of
-blocks at positions 0 and 1, and Board objects from those; a
-completion's mask of band 2 filters its rows. Chunks and their rows come
-in lexicographic order, so earlier positions vary slowest. The sampler
-draws the board at a uniform index of the whole join, held as one index
-of its pairs and their ranges.
+band table in key order, with its start table and its bands' row-major
+cells. A join is its range batches, one per top-left block: its
+band-0/band-1 pairs and the start and length of each one's range of
+band 2. Counts and the census read the batches alone. A board is its
+three bands' 27-byte rows: the visitors, the iterators and completions
+cut each pair's rows of bands 0 and 1 once and append band 2's row from
+the table, for at most _CHUNK boards at a time, in join order
+(lexicographic in the blocks, earlier positions varying slowest). A
+completion keeps the boards of its ranges that hold every assigned
+cell. The sampler draws the board at a uniform index of the whole join,
+held as one index of its pairs and their ranges.
 
 Both enumerators are deterministic: semi-magic boards come in join
 order, modular-magic boards in lexicographic row-major order. An
@@ -40,7 +40,7 @@ from __future__ import annotations
 import multiprocessing
 import operator
 import os
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
@@ -114,6 +114,15 @@ def _join_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return _read_only(blocks.reshape(-1, 9), rows[:, None] & rows == 0, cols[:, None] & cols == 0)
 
 
+def _band_rows(catalog_fn: _Catalog, idx: np.ndarray) -> np.ndarray:
+    """The row-major cells of bands of catalog indices: (n, 3k) indices of
+    k bands each give (n, 27k) uint8 rows. The gathered (n, k, J, r)
+    mini-rows, each one 3-byte item, are read as (n, k, r, J)."""
+    rows = _join_tables(catalog_fn)[0].view("V3").take(idx, 0)
+    rows = rows.reshape(len(idx), idx.shape[1] // 3, 3, 3).transpose(0, 1, 3, 2)
+    return np.ascontiguousarray(rows).view(np.uint8).reshape(len(idx), 9 * idx.shape[1])
+
+
 @cache
 def _band_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, ...]:
     """The catalog's bands and the lookup of band 2, all read-only. A
@@ -125,7 +134,8 @@ def _band_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, ...]:
     bands stably sorted by key, and first is the start table over every
     key: the bands of key k are by_key[first[k]:first[k + 1]]. rest[a, b]
     is the id of the triple that completes a pillar holding blocks a and
-    b; m - 1, a triple no block has, stands for none."""
+    b; m - 1, a triple no block has, stands for none. cells holds the
+    27 row-major cells of each band of by_key."""
     blocks, row_ok, _ = _join_tables(catalog_fn)
     bands = np.argwhere(row_ok[:, :, None] & row_ok[:, None] & row_ok).astype(np.uint8, order="C")
     codes = _line_sets(blocks.reshape(-1, 3, 3))[1]
@@ -138,7 +148,8 @@ def _band_tables(catalog_fn: _Catalog) -> tuple[np.ndarray, ...]:
     keys = col_id[bands] @ [m * m, m, 1]
     order = np.argsort(keys, kind="stable")
     first = np.searchsorted(keys[order], np.arange(m**3 + 1))
-    return (*_read_only(bands, bands[order], first, rest), m)
+    by_key = bands[order]
+    return (*_read_only(bands, by_key, first, rest, _band_rows(catalog_fn, by_key)), m)
 
 
 def _allowed(cand: np.ndarray, rows: np.ndarray, r: int) -> np.ndarray:
@@ -150,8 +161,8 @@ def _allowed(cand: np.ndarray, rows: np.ndarray, r: int) -> np.ndarray:
 def _ranges(catalog_fn: _Catalog, cand: np.ndarray) -> Iterator[_Batch]:
     """The boards built from the catalog whose block at position p < 6
     has its catalog index in the mask cand[p], as ranges of band 2, the
-    catalog's band table in key order (_band_tables(catalog_fn)[1]):
-    _join applies mask rows 6-8. One batch per top-left block of the
+    catalog's band table in key order (_band_tables(catalog_fn)[1]);
+    mask rows 6-8 are not read. One batch per top-left block of the
     admissible top bands, in ascending order: its (n, 6) band-0/band-1
     rows and the start lo and length n of each one's range of band 2.
 
@@ -167,7 +178,7 @@ def _ranges(catalog_fn: _Catalog, cand: np.ndarray) -> Iterator[_Batch]:
     gather takes whole rows or single items, far faster than a 2-D fancy
     index of 3-byte rows. Open rows 3-5, as in every partition slice,
     take every band as a band-1 row."""
-    bands, _, first, rest, m = _band_tables(catalog_fn)
+    bands, _, first, rest, _, m = _band_tables(catalog_fn)
     col_ok = _join_tables(catalog_fn)[2]
     mid = bands if cand[3:6].all() else bands.compress(_allowed(cand, bands, 1), 0)
     top = bands.compress(_allowed(cand, bands, 0), 0)
@@ -185,33 +196,6 @@ def _ranges(catalog_fn: _Catalog, cand: np.ndarray) -> Iterator[_Batch]:
         yield pair, lo, first.take(want + 1) - lo
 
 
-def _rows(catalog_fn: _Catalog, batches: Iterable[_Batch]) -> Iterator[np.ndarray]:
-    """The boards of the catalog's range batches as C-contiguous (n, 9)
-    uint8 chunks of catalog indices, one per pair of blocks at positions
-    0 and 1 that has boards, rows in lexicographic order."""
-    low = _band_tables(catalog_fn)[1]
-    for batch in batches:
-        # A batch's pairs are sorted, so each block at position 1 is one run of them.
-        cuts = np.flatnonzero(np.diff(batch[0][:, 1])) + 1
-        for pair, lo, n in zip(*(np.split(a, cuts) for a in batch)):
-            total = n.sum()
-            if total:
-                rows = np.empty((total, 9), dtype=np.uint8)
-                rows[:, :6] = np.repeat(pair, n, 0)
-                at = np.arange(total) + np.repeat(lo - np.cumsum(n) + n, n)
-                rows[:, 6:] = low.take(at, 0)
-                yield rows
-
-
-def _join(catalog_fn: _Catalog, cand: np.ndarray) -> Iterator[np.ndarray]:
-    """The rows of _ranges(catalog_fn, cand) whose band 2 has each block
-    in its mask, chunks that this leaves empty dropped."""
-    for rows in _rows(catalog_fn, _ranges(catalog_fn, cand)):
-        rows = rows.compress(_allowed(cand, rows[:, 6:], 2), 0)
-        if len(rows):
-            yield rows
-
-
 def _slice(keys: np.ndarray, partition: tuple[int, int] | None) -> np.ndarray:
     """Join candidate masks of a partition slice: worker w of n gets the
     top-left catalog blocks whose key is congruent to w mod n. Only
@@ -227,23 +211,30 @@ def _slice(keys: np.ndarray, partition: tuple[int, int] | None) -> np.ndarray:
     return cand
 
 
-def _cells(catalog_fn: _Catalog, chunks: Iterable[np.ndarray]) -> Iterator[bytes]:
-    """The 81 row-major cell bytes of each board of the index chunks, in order."""
-    cat = _join_tables(catalog_fn)[0]
-    for idx in chunks:
-        for start in range(0, len(idx), _CHUNK):  # bounds the batch buffers
-            # The gathered (n, I, J, r) mini-rows, each one 3-byte item, read
-            # as (n, I, r, J): row-major cells, a third as many items to move
-            # as a transpose of single cells.
-            blocks = cat.take(idx[start : start + _CHUNK], axis=0).view("V3")
-            data = blocks.reshape(-1, 3, 3, 3).transpose(0, 1, 3, 2).tobytes()
+def _cells(catalog_fn: _Catalog, batches: Iterable[_Batch]) -> Iterator[bytes]:
+    """The 81 row-major cell bytes of each board of the range batches, in
+    order. Board i of a batch is the rows of bands 0 and 1 of its pair k,
+    the last whose first board is at most i, then the band-2 row at
+    lo[k] + i - first[k] of the band table, built at most _CHUNK boards
+    at a time."""
+    low = _band_tables(catalog_fn)[4]
+    for pair, lo, n in batches:
+        top = _band_rows(catalog_fn, pair)  # one cut per pair, 54 bytes
+        first = np.cumsum(n) - n
+        total = int(n.sum())
+        for start in range(0, total, _CHUNK):
+            i = np.arange(start, min(start + _CHUNK, total))
+            k = first.searchsorted(i, "right") - 1
+            cells = np.empty((len(i), 81), dtype=np.uint8)
+            cells[:, :54] = top.take(k, 0)
+            cells[:, 54:] = low.take(lo.take(k) + i - first.take(k), 0)
             # "V81" keeps trailing zero cells, which "S81" would strip.
-            yield from np.frombuffer(data, "V81").tolist()
+            yield from cells.view("V81").ravel().tolist()
 
 
-def _boards(catalog_fn: _Catalog, chunks: Iterable[np.ndarray]) -> Iterator[Board]:
-    """The boards of the index chunks, in order."""
-    return map(Board._wrap, _cells(catalog_fn, chunks))
+def _boards(catalog_fn: _Catalog, batches: Iterable[_Batch]) -> Iterator[Board]:
+    """The boards of the range batches, in order."""
+    return map(Board._wrap, _cells(catalog_fn, batches))
 
 
 def _map_partitions(fn: Callable[[tuple[int, int] | None], _T], threads: int) -> list[_T]:
@@ -274,14 +265,18 @@ def _visit(
 
 def _complete(catalog_fn: _Catalog, assignments: Mapping[int, int]) -> list[Board]:
     """The boards built from the catalog that extend the given cell
-    assignments, sorted by cells."""
+    assignments, sorted by cells: those that hold every assigned cell, of
+    the ranges whose blocks of bands 0 and 1 agree with the assignments."""
+    if not isinstance(assignments, Mapping):
+        raise DomainError(f"assignments must map cells to digits, not {type(assignments).__name__}")
     cat = _join_tables(catalog_fn)[0]
     cand = np.ones((9, len(cat)), dtype=bool)
     for cell, digit in assignments.items():
         bad = f"bad assignment {cell!r}: {digit!r}"
         r, c = divmod(_in_range(cell, bad, 0, 80), 9)
         cand[3 * (r // 3) + c // 3] &= cat[:, 3 * (r % 3) + c % 3] == _in_range(digit, bad, 0, 8)
-    return sorted(_boards(catalog_fn, _join(catalog_fn, cand)))
+    cells = _cells(catalog_fn, _ranges(catalog_fn, cand))
+    return sorted(Board._wrap(b) for b in cells if all(b[i] == d for i, d in assignments.items()))
 
 
 @cache
@@ -300,12 +295,14 @@ def _index(catalog_fn: _Catalog) -> tuple[np.ndarray, ...]:
 def _random_board(catalog_fn: _Catalog, rng) -> Board:
     """The board at rng.randrange(count) of the catalog's join, in join
     order: uniform over the boards, as each index is one board. Index i
-    lies in the last pair whose first is at most i, which has boards."""
+    lies in the last pair k whose first is at most i, which has boards;
+    the board is k's rows of bands 0 and 1 and the band-2 row at
+    lo[k] + i - first[k], built alone, as _cells would build it."""
     pairs, lo, first = _index(catalog_fn)
     i = rng.randrange(int(first[-1]))
     k = first.searchsorted(np.int32(i), "right") - 1  # a wider key would cast all of first
-    row = np.concatenate((pairs[k], _band_tables(catalog_fn)[1][lo[k] + i - first[k]]))
-    return next(_boards(catalog_fn, [row[None]]))
+    low = _band_tables(catalog_fn)[4][lo[k] + i - first[k]]
+    return Board._wrap(_band_rows(catalog_fn, pairs[k : k + 1]).tobytes() + low.tobytes())
 
 
 # --- modular-magic enumeration ---
@@ -315,11 +312,6 @@ def _mm_ranges(partition: tuple[int, int] | None = None) -> Iterator[_Batch]:
     """The join range batches of a partition slice of the modular-magic boards."""
     cat = _join_tables(modular_magic_blocks)[0].astype(int)
     return _ranges(modular_magic_blocks, _slice(9 * cat[:, 0] + cat[:, 1], partition))
-
-
-def _mm_join(partition: tuple[int, int] | None = None) -> Iterator[np.ndarray]:
-    """The join chunks of a partition slice of the modular-magic boards."""
-    return _rows(modular_magic_blocks, _mm_ranges(partition))
 
 
 def enumerate_modular_magic(
@@ -332,12 +324,12 @@ def enumerate_modular_magic(
     satisfy (9 * d0 + d1) % n == w.
     """
     mm = modular_magic_blocks
-    return _visit(_mm_ranges(partition), lambda b: sorted(_boards(mm, _rows(mm, b))), visitor)
+    return _visit(_mm_ranges(partition), lambda b: sorted(_boards(mm, b)), visitor)
 
 
 def iter_modular_magic() -> Iterator[Board]:
     """Yield every modular-magic board in enumeration order."""
-    return iter(sorted(_boards(modular_magic_blocks, _mm_join())))
+    return iter(sorted(_boards(modular_magic_blocks, _mm_ranges())))
 
 
 def complete_modular_magic(assignments: Mapping[int, int]) -> list[Board]:
@@ -354,11 +346,6 @@ def _sm_ranges(partition: tuple[int, int] | None = None) -> Iterator[_Batch]:
     return _ranges(semi_magic_blocks, _slice(np.arange(len(semi_magic_blocks())), partition))
 
 
-def _sm_join(partition: tuple[int, int] | None = None) -> Iterator[np.ndarray]:
-    """The join chunks of a partition slice of the semi-magic boards."""
-    return _rows(semi_magic_blocks, _sm_ranges(partition))
-
-
 def enumerate_semi_magic(
     visitor: Visitor | None = None, partition: tuple[int, int] | None = None
 ) -> int:
@@ -369,13 +356,12 @@ def enumerate_semi_magic(
     of a partition into n slices gets the top-left catalog indices
     congruent to w mod n.
     """
-    sm = semi_magic_blocks
-    return _visit(_sm_ranges(partition), lambda b: _boards(sm, _rows(sm, b)), visitor)
+    return _visit(_sm_ranges(partition), partial(_boards, semi_magic_blocks), visitor)
 
 
 def iter_semi_magic() -> Iterator[Board]:
     """Yield every semi-magic board in enumeration order."""
-    return _boards(semi_magic_blocks, _sm_join())
+    return _boards(semi_magic_blocks, _sm_ranges())
 
 
 def random_semi_magic(rng) -> Board:

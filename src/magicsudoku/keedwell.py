@@ -65,13 +65,15 @@ class KeedwellDecomposition:
 
 def apply_alpha(blk: Block, e: int) -> Block:
     """Cycle mini-rows down e steps: row r of the result is row
-    (r - e) mod 3 of the input."""
+    (r - e) mod 3 of the input. e is any integer, taken mod 3."""
+    e = _in_range(e, f"bad exponent {e!r}", -math.inf)
     return tuple(blk[(r - e) % 3] for r in range(3))
 
 
 def apply_beta(blk: Block, e: int) -> Block:
     """Cycle mini-columns right e steps: column c of the result is
-    column (c - e) mod 3 of the input."""
+    column (c - e) mod 3 of the input. e is any integer, taken mod 3."""
+    e = _in_range(e, f"bad exponent {e!r}", -math.inf)
     return tuple(tuple(row[(c - e) % 3] for c in range(3)) for row in blk)
 
 

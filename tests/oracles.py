@@ -1,12 +1,17 @@
 """The block-tuple predicates that the block-pass predicates replaced,
 kept as the oracle: one Block tuple per block, one Python sum per line.
 With them, the nine-weight sum that the band table's per-band sums
-replaced, and the chunk labels of the variants' block codes."""
+replaced, the chunk labels of the variants' block codes, and the
+reference join: the block join built position by position as (n, 9)
+rows of catalog indices, and the boards' cells gathered cell by cell."""
 
 from functools import cache
 
+import numpy as np
+
 from magicsudoku import nests
 from magicsudoku.boards import _mm_weights, blocks, modular_magic_blocks
+from magicsudoku.enumeration import _join_tables
 from magicsudoku.errors import DomainError, StructureError
 
 _DIGITS = frozenset(range(9))
@@ -90,3 +95,56 @@ def _label_codes(variant, columns):
     """9 * first + second of the nest labels of nine block columns of the
     variant's catalog indices: nine ints for one board, or idx.T of a chunk."""
     return nests._labels_of_codes(variant, nests._VARIANTS[variant].code(columns))
+
+
+def _admissible(tables, allowed, idx):
+    # (n, 72) mask of the allowed catalog blocks that may sit at block
+    # position p = idx.shape[1] (row-major block order) next to the
+    # blocks idx[k, :p] of each partial assembly k: mini-row sets
+    # disjoint from the earlier blocks of its band, mini-column sets
+    # disjoint from the earlier blocks of its pillar.
+    _, row_ok, col_ok = tables
+    p = idx.shape[1]
+    # Only position 0 has no earlier block in its band or pillar.
+    mask = np.broadcast_to(allowed, (len(idx), len(allowed))) if p == 0 else allowed
+    for q in range(p - p % 3, p):
+        mask = mask & row_ok[idx[:, q]]
+    for q in range(p % 3, p, 3):
+        mask = mask & col_ok[idx[:, q]]
+    return mask
+
+
+def _reference_levels(catalog_fn, cand, start=np.zeros((1, 0), dtype=np.uint8)):
+    # The join position by position: the partial assemblies of each depth
+    # after those of start (by default depths 1..9), each level the one
+    # before extended by one block position with the 72-wide _admissible
+    # mask.
+    tables = _join_tables(catalog_fn)
+    levels = [start]
+    for p in range(start.shape[1], 9):
+        # flatnonzero, then divmod: twice as fast as a 2-D np.nonzero.
+        found = np.flatnonzero(_admissible(tables, cand[p], levels[-1]))
+        rows, picks = np.divmod(found, cand.shape[1])
+        levels.append(np.column_stack((levels[-1][rows], picks.astype(np.uint8))))
+    return levels[1:]
+
+
+def _head_chunks(rows):
+    # One chunk per pair of blocks at positions 0 and 1: the runs of
+    # rows that share those two blocks.
+    cuts = np.flatnonzero((rows[1:, :2] != rows[:-1, :2]).any(axis=1)) + 1
+    return np.split(rows, cuts) if len(rows) else []
+
+
+def _reference_join(catalog_fn, cand):
+    return _head_chunks(_reference_levels(catalog_fn, cand)[-1])
+
+
+def _reference_cells(catalog_fn, chunks):
+    # The gather of single cells: (n, I, J, r, c) blocks transposed to
+    # (n, I, r, J, c), then split 81 bytes at a time.
+    cat = _join_tables(catalog_fn)[0]
+    for idx in chunks:
+        data = cat[idx].reshape(-1, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4).tobytes()
+        for k in range(0, len(data), 81):
+            yield data[k : k + 81]

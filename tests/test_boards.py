@@ -31,12 +31,18 @@ from magicsudoku.boards import (
     write_text,
 )
 from magicsudoku.analysis import check_two_equal
-from magicsudoku.catalog import transpose
-from magicsudoku.enumeration import enumerate_semi_magic, iter_modular_magic, random_semi_magic
-from magicsudoku.keedwell import keedwell_decompose, linearity_degree
+from magicsudoku.catalog import digit_cycles, relabeling, transpose
+from magicsudoku.enumeration import (
+    complete_modular_magic,
+    enumerate_semi_magic,
+    iter_modular_magic,
+    random_semi_magic,
+)
+from magicsudoku.keedwell import apply_alpha, apply_beta, keedwell_decompose, linearity_degree
+from magicsudoku.nestgraph import build_nest_graph, completeness
 from magicsudoku.nests import canonicalize_mm, canonicalize_sm
 from magicsudoku.errors import BoardFormatError, DigitError, DomainError, StructureError
-from magicsudoku.perms import act
+from magicsudoku.perms import Symmetry, act
 
 from conftest import CANON_MM_72, CANON_SM_71
 
@@ -204,6 +210,31 @@ def test_a_board_argument_that_is_not_bytes_like_raises(fn, text, not_a_board):
     assert fn(np.array(list(board), dtype=np.uint8)) == fn(board)
     if fn.__name__.startswith("is_"):
         assert fn(cells) is True
+
+
+_K = ((0, 4, 8), (5, 6, 1), (7, 2, 3))
+
+
+# Text, packed bytes, assignments, exponents, digit permutations and
+# generator lists of the wrong kind, each named by its callable and the
+# type of its last argument.
+@pytest.mark.parametrize("fn, args, error", [
+    pytest.param(fn, args, error, id=f"{fn.__name__}-{type(args[-1]).__name__}")
+    for fn, args, error in (
+        (parse_board, (None,), BoardFormatError), (parse_board, (b"0" * 81,), BoardFormatError),
+        (unpack, (None,), BoardFormatError), (unpack, (5,), BoardFormatError),
+        (complete_modular_magic, (None,), DomainError),
+        (complete_modular_magic, ([(0, 0)],), DomainError),
+        (apply_alpha, (_K, 1.5), DomainError), (apply_beta, (_K, "1"), DomainError),
+        (relabeling, (None,), DomainError), (Symmetry.from_digit, (5,), DomainError),
+        (digit_cycles, (5,), DomainError), (build_nest_graph, ("MM", 5), DomainError),
+        (completeness, ("MM", None), DomainError),
+    )])
+def test_an_argument_of_the_wrong_kind_raises_a_package_error(fn, args, error):
+    # The package's error for that argument, never a bare TypeError or
+    # AttributeError from inside the callable.
+    with pytest.raises(error):
+        fn(*args)
 
 
 def test_magic_predicates(board_mm_72, board_sm_71):

@@ -25,6 +25,7 @@ from magicsudoku.boards import (
 from magicsudoku.errors import DomainError, IntegrityError
 
 from conftest import CANON_SM_71
+from oracles import _reference_cells, _reference_levels
 
 
 class _Stop(Exception):
@@ -262,15 +263,16 @@ def test_random_semi_magic_pinned_draws():
 
 
 def test_random_draws_fit_the_join():
-    # Every drawn board is a row of the join's slice of its top-left block.
+    # Every drawn board is a row of the reference join: one of the
+    # reference completions of its first six blocks.
     cat = en._join_tables(en.semi_magic_blocks)[0]
     index = {blk.tobytes(): i for i, blk in enumerate(cat)}
     rng = random.Random(23)
     for _ in range(50):
         board = en.random_semi_magic(rng)
         picks = [index[bytes(itertools.chain(*blk))] for blk in blocks(board)]
-        cand = en._slice(np.arange(72), (picks[0], 72))
-        rows = np.concatenate(list(en._join(en.semi_magic_blocks, cand)))
+        start = np.array([picks[:6]], dtype=np.uint8)
+        rows = _reference_levels(en.semi_magic_blocks, np.ones((9, 72), dtype=bool), start)[-1]
         assert (rows == picks).all(axis=1).any()
 
 
@@ -286,7 +288,7 @@ class _At:
 
 def test_sampler_gives_every_modular_magic_board_at_its_join_index():
     mm = en.modular_magic_blocks
-    boards = list(en._boards(mm, en._join(mm, np.ones((9, 72), dtype=bool))))
+    boards = list(en._boards(mm, en._ranges(mm, np.ones((9, 72), dtype=bool))))
     assert len(boards) == 32256
     assert [en._random_board(mm, _At(i, 32256)) for i in range(32256)] == boards
 
@@ -298,11 +300,11 @@ def test_sampler_gives_the_semi_magic_board_at_seeded_join_indices():
     rng = random.Random(5)
     indices = sorted(rng.randrange(5_971_968) for _ in range(3000))
     for top_left, run in itertools.groupby(indices, lambda i: i // 82944):
-        rows = np.concatenate(list(en._join(sm, en._slice(np.arange(72), (top_left, 72)))))
-        assert len(rows) == 82944
+        cells = list(en._cells(sm, en._ranges(sm, en._slice(np.arange(72), (top_left, 72)))))
+        assert len(cells) == 82944
         run = list(run)
-        want = list(en._boards(sm, [rows[[i % 82944 for i in run]]]))
-        assert [en._random_board(sm, _At(i, 5_971_968)) for i in run] == want
+        want = [cells[i % 82944] for i in run]
+        assert [en._random_board(sm, _At(i, 5_971_968)).cells for i in run] == want
 
 
 @pytest.mark.parametrize("catalog_fn, count", [
@@ -314,52 +316,8 @@ def test_sampler_reaches_both_ends_of_the_join(catalog_fn, count):
     for i, top_left, at in ((0, 0, 0), (count - 1, 71, -1)):
         cand = np.ones((9, 72), dtype=bool)
         cand[0] = np.arange(72) == top_left
-        rows = np.concatenate(list(en._join(catalog_fn, cand)))
-        want = next(en._boards(catalog_fn, [rows[[at]]]))
-        assert en._random_board(catalog_fn, _At(i, count)) == want
-
-
-def _admissible(tables, allowed, idx):
-    # (n, 72) mask of the allowed catalog blocks that may sit at block
-    # position p = idx.shape[1] (row-major block order) next to the
-    # blocks idx[k, :p] of each partial assembly k: mini-row sets
-    # disjoint from the earlier blocks of its band, mini-column sets
-    # disjoint from the earlier blocks of its pillar.
-    _, row_ok, col_ok = tables
-    p = idx.shape[1]
-    # Only position 0 has no earlier block in its band or pillar.
-    mask = np.broadcast_to(allowed, (len(idx), len(allowed))) if p == 0 else allowed
-    for q in range(p - p % 3, p):
-        mask = mask & row_ok[idx[:, q]]
-    for q in range(p % 3, p, 3):
-        mask = mask & col_ok[idx[:, q]]
-    return mask
-
-
-def _reference_levels(catalog_fn, cand, start=np.zeros((1, 0), dtype=np.uint8)):
-    # The join position by position: the partial assemblies of each depth
-    # after those of start (by default depths 1..9), each level the one
-    # before extended by one block position with the 72-wide _admissible
-    # mask.
-    tables = en._join_tables(catalog_fn)
-    levels = [start]
-    for p in range(start.shape[1], 9):
-        # flatnonzero, then divmod: twice as fast as a 2-D np.nonzero.
-        found = np.flatnonzero(_admissible(tables, cand[p], levels[-1]))
-        rows, picks = np.divmod(found, cand.shape[1])
-        levels.append(np.column_stack((levels[-1][rows], picks.astype(np.uint8))))
-    return levels[1:]
-
-
-def _head_chunks(rows):
-    # One chunk per pair of blocks at positions 0 and 1: the runs of
-    # rows that share those two blocks.
-    cuts = np.flatnonzero((rows[1:, :2] != rows[:-1, :2]).any(axis=1)) + 1
-    return np.split(rows, cuts) if len(rows) else []
-
-
-def _reference_join(catalog_fn, cand):
-    return _head_chunks(_reference_levels(catalog_fn, cand)[-1])
+        want = list(en._cells(catalog_fn, en._ranges(catalog_fn, cand)))[at]
+        assert en._random_board(catalog_fn, _At(i, count)).cells == want
 
 
 @functools.cache
@@ -370,9 +328,10 @@ def _sm_slice_levels(top_left):
 
 
 @functools.cache
-def _seeded_references():
-    # Seeded random masks, 50 per variant, each with the reference levels
-    # of depths 3, 6 and 9 that the two join tests read, built once for
+def _seeded_open_references():
+    # Seeded random masks, 50 per variant, with rows 6-8 open, as the
+    # ranges read no band-2 mask, each with the reference levels of
+    # depths 3, 6 and 9 that the two batch tests read, built once for
     # both. Semi-magic masks keep a few top-left blocks, so that each
     # join stays small.
     rng = np.random.default_rng(19)
@@ -383,23 +342,9 @@ def _seeded_references():
             cand = rng.random((9, 72)) < rng.choice([0.5, 0.8, 0.95, 1.0], size=(9, 1))
             if catalog_fn is en.semi_magic_blocks:
                 cand[0] &= rng.random(72) < 0.05
+            cand[6:] = True
             levels = _reference_levels(catalog_fn, cand)
             found[catalog_fn].append((cand, {d: levels[d] for d in (2, 5, 8)}))
-    return found
-
-
-@functools.cache
-def _seeded_open_references():
-    # The seeded masks with rows 6-8 opened, which _ranges reads alike,
-    # and their reference levels of depths 3, 6 and 9; depths 3 and 6
-    # are the seeded masks' own, so only positions 6-8 are built again.
-    found = {}
-    for catalog_fn, cases in _seeded_references().items():
-        found[catalog_fn] = []
-        for cand, levels in cases:
-            cand = np.vstack((cand[:6], np.ones((3, 72), dtype=bool)))
-            last = _reference_levels(catalog_fn, cand, levels[5])[-1]
-            found[catalog_fn].append((cand, {2: levels[2], 5: levels[5], 8: last}))
     return found
 
 
@@ -413,15 +358,18 @@ def test_sm_join_level_sizes():
     # the catalog; 4,608 modular-magic ones do not.
     for top_left in (0, 17, 71):
         cand = en._slice(np.arange(72), (top_left, 72))
-        assert list(map(len, _sm_slice_levels(top_left))) == _SM_LEVELS
-        # The band join's rows show the same levels, each prefix of a
-        # depth with equally many completions. A prefix is counted by its
-        # base-72 number, which names it uniquely.
-        rows = np.concatenate(list(en._join(en.semi_magic_blocks, cand))).astype(np.int64)
+        levels = _sm_slice_levels(top_left)
+        assert list(map(len, levels)) == _SM_LEVELS
+        # The rows show the same levels, each prefix of a depth with
+        # equally many completions. A prefix is counted by its base-72
+        # number, which names it uniquely. The band join's batches hold
+        # exactly these rows.
+        rows = levels[-1].astype(np.int64)
         for depth, size in enumerate(_SM_LEVELS, 1):
             _, counts = np.unique(rows[:, :depth] @ 72 ** np.arange(depth), return_counts=True)
             assert len(counts) == size
             assert (counts == len(rows) // size).all()
+        assert _assert_batches_match_the_reference(en.semi_magic_blocks, cand, levels) == 82944
     cand = np.ones((9, 72), dtype=bool)
     sizes = list(map(len, _reference_levels(en.modular_magic_blocks, cand)))
     assert sizes == [72, 576, 2304, 18432, 20736, 11520, 46080, 36864, 32256]
@@ -437,42 +385,39 @@ def _preset(catalog_fn, assignments):
     return cand
 
 
-def _assert_joins_equal(catalog_fn, cand, want=None):
-    got = list(en._join(catalog_fn, cand))
-    want = _reference_join(catalog_fn, cand) if want is None else want
-    assert len(got) == len(want)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    return sum(map(len, got))
+def _assert_cells_equal(catalog_fn, cand, rows):
+    # The boards of the range batches of cand, cell for cell, against
+    # the reference cells of rows, the reference join of cand.
+    got = list(en._cells(catalog_fn, en._ranges(catalog_fn, cand)))
+    assert got == list(_reference_cells(catalog_fn, [rows]))
+    return len(got)
+
+
+def _assert_completions_equal(catalog_fn, assignments):
+    # The completions against the reference join of the assignments' masks.
+    got = [board.cells for board in en._complete(catalog_fn, assignments)]
+    rows = _reference_levels(catalog_fn, _preset(catalog_fn, assignments))[-1]
+    assert got == sorted(_reference_cells(catalog_fn, [rows]))
+    return len(got)
 
 
 def test_band_join_matches_the_reference_join(board_mm_72):
     sm, mm = en.semi_magic_blocks, en.modular_magic_blocks
     for top_left in (0, 17, 71):
         cand = en._slice(np.arange(72), (top_left, 72))
-        want = _head_chunks(_sm_slice_levels(top_left)[-1])
-        assert _assert_joins_equal(sm, cand, want) == 82944
-    assert _assert_joins_equal(mm, np.ones((9, 72), dtype=bool)) == 32256
-    assert _assert_joins_equal(sm, _preset(sm, dict(en.standard_gnomon_cells()))) == 16
-    assert _assert_joins_equal(mm, _preset(mm, dict(nests._MM_TEMPLATE))) > 0
+        assert _assert_cells_equal(sm, cand, _sm_slice_levels(top_left)[-1]) == 82944
+    cand = np.ones((9, 72), dtype=bool)
+    assert _assert_cells_equal(mm, cand, _reference_levels(mm, cand)[-1]) == 32256
+    assert _assert_completions_equal(sm, dict(en.standard_gnomon_cells())) == 16
+    assert _assert_completions_equal(mm, dict(nests._MM_TEMPLATE)) > 0
     # Presets on one cell of block 7 (cell (7, 4)) and one of block 8
-    # (cell (8, 8)) filter band 2 alone.
-    for catalog_fn, board, cand in (
-        (sm, parse_board(CANON_SM_71), en._slice(np.arange(72), (17, 72))),
-        (mm, board_mm_72, np.ones((9, 72), dtype=bool)),
-    ):
-        full = sum(map(len, en._join(catalog_fn, cand)))
-        preset = _preset(catalog_fn, {67: board[67], 80: board[80]})
-        assert preset[:7].all() and not preset[7:].all()
-        for positions in ([7], [8], [7, 8]):
-            restricted = cand.copy()
-            restricted[positions] &= preset[positions]
-            assert 0 < _assert_joins_equal(catalog_fn, restricted) < full
-        cand[8] = False
-        assert list(en._join(catalog_fn, cand)) == []
-    for catalog_fn, cases in _seeded_references().items():
-        nonempty = sum(_assert_joins_equal(catalog_fn, cand, _head_chunks(levels[8])) > 0
-                       for cand, levels in cases)
-        assert nonempty > 40
+    # (cell (8, 8)) restrict band 2 alone; the ranges read no band-2
+    # mask, so the completions keep the boards that hold those cells.
+    # Two equal digits in one mini-row of block 8 leave no completion.
+    for preset in ({67: board_mm_72[67]}, {80: board_mm_72[80]},
+                   {67: board_mm_72[67], 80: board_mm_72[80]}):
+        assert 0 < _assert_completions_equal(mm, preset) < 32256
+    assert _assert_completions_equal(mm, {79: board_mm_72[80], 80: board_mm_72[80]}) == 0
 
 
 def _assert_batches_match_the_reference(catalog_fn, cand, levels=None):
@@ -528,25 +473,28 @@ def test_open_slices_read_the_band_tables_built_once(catalog_fn):
 
 
 def test_a_restricted_join_between_open_ones_equals_the_reference_join():
-    # A mask that restricts rows 3-8 gives the reference join, and the
-    # open slice around it is unchanged.
-    for catalog_fn, cases in _seeded_references().items():
+    # A mask that restricts rows 3-5 gives the batches of the reference
+    # join, and the open slice around it is unchanged.
+    for catalog_fn, cases in _seeded_open_references().items():
         cand = en._slice(np.arange(72), (17, 72))
-        before = list(en._join(catalog_fn, cand))
+        before = list(en._ranges(catalog_fn, cand))
         restricted = [(mask, levels) for mask, levels in cases if not mask[3:].all()]
         assert len(restricted) > 40
         for mask, levels in restricted:
-            _assert_joins_equal(catalog_fn, mask, _head_chunks(levels[8]))
-            _assert_joins_equal(catalog_fn, cand, before)
-        assert sum(map(len, before)) == (82944 if catalog_fn is en.semi_magic_blocks else 448)
+            _assert_batches_match_the_reference(catalog_fn, mask, levels)
+            after = list(en._ranges(catalog_fn, cand))
+            assert len(after) == len(before)
+            assert all(np.array_equal(a, b) for x, y in zip(after, before) for a, b in zip(x, y))
+        assert sum(int(n.sum()) for _, _, n in before) == (
+            82944 if catalog_fn is en.semi_magic_blocks else 448)
 
 
 @pytest.mark.parametrize("catalog_fn", [en.semi_magic_blocks, en.modular_magic_blocks])
 def test_count_only_sums_the_ranges_of_the_rows(catalog_fn):
-    # The count-only path sums range lengths, never building a row; it
-    # equals the rows of the join on seeded masks restricted in bands 0
-    # and 1, as the ranges read no band-2 mask, and on masks with one
-    # position of those bands empty.
+    # The count-only path sums range lengths, never building a board; it
+    # equals the boards built from the ranges on seeded masks restricted
+    # in bands 0 and 1, as the ranges read no band-2 mask, and on masks
+    # with one position of those bands empty.
     rng = np.random.default_rng(31)
     masks = [rng.random((9, 72)) < rng.choice([0.5, 0.9, 1.0], size=(9, 1)) for _ in range(20)]
     for m in masks[:9]:
@@ -558,84 +506,70 @@ def test_count_only_sums_the_ranges_of_the_rows(catalog_fn):
         masks[-1][p] = False
     counts = []
     for cand in masks:
-        want = sum(map(len, en._join(catalog_fn, cand)))
+        want = sum(1 for _ in en._cells(catalog_fn, en._ranges(catalog_fn, cand)))
         assert en._visit(en._ranges(catalog_fn, cand), None, None) == want
         counts.append(want)
     assert counts[-3:] == [0, 0, 0] and sum(c > 0 for c in counts) > 10
 
 
-@pytest.mark.parametrize("join, digest", [
-    (en._sm_join, "328dde5af5673a038be15524cee3449fd82236470dc5ea46fb5b7a532032cd8f"),
-    (en._mm_join, "0f2b234aebf99bd7ad6c788652b2d31f633adca0522f92a37b6d9cea2474863c"),
+@pytest.mark.parametrize("ranges, digest", [
+    (en._sm_ranges, "cbb2e8a6fb2656c839d615518cb8fdbdb09d226f7f9fe0a29130182052211d26"),
+    (en._mm_ranges, "2d3c1db41cfede01c41e2b6d82f45946c808542caf707f31373c39a027eaeef8"),
 ], ids=["SM", "MM"])
-def test_join_chunks_pinned(join, digest):
-    # One SHA-256 over each chunk's length and bytes, so the chunk
-    # boundaries are pinned with the rows; computed with the join that
-    # searched the sorted band-2 keys per chunk. census reads idx.T and
-    # _cells takes whole rows, so each chunk is a C-contiguous uint8 array.
+def test_join_batches_pinned(ranges, digest):
+    # One SHA-256 over each batch's length, pairs, starts and lengths, so
+    # the batch boundaries are pinned with the ranges; computed with the
+    # join that expanded the batches into (n, 9) rows of catalog indices.
+    # census reads pair.T and _band_rows takes whole rows, so each
+    # batch's pairs are a C-contiguous uint8 array.
     h = hashlib.sha256()
-    for idx in join():
-        assert idx.dtype == np.uint8 and idx.ndim == 2 and idx.shape[1] == 9
-        assert len(idx) and idx.flags.c_contiguous
-        h.update(len(idx).to_bytes(8, "little"))
-        h.update(idx.tobytes())
+    for pair, lo, n in ranges():
+        assert pair.dtype == np.uint8 and pair.ndim == 2 and pair.shape[1] == 6
+        assert pair.flags.c_contiguous and len(pair) == len(lo) == len(n)
+        h.update(len(pair).to_bytes(8, "little"))
+        h.update(pair.tobytes())
+        h.update(lo.astype(np.int64).tobytes())
+        h.update(n.astype(np.int64).tobytes())
     assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("catalog_fn", [en.semi_magic_blocks, en.modular_magic_blocks])
 def test_join_empty_edges(catalog_fn):
     bands = en._band_tables(catalog_fn)[0]
-    for p in (0, 4):  # no top band; no middle band
+    # No top band gives no batch; no middle band gives one empty batch
+    # per top-left block.
+    for p, heads in ((0, 0), (4, len(np.unique(bands[:, 0])))):
         cand = np.ones((9, 72), dtype=bool)
         cand[p] = False
-        assert list(en._join(catalog_fn, cand)) == []
-    # Band 2 restricted to one band (x, y, z) while position 0 must hold
-    # x too: every pair leaves pillar 0 a column triple disjoint from x's,
-    # so no pair asks for that band's key, though band 2 is not empty.
-    x, y, z = bands[0]
-    cand = np.zeros((9, 72), dtype=bool)
-    cand[[1, 2, 3, 4, 5]] = True
-    cand[[0, 6, 7, 8], [x, x, y, z]] = True
-    assert list(en._join(catalog_fn, np.vstack((cand[:6], np.ones((3, 72), dtype=bool)))))
-    assert list(en._join(catalog_fn, cand)) == []
+        batches = list(en._ranges(catalog_fn, cand))
+        assert len(batches) == heads and all(len(pair) == 0 for pair, _, _ in batches)
+        assert list(en._cells(catalog_fn, batches)) == []
     # A top band list that holds one (b0, b1) run, with or without its
-    # third block fixed, gives one chunk.
+    # third block fixed, gives one batch.
     b0, b1, b2 = bands[len(bands) // 2]
     for fixed in ([b0, b1], [b0, b1, b2]):
         cand = np.ones((9, 72), dtype=bool)
         for p, b in enumerate(fixed):
             cand[p] = np.arange(72) == b
-        got = list(en._join(catalog_fn, cand))
-        assert len(got) == 1
-        assert _assert_joins_equal(catalog_fn, cand) == len(got[0]) > 0
-
-
-def _reference_cells(catalog_fn, chunks):
-    # The gather of single cells: (n, I, J, r, c) blocks transposed to
-    # (n, I, r, J, c), then split 81 bytes at a time.
-    cat = en._join_tables(catalog_fn)[0]
-    for idx in chunks:
-        data = cat[idx].reshape(-1, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4).tobytes()
-        for k in range(0, len(data), 81):
-            yield data[k : k + 81]
+        batches = list(en._ranges(catalog_fn, cand))
+        assert len(batches) == 1
+        assert _assert_batches_match_the_reference(catalog_fn, cand) == batches[0][2].sum() > 0
 
 
 def test_cells_equal_the_single_cell_gather():
-    rng = np.random.default_rng(29)
-    chunk, sm_slice = en._CHUNK, list(en._sm_join((17, 72)))
-    assert max(map(len, sm_slice)) > chunk
-    inputs = {
-        "SM slice": sm_slice,
-        "MM join": list(en._mm_join()),
-        "one row": [np.array([[5, 17, 30, 42, 0, 71, 9, 60, 33]], dtype=np.uint8)],
-        "random rows": [rng.integers(0, 72, (n, 9), dtype=np.uint8)
-                        for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 7)],
-    }
-    for catalog_fn in (en.semi_magic_blocks, en.modular_magic_blocks):
-        for name, chunks in inputs.items():
-            got = list(en._cells(catalog_fn, chunks))
-            assert got == list(_reference_cells(catalog_fn, chunks)), name
-            assert len(got) == sum(map(len, chunks))
+    # The boards of range batches, built at most _CHUNK at a time,
+    # against the single-cell gather of the reference join: a semi-magic
+    # slice of more than _CHUNK boards, each of the 81 modular-magic
+    # slices, and the modular-magic join.
+    sm, mm = en.semi_magic_blocks, en.modular_magic_blocks
+    batches = list(en._sm_ranges((17, 72)))
+    assert sum(int(n.sum()) for _, _, n in batches) > en._CHUNK
+    assert list(en._cells(sm, batches)) == list(_reference_cells(sm, [_sm_slice_levels(17)[-1]]))
+    cat = en._join_tables(mm)[0].astype(int)
+    for partition in [*((w, 81) for w in range(81)), None]:
+        rows = _reference_levels(mm, en._slice(9 * cat[:, 0] + cat[:, 1], partition))[-1]
+        got = list(en._cells(mm, en._mm_ranges(partition)))
+        assert got == list(_reference_cells(mm, [rows])), partition
 
 
 def test_join_reads_no_predicate_table():

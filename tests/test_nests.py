@@ -1,6 +1,7 @@
 """Nest labels, canonicalization, representatives, and the census."""
 
 import ast
+import functools
 import hashlib
 import importlib
 import itertools
@@ -25,13 +26,31 @@ from magicsudoku.perms import act
 
 from oracles import (
     _label_codes,
+    _reference_cells,
+    _reference_join,
     oracle_is_modular_magic,
     oracle_is_semi_magic,
     oracle_mm_weight_sum,
 )
 
-# The join of each variant's catalog, in (n, 9) chunks of catalog indices.
-_JOINS = {"MM": en._mm_join, "SM": en._sm_join}
+
+def _reference_slice(variant, partition=None):
+    # The reference join of a partition slice of the variant's catalog,
+    # one top-left block at a time, in (n, 9) chunks of catalog indices.
+    catalog_fn = nests._VARIANTS[variant].catalog
+    cat = en._join_tables(catalog_fn)[0].astype(int)
+    cand = en._slice(9 * cat[:, 0] + cat[:, 1] if variant == "MM" else np.arange(72), partition)
+    for top_left in np.flatnonzero(cand[0]):
+        cand[0] = np.arange(72) == top_left
+        yield from _reference_join(catalog_fn, cand)
+
+
+_JOINS = {v: functools.partial(_reference_slice, v) for v in ("MM", "SM")}
+
+
+def _boards(catalog_fn, idx):
+    """The Boards of (n, 9) rows of catalog indices, by the single-cell gather."""
+    return [Board(cells) for cells in _reference_cells(catalog_fn, [idx])]
 
 
 def test_normalize_variant():
@@ -249,8 +268,8 @@ def test_mm_label_codes_equal_the_scan_oracle():
     group = catalog.PhysicalGroup(catalog.h_mm_generators())
     reps = {9 * l.first + l.second: nests.representative(l).cells for l in nests.mm_labels()}
     total = 0
-    for idx in en._mm_join():
-        boards = en._boards(en.modular_magic_blocks, [idx])
+    for idx in _JOINS["MM"]():
+        boards = _boards(en.modular_magic_blocks, idx)
         canon = [nests._scan(group, nests._MM_TEMPLATE, b.cells, nests._mm_ties) for b in boards]
         want = [9 * c[nests._MM_ALPHA] + c[nests._MM_GAMMA1] for c in canon]
         assert _label_codes("MM", idx.T).tolist() == want
@@ -299,7 +318,7 @@ def test_canonicalize_equals_the_batch_labels(variant, partitions):
     for partition in partitions:
         for idx in join(partition):
             want = [nest[code] for code in _label_codes(variant, idx.T).tolist()]
-            boards = en._boards(catalog_fn, [idx])
+            boards = _boards(catalog_fn, idx)
             assert [nests.canonicalize(variant, board) for board in boards] == want
             total += len(idx)
     assert total == (32_256 if variant == "MM" else 2 * 82_944)
@@ -320,7 +339,7 @@ def test_board_blocks_accepts_exactly_the_boards_of_the_variant(variant):
         swapped[:, p, :, p] = np.arange(72)
     tuples = np.concatenate([rng.integers(0, 72, (2000, 9)), swapped.reshape(-1, 9)])
     accepted = 0
-    for row, board in zip(tuples.tolist(), en._boards(catalog_fn, [tuples.astype(np.uint8)])):
+    for row, board in zip(tuples.tolist(), _boards(catalog_fn, tuples)):
         bands = boards._variant_bands(catalog_fn, board.cells)
         got = None if bands is None else sum((band[0] for band in bands), ())
         assert (got is not None) == predicate(board)
@@ -365,8 +384,8 @@ def test_mm_band_sums_equal_the_nine_weight_sums():
     # of that nine-weight sum.
     code, nest = nests._mm_code, nests._nests("MM")
     total = 0
-    for idx in en._mm_join():
-        for row, board in zip(idx.tolist(), en._boards(en.modular_magic_blocks, [idx])):
+    for idx in _JOINS["MM"]():
+        for row, board in zip(idx.tolist(), _boards(en.modular_magic_blocks, idx)):
             weight_sum = oracle_mm_weight_sum(board)
             assert nests._board_code("MM", board.cells) == weight_sum
             assert code.pair(row) + code.band(row[6:9]) == weight_sum
@@ -391,14 +410,14 @@ def test_one_board_codes_are_python_ints_equal_to_the_chunk_codes():
     rng = random.Random(12)
     sm_rows = [_block_indices(en.semi_magic_blocks, random_semi_magic(rng).cells)
                for _ in range(300)]
-    chunks = {"MM": list(en._mm_join((1, 81))),
+    chunks = {"MM": list(_JOINS["MM"]((1, 81))),
               "SM": [np.concatenate(sm_rows).astype(np.uint8)]}
     for variant, chunk_list in chunks.items():
         catalog_fn, code_fn = nests._VARIANTS[variant].catalog, nests._VARIANTS[variant].code
         checked = 0
         for idx in chunk_list:
             want = code_fn(idx.T).tolist()
-            for board, code in zip(en._boards(catalog_fn, [idx]), want):
+            for board, code in zip(_boards(catalog_fn, idx), want):
                 got = nests._board_code(variant, board.cells)
                 assert type(got) is int and got == code
                 checked += 1
@@ -614,7 +633,7 @@ def test_census_of_restricted_joins_equals_the_labels_of_the_rows(variant, monke
         monkeypatch.setitem(nests._VARIANTS, variant,
                             spec._replace(ranges=lambda p: en._ranges(spec.catalog, cand)))
         got = nests.census(variant)
-        assert got.counts == _row_census(variant, en._join(spec.catalog, cand))
+        assert got.counts == _row_census(variant, _reference_join(spec.catalog, cand))
         uneven += len(set(got.counts.values())) > 1
     assert uneven >= 4
 
@@ -668,9 +687,9 @@ def test_census_labels_are_the_variants_own(variant):
 def test_cached_tables_are_read_only(variant):
     # Every caller shares these arrays, so none of them can be written.
     catalog_fn = nests._VARIANTS[variant].catalog
-    tables = (*en._band_tables(catalog_fn)[:4], *en._index(catalog_fn),
+    tables = (*en._band_tables(catalog_fn)[:5], *en._index(catalog_fn),
               *nests._band_counts(variant), *en._join_tables(catalog_fn))
-    assert len(tables) == 12
+    assert len(tables) == 13
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[:1] = 0
@@ -759,13 +778,13 @@ def _sm_label(cells: bytes) -> tuple[int, int]:
 
 
 def _index_rows_and_boards(idx):
-    return idx, list(en._boards(en.semi_magic_blocks, [idx]))
+    return idx, _boards(en.semi_magic_blocks, idx)
 
 
 @pytest.mark.parametrize("top_left", [17, 68])  # reduced directly; transposed first
 def test_batch_sm_label_equals_scalar(top_left):
     assert nests._sm_code_tables()[0][top_left] == (top_left == 68)  # flip
-    for idx, boards in map(_index_rows_and_boards, en._sm_join((top_left, 72))):
+    for idx, boards in map(_index_rows_and_boards, _JOINS["SM"]((top_left, 72))):
         want = [9 * a + b for a, b in (_sm_label(board.cells) for board in boards)]
         assert _label_codes("SM", idx.T).tolist() == want
 
@@ -773,7 +792,7 @@ def test_batch_sm_label_equals_scalar(top_left):
 def test_canonicalize_sm_equals_the_reference_reduction():
     sampled = []
     for top_left in (17, 68):
-        boards = en._boards(en.semi_magic_blocks, en._sm_join((top_left, 72)))
+        boards = map(Board, _reference_cells(en.semi_magic_blocks, _JOINS["SM"]((top_left, 72))))
         sampled += itertools.islice(boards, 0, None, 50)
     rng = random.Random(7)
     drawn = [random_semi_magic(rng) for _ in range(2000)]

@@ -143,15 +143,17 @@ def test_timed_count_times_a_fresh_build():
 
 def test_group_orders_builds_no_h_gamma_table():
     # A fresh process, so that no other test has filled the caches. The
-    # orders and the property draws come from the factored groups, so the
-    # property checks build neither table; group_orders still builds
-    # H_MM's, through g_mm_group.
+    # orders and the property draws come from the factored groups, so
+    # neither the property checks nor group_orders build a table: not
+    # H_gamma's, not H_MM's, and not G_MM's, whose order is that of H_MM
+    # times S_MM.
     code = (
         "from magicsudoku import catalog, verification\n"
+        "tables = (catalog.h_gamma_group, catalog.h_mm_group, catalog.g_mm_group)\n"
         "assert verification.run_checks(['mm_properties', 'sm_properties']).overall\n"
-        "print(*(f.cache_info().currsize for f in (catalog.h_gamma_group, catalog.h_mm_group)))\n"
+        "print(*(f.cache_info().currsize for f in tables))\n"
         "assert verification.run_checks(['group_orders']).overall\n"
-        "print(catalog.h_gamma_group.cache_info().currsize)\n"
+        "print(*(f.cache_info().currsize for f in tables))\n"
     )
     src = str(Path(verification.__file__).resolve().parents[1])
     paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
@@ -159,4 +161,4 @@ def test_group_orders_builds_no_h_gamma_table():
     argv = [sys.executable, "-c", code]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "0 0\n0\n"
+    assert done.stdout == "0 0 0\n0 0 0\n"
